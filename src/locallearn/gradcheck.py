@@ -308,18 +308,6 @@ def _forward_to(net, k: int, x, rng):
     return a
 
 
-def _head_kwargs(block):
-    return dict(
-        cls_w=block.cls_w,
-        cls_b=block.cls_b,
-        sim_w=block.sim_w,
-        sim_b=block.sim_b,
-        feedback=block.feedback,
-        proj=block.proj,
-        pool_k=block.pool_k,
-    )
-
-
 def _check_local_mode(mode: str):
     net, x, y = _toy_setup(mode)
     pairs = []
@@ -327,11 +315,11 @@ def _check_local_mode(mode: str):
         a_k = _forward_to(net, k, x, make_rng(77))
         fwd = lambda: block_forward(block, a_k, train=True, rng=make_rng(88, k))
         h0, cache0 = fwd()
-        res0 = local_block_loss(mode, net.beta, h0, y, **_head_kwargs(block))
+        res0 = local_block_loss(mode, net.beta, h0, y, **block.heads())
         main0 = block_local_backward(block, cache0, res0.dh)
 
         # head parameters against the actual loss (h0 fixed; heads do not affect h)
-        loss_at = lambda: local_block_loss(mode, net.beta, h0, y, **_head_kwargs(block)).loss
+        loss_at = lambda: local_block_loss(mode, net.beta, h0, y, **block.heads()).loss
         for name, g0 in res0.grads.items():
             pairs.append((g0, fd_grad(loss_at, getattr(block, name))))
 
@@ -344,7 +332,7 @@ def _check_local_mode(mode: str):
             beta = net.beta
             target = lambda: (1.0 - beta) * surrogate() + beta * sim_part()
         else:
-            target = lambda: local_block_loss(mode, net.beta, fwd()[0], y, **_head_kwargs(block)).loss
+            target = lambda: local_block_loss(mode, net.beta, fwd()[0], y, **block.heads()).loss
         for name in ("weight", "bias", "gamma", "beta"):
             pairs.append((main0[name], fd_grad(target, getattr(block, name))))
 

@@ -65,9 +65,12 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
-    """Static description of one hidden block and its local-loss heads."""
+    """Static description of one hidden block and its local-loss heads.
+
+    Frozen, so the spec a block runs with is the one __post_init__ checked.
+    """
 
     kind: str  # "dense" | "conv"
     in_shape: tuple  # (d,) for dense, (c, h, w) for conv
@@ -143,6 +146,18 @@ class LayerBlock:
     proj: Optional[np.ndarray] = None  # fixed, no Adam state
     pool_k: int = 1
     adam: dict = field(default_factory=dict)
+
+    def heads(self) -> dict:
+        """The local-loss head tensors, as local_block_loss takes them."""
+        return dict(
+            cls_w=self.cls_w,
+            cls_b=self.cls_b,
+            sim_w=self.sim_w,
+            sim_b=self.sim_b,
+            feedback=self.feedback,
+            proj=self.proj,
+            pool_k=self.pool_k,
+        )
 
     def param_names(self):
         """Trainable parameters, in a stable order."""

@@ -1,17 +1,19 @@
-"""The training engine: architecture parsing, the per-step update sweeps,
-the epoch loop, and checkpoint/metrics plumbing.
+"""The training engine: architecture parsing, the training step's one
+sweep, the epoch loop, and checkpoint/metrics plumbing.
 
 The point of the local modes is the shape of the step: activations flow
 forward once, and every hidden block computes its own loss, backpropagates
 one layer deep, updates immediately, and drops its cache before the next
-block runs. Nothing is retained for a global backward pass, so holding more
-than one block's cache at a time would be a bug (and is instrumented).
+block runs. Global backprop is the same forward sweep, except that each
+block's cache goes onto a trace for one backward pass at the end. In a local
+mode, holding more than one block's cache at a time would be a bug (and is
+instrumented).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -238,11 +240,21 @@ def build_network(
     layer. Each weight layer draws from its own seeded stream, so nets with
     equal seeds match bit for bit regardless of mode-dependent head counts."""
     mode = loss.mode
-    slope_val = resolved_slope(slope, mode)
-    use_cls = mode in ("pred", "predsim")
     use_bpf_cls = mode in ("pred-bpf", "predsim-bpf")
-    use_sim = mode in ("sim", "predsim", "glob+sim")
-    use_proj = mode in ("pred-bpf", "sim-bpf", "predsim-bpf")
+    if mode in ("pred", "predsim"):
+        cls_targets = spec.classes
+    else:
+        cls_targets = loss.projection_dim if use_bpf_cls else 0
+    shared = dict(  # every field of a block's spec but its shape
+        slope=resolved_slope(slope, mode),
+        dropout=dropout,
+        pred_target_dim=pred_target_dim,
+        classes=spec.classes,
+        cls_targets=cls_targets,
+        feedback=use_bpf_cls,
+        sim_head=mode in ("sim", "predsim", "glob+sim"),
+        projection=loss.projection_dim if mode in ("pred-bpf", "sim-bpf", "predsim-bpf") else 0,
+    )
 
     elements: list = []
     index = 0
@@ -252,21 +264,10 @@ def build_network(
             continue
         if e[0] == "conv":
             _, c_in, c_out, h, w = e
-            lspec = LayerSpec(kind="conv", in_shape=(c_in, h, w), channels=c_out)
+            lspec = LayerSpec(kind="conv", in_shape=(c_in, h, w), channels=c_out, **shared)
         else:
             _, in_dim, units = e
-            lspec = LayerSpec(kind="dense", in_shape=(in_dim,), units=units)
-        lspec.slope = slope_val
-        lspec.dropout = dropout
-        lspec.pred_target_dim = pred_target_dim
-        lspec.classes = spec.classes
-        if use_cls:
-            lspec.cls_targets = spec.classes
-        elif use_bpf_cls:
-            lspec.cls_targets = loss.projection_dim
-            lspec.feedback = True
-        lspec.sim_head = use_sim
-        lspec.projection = loss.projection_dim if use_proj else 0
+            lspec = LayerSpec(kind="dense", in_shape=(in_dim,), units=units, **shared)
         elements.append(init_params(lspec, rngmod.make_rng(seed, rngmod.INIT, index), dtype))
         index += 1
 
@@ -305,124 +306,78 @@ def _check_finite(loss: float, what: str) -> None:
         raise NonFiniteError(f"non-finite loss at {what}")
 
 
-def _head_kwargs(block: LayerBlock) -> dict:
-    return dict(
-        cls_w=block.cls_w,
-        cls_b=block.cls_b,
-        sim_w=block.sim_w,
-        sim_b=block.sim_b,
-        feedback=block.feedback,
-        proj=block.proj,
-        pool_k=block.pool_k,
-    )
+def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rng, apply: bool = True) -> StepResult:
+    """One optimisation step: a single forward sweep over the blocks.
 
-
-def _step_local(net: Network, x, targets, lr: float, rng, apply: bool) -> StepResult:
+    After each hidden block the sweep either trains it at once (local modes:
+    local loss, one-block backward, update, and the cache dies before the
+    next block runs) or pushes (block, cache, sim result) onto a trace
+    (glob, glob+sim). The output layer's cross-entropy then starts one
+    reverse loop over the trace, the global backward, where glob+sim adds
+    each block's sim gradient with unit weight; global blocks update after
+    it, in forward order. With apply=False the gradients are computed and
+    returned but nothing moves, which the gradient checks build on.
+    """
+    local = net.mode in LOCAL_MODES
     a = x
     losses: list = []
     grads_list: list = []
+    trace: list = []  # (element, cache or pool indices, sim result or None)
     live = peak = 0
-    layer = 0
-    for e in net.elements:
-        if e == "pool":
-            a, _ = nm.maxpool2x2(a)  # the stream is already detached, no indices kept
-            continue
-        h, cache = block_forward(e, a, train=True, rng=rng)
-        live += 1
-        peak = max(peak, live)
-        res = local_block_loss(net.mode, net.beta, h, targets, **_head_kwargs(e))
-        _check_finite(res.loss, f"layer {layer} ({net.mode})")
-        grads = block_local_backward(e, cache, res.dh)
-        grads.update(res.grads)
-        cache = None  # the cache dies here, before the next block runs
-        live -= 1
-        if apply:
-            update_params(e, grads, lr)
-        losses.append(res.loss)
-        grads_list.append(grads)
-        a = h
-        layer += 1
-
-    flat, logits = _output_forward(net, a)
-    loss, dlogits = nm.cross_entropy_logits(logits, targets)
-    _check_finite(loss, "output layer")
-    _, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
-    ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
-    if apply:
-        update_params(net.out, ograds, lr)
-    losses.append(loss)
-    grads_list.append(ograds)
-    return StepResult(losses, grads_list, logits.argmax(axis=1), peak)
-
-
-def _step_global(net: Network, x, targets, lr: float, rng, apply: bool) -> StepResult:
-    with_sim = net.mode == "glob+sim"
-    a = x
-    trace: list = []  # (element, cache-or-indices, sim result or None)
-    live = peak = 0
-    layer = 0
     for e in net.elements:
         if e == "pool":
             a, idx = nm.maxpool2x2(a)
-            trace.append(("pool", idx, None))
+            if not local:
+                trace.append((e, idx, None))
+            del idx  # local modes keep no pool indices: nothing backpropagates through them
             continue
         h, cache = block_forward(e, a, train=True, rng=rng)
         live += 1
         peak = max(peak, live)
-        sim_res = None
-        if with_sim:
-            sim_res = local_block_loss("glob+sim", 1.0, h, targets, **_head_kwargs(e))
-            _check_finite(sim_res.loss, f"layer {layer} (sim)")
-        trace.append((e, cache, sim_res))
+        res = None
+        if net.mode != "glob":
+            res = local_block_loss(net.mode, net.beta, h, targets_onehot, **e.heads())
+            _check_finite(res.loss, f"layer {len(losses)} ({net.mode})")
+        losses.append(0.0 if res is None else res.loss)
+        if local:
+            grads = block_local_backward(e, cache, res.dh)
+            grads.update(res.grads)
+            cache = None  # the cache dies here, before the next block runs
+            live -= 1
+            if apply:
+                update_params(e, grads, lr)
+            grads_list.append(grads)
+        else:
+            trace.append((e, cache, res))
         a = h
-        layer += 1
 
     flat, logits = _output_forward(net, a)
-    out_loss, dlogits = nm.cross_entropy_logits(logits, targets)
+    out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
     _check_finite(out_loss, "output layer")
     dflat, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
     ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
     d = dflat.reshape(a.shape)
 
-    block_grads: list = []
-    sim_losses: list = []
-    for e, cache, sim_res in reversed(trace):
+    backward: list = []
+    for e, cache, res in reversed(trace):
         if e == "pool":
             d = nm.maxpool2x2_backward(d, cache)
             continue
-        if sim_res is not None:
-            d = d + sim_res.dh  # sim terms join the global gradient, unit weight
-            sim_losses.append(sim_res.loss)
+        if res is not None:
+            d = d + res.dh
         grads, d = block_backward(e, cache, d)
-        if sim_res is not None:
-            grads.update(sim_res.grads)
-        live -= 1
-        block_grads.append((e, grads))
-    block_grads.reverse()
-    sim_losses.reverse()
+        if res is not None:
+            grads.update(res.grads)
+        backward.append((e, grads))
+    backward.reverse()
 
     if apply:
-        for e, grads in block_grads:
+        for e, grads in backward:
             update_params(e, grads, lr)
         update_params(net.out, ograds, lr)
-
-    hidden_losses = sim_losses if with_sim else [0.0] * len(block_grads)
-    losses = hidden_losses + [out_loss]
-    grads_list = [g for _, g in block_grads] + [ograds]
+    losses.append(out_loss)
+    grads_list += [g for _, g in backward] + [ograds]
     return StepResult(losses, grads_list, logits.argmax(axis=1), peak)
-
-
-def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rng, apply: bool = True) -> StepResult:
-    """One optimisation step in the network's mode.
-
-    Local modes update each block during the forward sweep; global modes
-    accumulate a full backward pass first and update at the end. With
-    apply=False the gradients are computed and returned but nothing moves,
-    which the gradient checks build on.
-    """
-    if net.mode in LOCAL_MODES:
-        return _step_local(net, x, targets_onehot, lr, rng, apply)
-    return _step_global(net, x, targets_onehot, lr, rng, apply)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +390,18 @@ def sample_batches(labels: np.ndarray, batch_size: int, rng, classes_per_batch: 
 
     With classes_per_batch > 0, each batch is drawn from at most that many
     randomly chosen classes (per-class pools are pre-shuffled and drained, so
-    every example still appears exactly once per epoch).
+    every example still appears exactly once per epoch). Batchnorm needs two
+    examples, so a batch of one is folded into an earlier batch.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    if batch_size < 2:
+        raise ConfigError(f"batch size must be >= 2 (batchnorm), got {batch_size}")
     if batch_size > n:
         raise ConfigError(f"batch size {batch_size} exceeds dataset size {n}")
     if not classes_per_batch:
         perm = rng.permutation(n)
-        return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+        return _fold_singletons([perm[i : i + batch_size] for i in range(0, n, batch_size)], labels)
 
     classes = np.unique(labels)
     queues = {int(c): list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
@@ -467,7 +423,25 @@ def sample_batches(labels: np.ndarray, batch_size: int, rng, classes_per_batch: 
         batch = np.array(batch, dtype=np.int64)
         rng.shuffle(batch)
         batches.append(batch)
-    return batches
+    return _fold_singletons(batches, labels)
+
+
+def _fold_singletons(batches: list, labels: np.ndarray) -> list:
+    """Append each one-example batch to the last earlier batch holding its
+    class, so a class limit still holds where the split allows it, or to the
+    batch right before it when none does. A leading one takes in the batch
+    after it. A partition without one-example batches is returned as is."""
+    out: list = []
+    for b in batches:
+        if out and len(out[-1]) == 1:
+            out[-1] = np.concatenate([out[-1], b])
+        elif out and len(b) == 1:
+            last = len(out) - 1
+            j = next((k for k in range(last, -1, -1) if labels[b[0]] in labels[out[k]]), last)
+            out[j] = np.concatenate([out[j], b])
+        else:
+            out.append(b)
+    return out
 
 
 def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
@@ -625,4 +599,4 @@ def load_network_state(net: Network, path) -> None:
     for i, b in enumerate(net.blocks):
         key = f"block{i}.slope"
         if key in tensors:
-            b.spec.slope = float(tensors[key])
+            b.spec = replace(b.spec, slope=float(tensors[key]))

@@ -1,6 +1,7 @@
 """Architecture parsing, the LR schedule, batch sampling, the step/epoch
 loop, metrics formatting, and network state round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 import locallearn.numerics as nm
 import locallearn.trainer as tr
-from locallearn.data import synthetic_blobs
+from locallearn.data import Dataset, synthetic_blobs
 from locallearn.errors import ConfigError, DataError, NonFiniteError, ShapeError
-from locallearn.losses import LossConfig
+from locallearn.losses import LOCAL_MODES, MODES, LossConfig
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 
@@ -122,6 +123,38 @@ def test_sample_batches_rejects_oversized_batch():
         tr.sample_batches(np.zeros(5), 6, make_rng(0))
 
 
+@pytest.mark.parametrize("classes_per_batch", [0, 1])
+def test_one_example_batch_is_folded_and_trains(classes_per_batch):
+    """33 examples at batch 32 would leave a batch of one, which batchnorm
+    rejects in train mode; it joins its neighbour instead. With one class
+    per batch, the lone class-1 example comes first or last by seed."""
+    labels = np.array([0] * 32 + [1])
+    for seed in range(4):
+        batches = tr.sample_batches(labels, 32, make_rng(72, seed), classes_per_batch)
+        assert [len(b) for b in batches] == [33]
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(33))
+    with pytest.raises(ConfigError, match="batch size"):
+        tr.sample_batches(labels, 1, make_rng(72), classes_per_batch)
+
+    ds = Dataset(rand((33, 4, 1, 1), seed=73, dtype=np.float32), labels, 2)
+    cfg = _quick_cfg(arch="fc8-fc", epochs=1, classes_per_batch=classes_per_batch)
+    _, hist = tr.train(cfg, LossConfig("predsim"), ds)
+    assert len(hist) == 1 and all(np.isfinite(hist[0].layer_losses))
+
+
+@pytest.mark.parametrize("batch_size,classes_per_batch", [(8, 1), (10, 2)])
+def test_folded_batches_keep_the_class_limit(batch_size, classes_per_batch):
+    """25 per class at batch 8 ends each class on a batch of one; at batch 10
+    with two classes, some epochs end on one. A folded example joins a batch
+    of its own class, so the limit holds."""
+    labels = np.repeat(np.arange(4), 25)
+    for seed in range(10):
+        batches = tr.sample_batches(labels, batch_size, make_rng(74, seed), classes_per_batch)
+        assert min(len(b) for b in batches) >= 2
+        assert max(len(np.unique(labels[b])) for b in batches) <= classes_per_batch
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(100))
+
+
 # ---------------------------------------------------------------------------
 # gradients through the whole net
 # ---------------------------------------------------------------------------
@@ -152,6 +185,34 @@ def test_local_grads_keyed_by_param_names():
     block_grads = res.grads[0]
     assert set(block_grads) >= {"weight", "bias", "gamma", "beta", "cls_w", "sim_w"}
     assert set(res.grads[-1]) == {"weight", "bias"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_contract_in_every_mode(mode):
+    net = small_net(mode, arch="conv3-pool-fc8-fc", input_shape=(2, 4, 4), classes=3,
+                    dropout=0.1, pred_target_dim=4)
+    n_blocks = len(net.blocks)
+    assert n_blocks == 2
+    x = rand((6, 2, 4, 4), seed=77, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+
+    owners = net.blocks + [net.out]
+    before = [
+        {name: (getattr(o, name).copy(), st.m.copy(), st.v.copy(), st.t) for name, st in o.adam.items()}
+        for o in owners
+    ]
+    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    for o, saved in zip(owners, before):
+        for name, (param, m, v, t) in saved.items():
+            st = o.adam[name]
+            assert np.array_equal(getattr(o, name), param), name
+            assert np.array_equal(st.m, m) and np.array_equal(st.v, v) and st.t == t, name
+
+    assert res.peak_caches == (1 if mode in LOCAL_MODES else n_blocks)
+    assert len(res.grads) == n_blocks + 1
+    assert len(res.losses) == n_blocks + 1
+    hidden_zero = [loss == 0.0 for loss in res.losses[:-1]]
+    assert hidden_zero == [mode == "glob"] * n_blocks
 
 
 def test_non_finite_input_aborts_with_layer():
@@ -220,6 +281,17 @@ def test_metrics_csv_format(blobs3):
 def test_glob_sim_records_sim_losses(blobs3):
     _, hist = tr.train(_quick_cfg(epochs=1), LossConfig("glob+sim"), blobs3)
     assert hist[0].layer_losses[0] > 0.0
+
+
+def test_build_network_validates_the_spec_it_uses():
+    """Dropout reaches the block spec whole, so the spec's own check fires at
+    build time, and the built spec cannot be changed behind that check."""
+    for dropout in (-0.5, 1.5):
+        with pytest.raises(ConfigError, match="dropout"):
+            small_net("pred", dropout=dropout)
+    block = small_net("pred").blocks[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.spec.slope = 0.5
 
 
 def test_zero_epochs_rejected():
