@@ -23,7 +23,7 @@ import numpy as np
 from . import data as datamod
 from . import gradcheck as gc
 from .data import AugmentConfig, Dataset
-from .errors import LocalLearnError
+from .errors import ConfigError, LocalLearnError
 from .losses import MODES, LossConfig
 from .trainer import (
     ARCH_PRESETS,
@@ -52,6 +52,8 @@ DATASET_PRESETS = {
 
 def _load_dataset(name: str, data_dir: str, seed: int):
     """Returns (train split, test split)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if name == "blobs":
         full = datamod.synthetic_blobs(classes=10, per_class=120, dim=32, separation=6.0, seed=seed)
         test, train_ds = datamod.class_balanced_split(full, per_class=20, seed=seed)
@@ -101,8 +103,8 @@ def cmd_train(args) -> int:
         pred_target_dim=pred_dim,
         augment=AugmentConfig(jitter=args.jitter, hflip=args.flip, cutout=args.cutout),
     )
-    # fail on a bad architecture before touching the filesystem
-    parse_arch(cfg.arch, train_ds.images.shape[1:], train_ds.num_classes, cfg.width_mult)
+    # fail on a config the data cannot run before touching the filesystem
+    cfg.validate_for(train_ds)
 
     train_std, test_std = datamod.standardize(train_ds, test_ds)
     os.makedirs(args.out, exist_ok=True)

@@ -9,6 +9,7 @@ drawn once at init and never updated; everything else has Adam state.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -159,6 +160,13 @@ class LayerBlock:
             pool_k=self.pool_k,
         )
 
+    def fold_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's mean and population variance into the running
+        batchnorm stats (momentum 0.1)."""
+        momentum = mean.dtype.type(0.1)
+        self.run_mean += momentum * (mean - self.run_mean)
+        self.run_var += momentum * (var - self.run_var)
+
     def param_names(self):
         """Trainable parameters, in a stable order."""
         names = ["weight", "bias", "gamma", "beta"]
@@ -240,14 +248,15 @@ class BlockCache:
     inv_std: np.ndarray
     bn_out: np.ndarray  # leaky relu input
     mask: Optional[np.ndarray]
+    stats: tuple  # the batch (mean, var), for LayerBlock.fold_stats
 
 
 def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[np.random.Generator] = None):
     """Run one block; returns (out, cache). cache is None in eval mode.
 
-    Train mode folds the batch statistics into the running batchnorm stats
-    (population variance, momentum 0.1); eval mode never touches them and
-    never consumes randomness.
+    Train mode normalises with the batch statistics and hands them back in
+    the cache; whoever updates the block folds them in (fold_stats). Neither
+    mode touches the running stats, and eval mode consumes no randomness.
     """
     spec = block.spec
     x_shape = x.shape
@@ -262,9 +271,6 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
 
     if train:
         bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta)
-        momentum = pre.dtype.type(0.1)
-        block.run_mean += momentum * (mean - block.run_mean)
-        block.run_var += momentum * (var - block.run_var)
     else:
         bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var)
 
@@ -278,7 +284,7 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
 
     if not train:
         return act, None
-    return act, BlockCache(x2, x_shape, xhat, inv_std, bn_out, mask)
+    return act, BlockCache(x2, x_shape, xhat, inv_std, bn_out, mask, (mean, var))
 
 
 def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray):
@@ -385,7 +391,9 @@ def load_checkpoint(path):
         if rank > 8:
             raise DataError(f"implausible rank {rank} for {name!r}")
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents")) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)  # Python ints: an int64 product can wrap round
+        if 4 * count > len(buf) - off:
+            raise DataError(f"checkpoint truncated at byte {off}: {name!r} needs {4 * count} payload bytes")
         data = np.frombuffer(take(4 * count, f"payload of {name!r}"), dtype="<f4")
         tensors[name] = data.reshape(shape).copy()
     return tensors, block_count

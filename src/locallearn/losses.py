@@ -5,27 +5,44 @@ Every loss here returns the scalar, the gradient w.r.t. the hidden activation
 it was attached to, and the gradients of its own head parameters. That is the
 whole point: a layer can be trained from these outputs alone, without waiting
 for anything downstream.
+
+Each loss mode is defined by its row in `MODE_TABLE`, and nothing else:
+the pred part, the sim part, local or global training, the default beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, InputError, ShapeError
 
-MODES = ("glob", "pred", "sim", "predsim", "pred-bpf", "sim-bpf", "predsim-bpf", "glob+sim")
 
-# modes whose hidden layers are trained purely from local signals
-LOCAL_MODES = ("pred", "sim", "predsim", "pred-bpf", "sim-bpf", "predsim-bpf")
+class ModeRow(NamedTuple):
+    """What one loss mode trains the hidden blocks with."""
+
+    pred: Optional[str]  # local classifier: "ce" on labels, or "bpf" on binarised projected labels via B
+    sim: Optional[str]  # similarity matching: "head" (trainable sim head) or "bpf" (projected labels)
+    local: bool  # train from the local loss alone; otherwise global backprop adds it with unit weight
+    beta: float  # default weight of sim in (1 - beta) * pred + beta * sim
 
 
-def default_beta(mode: str) -> float:
-    """Mixing weight on the sim term when the mode combines two losses."""
-    return {"predsim": 0.99, "predsim-bpf": 0.01}.get(mode, 1.0)
+MODE_TABLE = {
+    "glob": ModeRow(None, None, False, 1.0),
+    "pred": ModeRow("ce", None, True, 1.0),
+    "sim": ModeRow(None, "head", True, 1.0),
+    "predsim": ModeRow("ce", "head", True, 0.99),
+    "pred-bpf": ModeRow("bpf", None, True, 1.0),
+    "sim-bpf": ModeRow(None, "bpf", True, 1.0),
+    "predsim-bpf": ModeRow("bpf", "bpf", True, 0.01),
+    "glob+sim": ModeRow(None, "head", False, 1.0),
+}
+
+MODES = tuple(MODE_TABLE)
+LOCAL_MODES = tuple(mode for mode, row in MODE_TABLE.items() if row.local)
 
 
 @dataclass
@@ -33,11 +50,11 @@ class LossConfig:
     """Which error signal trains the hidden layers."""
 
     mode: str = "predsim"
-    beta: Optional[float] = None  # None = per-mode default
+    beta: Optional[float] = None  # None = the mode's default
     projection_dim: int = 128  # width of the fixed random label projection (bpf modes)
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_TABLE:
             raise ConfigError(f"unknown loss mode {self.mode!r}; valid: {', '.join(MODES)}")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
@@ -46,7 +63,7 @@ class LossConfig:
 
     @property
     def resolved_beta(self) -> float:
-        return default_beta(self.mode) if self.beta is None else self.beta
+        return MODE_TABLE[self.mode].beta if self.beta is None else self.beta
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +129,17 @@ def label_similarity(targets_onehot: np.ndarray) -> np.ndarray:
     return similarity_matrix(t.T)
 
 
-def _sim_frobenius(desc_cols: np.ndarray, target_sim: np.ndarray):
-    """Core sim loss: mean-squared gap between the two similarity matrices
-    (sum of squares / n^2). Returns (loss, d_desc_cols)."""
-    n = desc_cols.shape[1]
-    s = similarity_matrix(desc_cols)
-    diff = s - target_sim
+def _sim_match(feat: np.ndarray, target_sim: np.ndarray):
+    """Core sim loss: the mean-squared gap (sum of squares / n^2) between
+    target_sim and the similarity matrix of feat's descriptors. Dense rows
+    are descriptors as they are; conv maps reduce to their per-map std.
+    Returns (loss, d feat)."""
+    desc = feat if feat.ndim == 2 else nm.std_per_feature_map(feat)
+    n = desc.shape[0]
+    diff = similarity_matrix(desc.T) - target_sim
     loss = float((diff * diff).sum() / (n * n))
-    dsim = diff * desc_cols.dtype.type(2.0 / (n * n))
-    return loss, similarity_matrix_backward(desc_cols, dsim)
+    ddesc = similarity_matrix_backward(desc.T, diff * desc.dtype.type(2.0 / (n * n))).T
+    return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc))
 
 
 @dataclass
@@ -149,15 +168,12 @@ def sim_loss(h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head
     target_sim = label_similarity(targets_onehot)
     if h.ndim == 2:
         feat = nm.matmul(h, head_w) + head_b
-        loss, ddesc = _sim_frobenius(feat.T, target_sim)
-        dfeat = ddesc.T
+        loss, dfeat = _sim_match(feat, target_sim)
         dh, dw = nm.matmul_backward(h, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw, "sim_b": dfeat.sum(axis=0)})
     if h.ndim == 4:
         feat = nm.conv2d(h, head_w, stride=1, pad=1)
-        desc = nm.std_per_feature_map(feat)
-        loss, ddesc = _sim_frobenius(desc.T, target_sim)
-        dfeat = nm.std_per_feature_map_backward(feat, ddesc.T)
+        loss, dfeat = _sim_match(feat, target_sim)
         dh, dw = nm.conv2d_backward(h, head_w, dfeat, stride=1, pad=1)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
@@ -169,15 +185,7 @@ def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray) -> LocalLossResult:
 
     proj_targets is (projection_dim, n), columns per example.
     """
-    target_sim = similarity_matrix(proj_targets)
-    if h.ndim == 2:
-        loss, ddesc = _sim_frobenius(h.T, target_sim)
-        return LocalLossResult(loss, ddesc.T)
-    if h.ndim == 4:
-        desc = nm.std_per_feature_map(h)
-        loss, ddesc = _sim_frobenius(desc.T, target_sim)
-        return LocalLossResult(loss, nm.std_per_feature_map_backward(h, ddesc.T))
-    raise ShapeError(f"sim_bpf_loss expects 2-d or 4-d activations, got {h.shape}")
+    return LocalLossResult(*_sim_match(h, similarity_matrix(proj_targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +298,21 @@ def local_block_loss(
     proj=None,
     pool_k: int = 1,
 ) -> LocalLossResult:
-    """Dispatch the configured local error signal for one hidden block."""
-    if mode in ("sim", "glob+sim"):
-        return sim_loss(h, targets_onehot, sim_w, sim_b)
-    if mode == "pred":
-        return pred_loss(h, targets_onehot, cls_w, cls_b, pool_k)
-    if mode == "predsim":
-        return combine(
-            pred_loss(h, targets_onehot, cls_w, cls_b, pool_k),
-            sim_loss(h, targets_onehot, sim_w, sim_b),
-            beta,
-        )
-    if mode == "sim-bpf":
-        return sim_bpf_loss(h, proj @ targets_onehot.T)
-    if mode == "pred-bpf":
+    """The local error signal of one hidden block: the mode's pred part and
+    sim part (see MODE_TABLE), mixed by beta when the mode has both."""
+    row = MODE_TABLE.get(mode)
+    if row is None or not (row.pred or row.sim):
+        raise ConfigError(f"mode {mode!r} has no local loss")
+    pred = sim = None
+    if row.pred == "ce":
+        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k)
+    elif row.pred == "bpf":
         t = binarized_targets(proj, targets_onehot, h.dtype)
-        return pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k)
-    if mode == "predsim-bpf":
-        t = binarized_targets(proj, targets_onehot, h.dtype)
-        return combine(
-            pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k),
-            sim_bpf_loss(h, proj @ targets_onehot.T),
-            beta,
-        )
-    raise ConfigError(f"mode {mode!r} has no local loss")
+        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k)
+    if row.sim == "head":
+        sim = sim_loss(h, targets_onehot, sim_w, sim_b)
+    elif row.sim == "bpf":
+        sim = sim_bpf_loss(h, proj @ targets_onehot.T)
+    if pred is None or sim is None:
+        return sim if pred is None else pred
+    return combine(pred, sim, beta)

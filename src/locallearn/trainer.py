@@ -34,7 +34,7 @@ from .layers import (
     save_checkpoint,
     update_params,
 )
-from .losses import LOCAL_MODES, LossConfig, local_block_loss
+from .losses import MODE_TABLE, LossConfig, local_block_loss
 
 ARCH_PRESETS = {
     "vgg8b": "conv128-conv256-pool-conv256-conv512-pool-conv512-pool-conv512-pool-fc1024-fc",
@@ -178,12 +178,23 @@ class TrainConfig:
             raise ConfigError("classes_per_batch must be >= 0")
         if self.pred_target_dim < 1:
             raise ConfigError("pred_target_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def validate_for(self, train_ds: Dataset) -> None:
+        """The checks that need the data: the architecture against its shape
+        and classes, the augmentation against the image size, and the batch
+        size against the train split."""
+        parse_arch(self.arch, train_ds.images.shape[1:], train_ds.num_classes, self.width_mult)
+        self.augment.validate_for(train_ds.images.shape[1:])
+        if self.batch_size > len(train_ds):
+            raise ConfigError(f"batch size {self.batch_size} exceeds dataset size {len(train_ds)}")
 
 
 def resolved_slope(slope: Optional[float], mode: str) -> float:
     if slope is not None:
         return slope
-    return 0.01 if "sim" in mode else 0.0
+    return 0.01 if MODE_TABLE[mode].sim else 0.0
 
 
 def lr_breakpoints(total_epochs: int):
@@ -239,21 +250,16 @@ def build_network(
     """Materialise blocks (with the heads the mode needs) and the output
     layer. Each weight layer draws from its own seeded stream, so nets with
     equal seeds match bit for bit regardless of mode-dependent head counts."""
-    mode = loss.mode
-    use_bpf_cls = mode in ("pred-bpf", "predsim-bpf")
-    if mode in ("pred", "predsim"):
-        cls_targets = spec.classes
-    else:
-        cls_targets = loss.projection_dim if use_bpf_cls else 0
+    row = MODE_TABLE[loss.mode]
     shared = dict(  # every field of a block's spec but its shape
-        slope=resolved_slope(slope, mode),
+        slope=resolved_slope(slope, loss.mode),
         dropout=dropout,
         pred_target_dim=pred_target_dim,
         classes=spec.classes,
-        cls_targets=cls_targets,
-        feedback=use_bpf_cls,
-        sim_head=mode in ("sim", "predsim", "glob+sim"),
-        projection=loss.projection_dim if mode in ("pred-bpf", "sim-bpf", "predsim-bpf") else 0,
+        cls_targets={"ce": spec.classes, "bpf": loss.projection_dim}.get(row.pred, 0),
+        feedback=row.pred == "bpf",
+        sim_head=row.sim == "head",
+        projection=loss.projection_dim if "bpf" in (row.pred, row.sim) else 0,
     )
 
     elements: list = []
@@ -276,7 +282,7 @@ def build_network(
     weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, spec.classes)).astype(dtype)
     bias = np.zeros(spec.classes, dtype=dtype)
     out = OutputLayer(weight, bias, {"weight": AdamState.for_param(weight), "bias": AdamState.for_param(bias)})
-    return Network(spec, mode, loss.resolved_beta, elements, out)
+    return Network(spec, loss.mode, loss.resolved_beta, elements, out)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +321,12 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     (glob, glob+sim). The output layer's cross-entropy then starts one
     reverse loop over the trace, the global backward, where glob+sim adds
     each block's sim gradient with unit weight; global blocks update after
-    it, in forward order. With apply=False the gradients are computed and
-    returned but nothing moves, which the gradient checks build on.
+    it, in forward order. A block's batch statistics are folded into its
+    running batchnorm stats when it is updated, so with apply=False the
+    gradients are computed and returned but nothing moves, which the
+    gradient checks build on.
     """
-    local = net.mode in LOCAL_MODES
+    row = MODE_TABLE[net.mode]
     a = x
     losses: list = []
     grads_list: list = []
@@ -327,7 +335,7 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     for e in net.elements:
         if e == "pool":
             a, idx = nm.maxpool2x2(a)
-            if not local:
+            if not row.local:
                 trace.append((e, idx, None))
             del idx  # local modes keep no pool indices: nothing backpropagates through them
             continue
@@ -335,17 +343,18 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
         live += 1
         peak = max(peak, live)
         res = None
-        if net.mode != "glob":
+        if row.pred or row.sim:
             res = local_block_loss(net.mode, net.beta, h, targets_onehot, **e.heads())
             _check_finite(res.loss, f"layer {len(losses)} ({net.mode})")
         losses.append(0.0 if res is None else res.loss)
-        if local:
+        if row.local:
             grads = block_local_backward(e, cache, res.dh)
             grads.update(res.grads)
-            cache = None  # the cache dies here, before the next block runs
+            stats, cache = cache.stats, None  # the cache dies here, before the next block runs
             live -= 1
             if apply:
                 update_params(e, grads, lr)
+                e.fold_stats(*stats)
             grads_list.append(grads)
         else:
             trace.append((e, cache, res))
@@ -368,15 +377,16 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
         grads, d = block_backward(e, cache, d)
         if res is not None:
             grads.update(res.grads)
-        backward.append((e, grads))
+        backward.append((e, grads, cache.stats))
     backward.reverse()
 
     if apply:
-        for e, grads in backward:
+        for e, grads, stats in backward:
             update_params(e, grads, lr)
+            e.fold_stats(*stats)
         update_params(net.out, ograds, lr)
     losses.append(out_loss)
-    grads_list += [g for _, g in backward] + [ograds]
+    grads_list += [g for _, g, _ in backward] + [ograds]
     return StepResult(losses, grads_list, logits.argmax(axis=1), peak)
 
 
@@ -472,7 +482,6 @@ class EpochStats:
     train_error: float
     test_error: float
     layer_losses: list
-    peak_caches: int
 
 
 def train(cfg: TrainConfig, loss: LossConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None):
@@ -512,7 +521,6 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
         seen = 0
         loss_sums = np.zeros(net.spec.n_weight_layers)
         steps = 0
-        peak = 0
         for idx in sample_batches(train_ds.labels, cfg.batch_size, sampler_rng, limit):
             xb = augment_batch(train_ds.images[idx], cfg.augment, augment_rng)
             yb = nm.one_hot(train_ds.labels[idx], train_ds.num_classes, xb.dtype)
@@ -521,13 +529,12 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
             seen += len(idx)
             loss_sums += result.losses
             steps += 1
-            peak = max(peak, result.peak_caches)
 
         train_error = 1.0 - correct / seen
         if cfg.clean_train_error:
             train_error = evaluate(net, train_ds)
         test_error = evaluate(net, test_ds) if test_ds is not None else float("nan")
-        history.append(EpochStats(epoch, lr, train_error, test_error, list(loss_sums / steps), peak))
+        history.append(EpochStats(epoch, lr, train_error, test_error, list(loss_sums / steps)))
     return history
 
 

@@ -1,0 +1,68 @@
+"""The names the benchmark under perfbench/ looks up in the library.
+
+perfbench wraps library functions by module attribute, so a rename in the
+library breaks it without an error of its own. These tests install the
+benchmark's wrappers, without training anything, and check that every name
+it reads resolves and that every original is back afterwards.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+from locallearn import cli, data, gradcheck, layers, losses, numerics, trainer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import perlayer  # noqa: E402
+import tracing  # noqa: E402
+
+LL = types.SimpleNamespace(
+    cli=cli, data=data, gradcheck=gradcheck, layers=layers, losses=losses, numerics=numerics, trainer=trainer
+)
+
+
+def _state() -> dict:
+    return {(m.__name__, k): v for m in vars(LL).values() for k, v in vars(m).items()}
+
+
+def _wrapped(before: dict, during: dict) -> dict:
+    """(module, name) -> original, for every attribute a wrapper replaced."""
+    return {key: before[key] for key in before if during.get(key) is not before[key]}
+
+
+def _assert_restored(before: dict) -> None:
+    after = _state()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_trace_recorder_finds_every_name_it_reads():
+    before = _state()
+    with perlayer.trace_recorder(LL):
+        during = _state()
+    _assert_restored(before)
+
+    wrapped = _wrapped(before, during)
+    for key, original in wrapped.items():
+        assert during[key].__wrapped__ is original, key
+    spans = {tracing.span_name(original) for original in wrapped.values()}
+    read = set(tracing.PHASES)
+    read |= {f"losses.{fn}" for fn in perlayer.LOSSES}
+    read |= {f"numerics.{fn}" for fn in perlayer.GEMMS + perlayer.ELEMENTWISE}
+    read |= {"trainer.train_step", "trainer.evaluate", "layers.adam_step", "layers.save_checkpoint"}
+    read |= {"data.augment_batch", "data.load_cifar10", "data.load_mnist_dir", "data.standardize"}
+    assert read <= spans, sorted(read - spans)
+    assert set(perlayer.ATTRS) <= {original.__name__ for original in wrapped.values()}
+
+
+def test_memory_probe_finds_every_name_it_wraps():
+    before = _state()
+    with tracing.MemoryProbe().watch_training(trainer).watch_evaluate(trainer).watch_evaluate(cli):
+        during = _state()
+    _assert_restored(before)
+
+    wrapped = _wrapped(before, during)
+    names = {name for _, name in wrapped}
+    assert names == {"train_step", "evaluate", *(fn.rsplit(".", 1)[1] for fn in tracing.PHASES)}
+    assert ("locallearn.cli", "evaluate") in wrapped

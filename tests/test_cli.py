@@ -109,6 +109,24 @@ def test_train_bad_arch_reports_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # fails before writing anything
 
 
+@pytest.mark.parametrize("flag, value", [("--cutout", "-1"), ("--batch-size", "5000")])
+def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, flag, value):
+    code = main(_train_argv(tmp_path / "x", **{"--arch": "fc32-fc", flag: value}))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x").exists()
+
+
+def test_negative_seed_is_an_error_line(tmp_path, capsys):
+    assert main(_train_argv(tmp_path / "x", **{"--seed": "-1"})) == 1
+    assert not (tmp_path / "x").exists()
+    code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
+                 "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error: seed must be >= 0") == 2 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Blocks, initialization, Adam, and the checkpoint container."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,10 @@ def test_running_stats_move_only_in_train():
     before = block.run_mean.copy()
     ly.block_forward(block, x, train=False)
     assert np.array_equal(block.run_mean, before)
-    ly.block_forward(block, x, train=True, rng=make_rng(0))
+    # a train forward hands its batch stats back; the update folds them in
+    _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    assert np.array_equal(block.run_mean, before)
+    block.fold_stats(*cache.stats)
     assert not np.array_equal(block.run_mean, before)
 
 
@@ -249,3 +254,14 @@ def test_checkpoint_truncation_names_offset(tmp_path):
     cut.write_bytes(path.read_bytes()[:40])
     with pytest.raises(DataError, match="truncated at byte"):
         ly.load_checkpoint(cut)
+
+
+def test_checkpoint_absurd_extents_name_offset(tmp_path):
+    # 2**62 * 4 elements wrap to 0 in an int64 product
+    name = b"a"
+    raw = (b"LLRN" + struct.pack("<II", ly.CKPT_VERSION, 1) + struct.pack("<I", len(name)) + name
+           + struct.pack("<I", 2) + struct.pack("<2Q", 2**62, 4) + bytes(16))
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=f"at byte {len(raw) - 16}"):
+        ly.load_checkpoint(path)

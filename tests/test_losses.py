@@ -259,3 +259,5 @@ def test_local_block_loss_dispatch():
     assert both.loss == pytest.approx(0.01 * pred.loss + 0.99 * sim.loss)
     with pytest.raises(ConfigError):
         ls.local_block_loss("glob", 1.0, h, y, **kw)
+    with pytest.raises(ConfigError):
+        ls.local_block_loss("nonsense", 1.0, h, y, **kw)

@@ -11,7 +11,7 @@ import locallearn.numerics as nm
 import locallearn.trainer as tr
 from locallearn.data import Dataset, synthetic_blobs
 from locallearn.errors import ConfigError, DataError, NonFiniteError, ShapeError
-from locallearn.losses import LOCAL_MODES, MODES, LossConfig
+from locallearn.losses import LOCAL_MODES, MODE_TABLE, MODES, LossConfig
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 
@@ -201,18 +201,40 @@ def test_step_contract_in_every_mode(mode):
         {name: (getattr(o, name).copy(), st.m.copy(), st.v.copy(), st.t) for name, st in o.adam.items()}
         for o in owners
     ]
+    stats = [(b.run_mean.copy(), b.run_var.copy()) for b in net.blocks]
+    logits = tr.forward_eval(net, x)
     res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
     for o, saved in zip(owners, before):
         for name, (param, m, v, t) in saved.items():
             st = o.adam[name]
             assert np.array_equal(getattr(o, name), param), name
             assert np.array_equal(st.m, m) and np.array_equal(st.v, v) and st.t == t, name
+    for b, (mean, var) in zip(net.blocks, stats):
+        assert np.array_equal(b.run_mean, mean) and np.array_equal(b.run_var, var)
+    assert np.array_equal(tr.forward_eval(net, x), logits)
+    tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    assert all(not np.array_equal(b.run_mean, mean) for b, (mean, _) in zip(net.blocks, stats))
 
     assert res.peak_caches == (1 if mode in LOCAL_MODES else n_blocks)
     assert len(res.grads) == n_blocks + 1
     assert len(res.losses) == n_blocks + 1
     hidden_zero = [loss == 0.0 for loss in res.losses[:-1]]
     assert hidden_zero == [mode == "glob"] * n_blocks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_heads_match_mode_row(mode):
+    row = MODE_TABLE[mode]
+    for arch, input_shape in (("fc8-fc", (6, 1, 1)), ("conv3-fc", (2, 4, 4))):
+        net = small_net(mode, arch=arch, input_shape=input_shape, classes=3, pred_target_dim=4)
+        (block,) = net.blocks
+        assert (block.cls_w is not None) == (row.pred is not None)
+        if row.pred:
+            width = {"ce": 3, "bpf": LossConfig(mode).projection_dim}[row.pred]
+            assert block.cls_w.shape[1] == width and block.cls_b.shape == (width,)
+        assert (block.feedback is not None) == (row.pred == "bpf")
+        assert (block.sim_w is not None) == (row.sim == "head")
+        assert (block.proj is not None) == ("bpf" in (row.pred, row.sim))
 
 
 def test_non_finite_input_aborts_with_layer():
@@ -306,6 +328,8 @@ def test_train_config_validation():
         _quick_cfg(dropout=1.0)
     with pytest.raises(ConfigError):
         _quick_cfg(lr=0.0)
+    with pytest.raises(ConfigError, match="seed"):
+        _quick_cfg(seed=-1)
 
 
 # ---------------------------------------------------------------------------
