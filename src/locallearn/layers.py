@@ -264,15 +264,18 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         x2 = x.reshape(x.shape[0], -1)
         if x2.shape[1] != spec.fan_in:
             raise ShapeError(f"block expects {spec.fan_in} features, got {x2.shape[1]}")
-        pre = nm.matmul(x2, block.weight) + block.bias
+        pre = nm.matmul(x2, block.weight)
+        pre += block.bias
     else:
         x2 = x
-        pre = nm.conv2d(x, block.weight, spec.stride, spec.pad) + block.bias[None, :, None, None]
+        pre = nm.conv2d(x, block.weight, spec.stride, spec.pad)
+        pre += block.bias[None, :, None, None]
 
     if train:
         bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta)
     else:
         bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var)
+    del pre  # batchnorm has consumed it; the eval peak drops by one activation
 
     act = nm.leaky_relu(bn_out, spec.slope)
 
@@ -287,11 +290,13 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     return act, BlockCache(x2, x_shape, xhat, inv_std, bn_out, mask, (mean, var))
 
 
-def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray):
+def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need_dx: bool = True):
     """Backward through one block; returns (grads dict, dx).
 
     dx comes back in the shape the block was fed, so it can cross a flatten
-    boundary on the way down in the global modes.
+    boundary on the way down in the global modes. With need_dx=False it is
+    not computed and comes back None: the weight gradients are the same
+    bytes either way.
     """
     spec = block.spec
     g = d_out
@@ -299,21 +304,27 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray):
         g = nm.dropout_backward(g, cache.mask, spec.dropout)
     g = nm.leaky_relu_backward(cache.bn_out, g, spec.slope)
     g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std)
+    dx = None
     if spec.kind == "dense":
-        dx2, dw = nm.matmul_backward(cache.x, block.weight, g)
+        if need_dx:
+            dx2, dw = nm.matmul_backward(cache.x, block.weight, g)
+            dx = dx2.reshape(cache.x_shape)
+        else:
+            dw = cache.x.T @ g
         db = g.sum(axis=0)
-        dx = dx2.reshape(cache.x_shape)
     else:
-        dx, dw = nm.conv2d_backward(cache.x, block.weight, g, spec.stride, spec.pad)
+        if need_dx:
+            dx, dw = nm.conv2d_backward(cache.x, block.weight, g, spec.stride, spec.pad)
+        else:
+            dw = nm.conv2d_weight_grad(cache.x, block.weight, g, spec.stride, spec.pad)
         db = g.sum(axis=(0, 2, 3))
     return {"weight": dw, "bias": db, "gamma": dgamma, "beta": dbeta}, dx
 
 
 def block_local_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray) -> dict:
-    """Backward for locally trained blocks: same math, the input gradient is
-    dropped on the floor because nothing upstream will ever see it."""
-    grads, _ = block_backward(block, cache, d_out)
-    return grads
+    """Backward for locally trained blocks: the weight gradients alone,
+    because nothing upstream ever reads the input gradient."""
+    return block_backward(block, cache, d_out, need_dx=False)[0]
 
 
 def update_params(owner, grads: dict, lr: float) -> None:

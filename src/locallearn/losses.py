@@ -58,6 +58,12 @@ class LossConfig:
             raise ConfigError(f"unknown loss mode {self.mode!r}; valid: {', '.join(MODES)}")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        row = MODE_TABLE[self.mode]
+        if self.beta is not None and self.beta != row.beta and not (row.pred and row.sim):
+            # beta weighs a pred part against a sim part; a mode without both never reads it
+            raise ConfigError(
+                f"loss mode {self.mode!r} does not mix pred and sim, so beta must stay {row.beta}, got {self.beta}"
+            )
         if self.projection_dim < 1:
             raise ConfigError(f"projection_dim must be >= 1, got {self.projection_dim}")
 

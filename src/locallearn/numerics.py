@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, ShapeError
 
@@ -56,11 +57,30 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+# Bytes one chunk's im2col buffer (and each product the chunk makes with it)
+# may take; the batch is lowered a few examples at a time to stay under it.
+COLS_BUDGET = 4 << 20
+
+
+def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: int, ho: int, wo: int):
+    """Yield (examples, cols) over the batch in chunks; cols[i, (c,u,v), (p,q)]
+    is padded input pixel (c, p*stride+u, q*stride+v) of example i."""
+    n, ci = x.shape[:2]
+    co, _, kh, kw = kshape
+    per_example = x.itemsize * ci * kh * kw * max(ho * wo, co)
+    m = max(1, COLS_BUDGET // per_example)
+    for i in range(0, n, m):
+        xp = np.pad(x[i : i + m], ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x[i : i + m]
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        yield slice(i, i + m), win.transpose(0, 1, 4, 5, 2, 3).reshape(xp.shape[0], ci * kh * kw, ho * wo)
+
+
 def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
     """Cross-correlation of an NCHW batch with OIHW kernels.
 
-    Accumulates one matmul per kernel tap instead of materialising an im2col
-    buffer; identical arithmetic, smaller peak memory.
+    Lowered to one GEMM per chunk of examples: the kernel as a
+    (co, ci*kh*kw) matrix times that chunk's im2col buffer, which is bounded
+    by COLS_BUDGET.
     """
     x = _as_float(x, "x")
     k = _as_float(k, "k")
@@ -74,36 +94,48 @@ def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.nd
     co, ci, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
     wo = _conv_out_extent(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    out = np.zeros((n, co, ho, wo), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, :, u : u + (ho - 1) * stride + 1 : stride, v : v + (wo - 1) * stride + 1 : stride]
-            # (n,ci,ho,wo) x (co,ci) -> (n,co,ho,wo)
-            out += np.einsum("nchw,oc->nohw", patch, k[:, :, u, v], optimize=True)
-    return out
+    out = np.empty((n, co, ho * wo), dtype=x.dtype)
+    k2 = k.reshape(co, -1)
+    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
+        np.matmul(k2, cols, out=out[rows])
+    return out.reshape(n, co, ho, wo)
 
 
-def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1):
-    """Gradients of sum(g * conv2d(x, k)) w.r.t. x and k."""
+def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: int, need_dx: bool):
+    """(dx or None, dk) of sum(g * conv2d(x, k)), chunk by chunk: dk sums
+    g @ colsᵀ over the examples, dx is kᵀ @ g scattered back (col2im)."""
     n, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
     wo = _conv_out_extent(w, kw, stride, pad)
     if g.shape != (n, co, ho, wo):
         raise ShapeError(f"upstream grad shape {g.shape} does not match {(n, co, ho, wo)}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    dxp = np.zeros_like(xp)
-    dk = np.zeros_like(k)
-    for u in range(kh):
-        for v in range(kw):
-            rows = slice(u, u + (ho - 1) * stride + 1, stride)
-            cols = slice(v, v + (wo - 1) * stride + 1, stride)
-            patch = xp[:, :, rows, cols]
-            dk[:, :, u, v] = np.einsum("nohw,nchw->oc", g, patch, optimize=True)
-            dxp[:, :, rows, cols] += np.einsum("nohw,oc->nchw", g, k[:, :, u, v], optimize=True)
-    dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-    return dx, dk
+    g3 = g.reshape(n, co, ho * wo)
+    k2 = k.reshape(co, -1)
+    dk = np.zeros_like(k2)
+    dx = np.empty_like(x) if need_dx else None
+    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
+        dk += np.matmul(g3[rows], cols.transpose(0, 2, 1)).sum(axis=0)
+        if need_dx:
+            dcols = np.matmul(k2.T, g3[rows]).reshape(-1, ci, kh, kw, ho, wo)
+            dxp = np.zeros((dcols.shape[0], ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+            for u in range(kh):
+                for v in range(kw):
+                    dxp[:, :, u : u + span_h : stride, v : v + span_w : stride] += dcols[:, :, u, v]
+            dx[rows] = dxp[:, :, pad : pad + h, pad : pad + w]
+    return dx, dk.reshape(k.shape)
+
+
+def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1):
+    """Gradients of sum(g * conv2d(x, k)) w.r.t. x and k."""
+    return _conv_grads(x, k, g, stride, pad, need_dx=True)
+
+
+def conv2d_weight_grad(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
+    """The dk of conv2d_backward alone, bit for bit, for a caller that never
+    reads the input gradient."""
+    return _conv_grads(x, k, g, stride, pad, need_dx=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +232,20 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
 
 
 def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5):
-    """Eval-mode batch normalization using stored running statistics."""
+    """Eval-mode batch normalization using stored running statistics.
+
+    Works in one output buffer (x itself is left alone): the same elementwise
+    steps in the same order as gamma * ((x - mean) * inv_std) + beta.
+    """
     x = _as_float(x, "x")
     _bn_axes(x)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    return _bn_shape(x, gamma) * ((x - running_mean.reshape(shape)) * inv_std.reshape(shape)) + _bn_shape(x, beta)
+    y = x - running_mean.reshape(shape)
+    y *= inv_std.reshape(shape)
+    y *= _bn_shape(x, gamma)
+    y += _bn_shape(x, beta)
+    return y
 
 
 def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray):

@@ -324,7 +324,8 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     it, in forward order. A block's batch statistics are folded into its
     running batchnorm stats when it is updated, so with apply=False the
     gradients are computed and returned but nothing moves, which the
-    gradient checks build on.
+    gradient checks build on. No block computes an input gradient that
+    nothing reads: not a local one, and not the first.
     """
     row = MODE_TABLE[net.mode]
     a = x
@@ -374,7 +375,7 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             continue
         if res is not None:
             d = d + res.dh
-        grads, d = block_backward(e, cache, d)
+        grads, d = block_backward(e, cache, d, need_dx=e is not net.elements[0])
         if res is not None:
             grads.update(res.grads)
         backward.append((e, grads, cache.stats))

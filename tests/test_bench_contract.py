@@ -10,7 +10,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from locallearn import cli, data, gradcheck, layers, losses, numerics, trainer
+from locallearn.rng import make_rng
+
+from conftest import rand, small_net
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -66,3 +72,25 @@ def test_memory_probe_finds_every_name_it_wraps():
     names = {name for _, name in wrapped}
     assert names == {"train_step", "evaluate", *(fn.rsplit(".", 1)[1] for fn in tracing.PHASES)}
     assert ("locallearn.cli", "evaluate") in wrapped
+
+
+@pytest.mark.parametrize("mode", ["predsim", "glob"])
+def test_traced_conv_step_runs_and_counts_flops(mode):
+    # the traced run feeds every call's arguments to perfbench's attribute
+    # functions, so an argument they do not expect fails here, not in --trace 1
+    net = small_net(mode, arch="conv3-pool-conv4-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 4, 4), seed=80, dtype=np.float32)
+    y = numerics.one_hot(np.arange(6) % 3, 3, np.float32)
+    before = _state()
+    with perlayer.trace_recorder(LL) as rec:
+        trainer.train_step(net, x, y, 1e-3, make_rng(0))
+    _assert_restored(before)
+    spans = {}
+    for s in rec.spans:
+        spans.setdefault(s.name, []).append(s)
+    assert len(spans["trainer.train_step"]) == 1
+    assert all(s.attrs["flop"] > 0 for s in spans["numerics.conv2d"])
+    # dx-producing conv backwards: the two sim heads in predsim, block 1 in glob
+    assert len(spans["numerics.conv2d_backward"]) == {"predsim": 2, "glob": 1}[mode]
+    assert all(s.attrs["flop"] > 0 for s in spans["numerics.conv2d_backward"])
+    assert len(spans["layers.block_backward"]) == 2

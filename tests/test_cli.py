@@ -117,6 +117,15 @@ def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, fla
     assert not (tmp_path / "x").exists()
 
 
+def test_beta_for_a_mode_that_never_reads_it_writes_nothing(tmp_path, capsys):
+    assert main(_train_argv(tmp_path / "x", **{"--loss": "pred", "--beta": "0.3"})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'pred'" in err
+    assert not (tmp_path / "x").exists()
+    # the default beta, as a manifest records it, still runs
+    assert main(_train_argv(tmp_path / "y", **{"--loss": "pred", "--beta": "1.0", "--epochs": "1"})) == 0
+
+
 def test_negative_seed_is_an_error_line(tmp_path, capsys):
     assert main(_train_argv(tmp_path / "x", **{"--seed": "-1"})) == 1
     assert not (tmp_path / "x").exists()

@@ -186,6 +186,24 @@ def test_block_local_backward_zero_grad_gives_zero():
         assert np.all(g == 0.0), name
 
 
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
+    if kind == "dense":
+        block, x = _dense_block(din=6, units=5), rand((7, 6), seed=67, dtype=np.float32)
+    else:
+        block = ly.init_params(ly.LayerSpec("conv", (2, 5, 7), channels=3), make_rng(4))
+        x = rand((4, 2, 5, 7), seed=68, dtype=np.float32)
+    h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    d_out = rand(h.shape, seed=69, dtype=np.float32)
+    full, dx = ly.block_backward(block, cache, d_out)
+    weights_only, no_dx = ly.block_backward(block, cache, d_out, need_dx=False)
+    assert dx.shape == x.shape and no_dx is None
+    assert full.keys() == weights_only.keys()
+    # with dx, the weight gradient comes from matmul_backward / conv2d_backward
+    for name in full:
+        assert np.array_equal(full[name], weights_only[name]), name
+
+
 def test_one_step_decreases_local_loss_statistically():
     """One Adam step on a repeated batch lowers that batch's loss, 19/20 seeds."""
     y = one_hot(np.arange(8) % 4, 4, np.float64)

@@ -2,6 +2,7 @@
 backprop-free variants, and their combination."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ def test_loss_config_validation():
         ls.LossConfig("predsim", beta=1.5)
     with pytest.raises(ConfigError):
         ls.LossConfig("predsim", projection_dim=0)
+
+
+@pytest.mark.parametrize("mode", ls.MODES)
+def test_loss_config_beta_only_where_it_mixes(mode):
+    row = ls.MODE_TABLE[mode]
+    assert ls.LossConfig(mode, beta=row.beta).resolved_beta == row.beta
+    if row.pred and row.sim:
+        assert ls.LossConfig(mode, beta=0.3).resolved_beta == 0.3
+    else:
+        with pytest.raises(ConfigError, match=re.escape(repr(mode))):
+            ls.LossConfig(mode, beta=0.3)
 
 
 def test_local_block_loss_dispatch():

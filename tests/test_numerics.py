@@ -93,6 +93,90 @@ def test_conv2d_stride_and_kernel_params():
     assert nm.conv2d(x, k, stride=2, pad=3).shape == (1, 4, 4, 4)
 
 
+def _conv_oracle(x, k, g, stride, pad):
+    """The per-tap loop the kernels replaced, in float64: (out, dx, dk)."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    n, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((n, co, ho, wo))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for u in range(kh):
+        for v in range(kw):
+            rows = slice(u, u + (ho - 1) * stride + 1, stride)
+            cols = slice(v, v + (wo - 1) * stride + 1, stride)
+            patch = xp[:, :, rows, cols]
+            out += np.einsum("nchw,oc->nohw", patch, k[:, :, u, v])
+            dk[:, :, u, v] = np.einsum("nohw,nchw->oc", g, patch)
+            dxp[:, :, rows, cols] += np.einsum("nohw,oc->nchw", g, k[:, :, u, v])
+    return out, dxp[:, :, pad : pad + h, pad : pad + w], dk
+
+
+CONV_CASES = {
+    "stride2": ((3, 2, 6, 6), (4, 2, 3, 3), 2, 1),
+    "pad0": ((2, 3, 5, 5), (2, 3, 3, 3), 1, 0),
+    "7x7-pad3": ((2, 2, 8, 8), (3, 2, 7, 7), 2, 3),
+    "5x7-image": ((3, 2, 5, 7), (4, 2, 3, 3), 1, 1),
+}
+
+
+def _conv_case(xs, ks, stride, pad, seed, dtype=np.float64):
+    x, k = rand(xs, seed=seed, dtype=dtype), rand(ks, seed=seed + 1, dtype=dtype)
+    ho = (xs[2] + 2 * pad - ks[2]) // stride + 1
+    wo = (xs[3] + 2 * pad - ks[3]) // stride + 1
+    return x, k, rand((xs[0], ks[0], ho, wo), seed=seed + 2, dtype=dtype)
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_kernels_match_per_tap_oracle(case):
+    xs, ks, stride, pad = CONV_CASES[case]
+    x, k, g = _conv_case(xs, ks, stride, pad, seed=30)
+    out, dx, dk = _conv_oracle(x, k, g, stride, pad)
+    assert np.allclose(nm.conv2d(x, k, stride, pad), out, rtol=1e-12, atol=1e-12)
+    got_dx, got_dk = nm.conv2d_backward(x, k, g, stride, pad)
+    assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
+    assert np.allclose(nm.conv2d_weight_grad(x, k, g, stride, pad), dk, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_kernels_split_the_batch_into_chunks(monkeypatch):
+    # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1
+    x, k, g = _conv_case((5, 2, 5, 7), (3, 2, 3, 3), 1, 1, seed=40)
+    monkeypatch.setattr(nm, "COLS_BUDGET", 2 * x.itemsize * 2 * 9 * 5 * 7)
+    chunks = []
+    make_chunks = nm._im2col_chunks
+
+    def recording(*args):
+        for rows, cols in make_chunks(*args):
+            chunks.append(cols.shape[0])
+            yield rows, cols
+
+    monkeypatch.setattr(nm, "_im2col_chunks", recording)
+    out, dx, dk = _conv_oracle(x, k, g, 1, 1)
+    assert np.allclose(nm.conv2d(x, k), out, rtol=1e-12, atol=1e-12)
+    got_dx, got_dk = nm.conv2d_backward(x, k, g)
+    assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
+    assert np.allclose(nm.conv2d_weight_grad(x, k, g), dk, rtol=1e-12, atol=1e-12)
+    assert chunks == [2, 2, 1] * 3
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_weight_grad_is_conv_backward_dk_bitwise(case):
+    xs, ks, stride, pad = CONV_CASES[case]
+    x, k, g = _conv_case(xs, ks, stride, pad, seed=50, dtype=np.float32)
+    _, dk = nm.conv2d_backward(x, k, g, stride, pad)
+    assert np.array_equal(nm.conv2d_weight_grad(x, k, g, stride, pad), dk)
+
+
+def test_conv_weight_grad_rejects_misshapen_grad():
+    x, k, g = _conv_case((2, 2, 4, 4), (3, 2, 3, 3), 1, 1, seed=60)
+    with pytest.raises(ShapeError):
+        nm.conv2d_weight_grad(x, k, g[:, :, :3])
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -179,6 +263,19 @@ def test_batchnorm_eval_uses_running_stats():
     mean, var = np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0])
     y = nm.batchnorm_eval(x, np.ones(3), np.zeros(3), mean, var)
     assert np.allclose(y, (x - mean) / np.sqrt(var + 1e-5))
+
+
+def test_batchnorm_eval_leaves_input_and_matches_formula_bitwise():
+    x = rand((5, 3, 4, 4), seed=16, dtype=np.float32)
+    gamma, beta = rand((3,), seed=17, dtype=np.float32), rand((3,), seed=18, dtype=np.float32)
+    mean, var = rand((3,), seed=19, dtype=np.float32), np.abs(rand((3,), seed=20, dtype=np.float32))
+    saved = x.copy()
+    y = nm.batchnorm_eval(x, gamma, beta, mean, var)
+    assert np.array_equal(x, saved)
+    shape = (1, 3, 1, 1)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    ref = gamma.reshape(shape) * ((x - mean.reshape(shape)) * inv_std.reshape(shape)) + beta.reshape(shape)
+    assert y.dtype == ref.dtype and np.array_equal(y, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import locallearn.layers as ly
 import locallearn.numerics as nm
 import locallearn.trainer as tr
 from locallearn.data import Dataset, synthetic_blobs
@@ -220,6 +221,60 @@ def test_step_contract_in_every_mode(mode):
     assert len(res.losses) == n_blocks + 1
     hidden_zero = [loss == 0.0 for loss in res.losses[:-1]]
     assert hidden_zero == [mode == "glob"] * n_blocks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
+    net = small_net(mode, arch="conv3-pool-conv4-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 4, 4), seed=78, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    kernels = []
+    conv_backward = nm.conv2d_backward
+
+    def counting(x, k, *args, **kwargs):
+        kernels.append(k)
+        return conv_backward(x, k, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "conv2d_backward", counting)
+    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    monkeypatch.setattr(nm, "conv2d_backward", conv_backward)
+
+    # every dx-producing conv backward is a sim head's, or in the global
+    # modes the trunk's of a block above the first
+    sim_heads = [b.sim_w for b in net.blocks if b.sim_w is not None]
+    trunk_dx = [] if MODE_TABLE[mode].local else [net.blocks[1].weight]
+    assert sorted(map(id, kernels)) == sorted(map(id, sim_heads + trunk_dx))
+
+    # the same step with every input gradient computed: the same weight grads
+    block_backward = ly.block_backward
+
+    def always_dx(block, cache, d_out, need_dx=True):
+        return block_backward(block, cache, d_out)
+
+    monkeypatch.setattr(ly, "block_backward", always_dx)
+    monkeypatch.setattr(tr, "block_backward", always_dx)
+    full = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    assert len(full.grads) == len(res.grads)
+    for want, got in zip(full.grads, res.grads):
+        assert want.keys() == got.keys()
+        for name in want:
+            assert np.array_equal(want[name], got[name]), name
+
+
+def test_forward_eval_matches_the_reference_batchnorm_bitwise(monkeypatch):
+    net = small_net("predsim", arch="conv3-pool-fc8-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 4, 4), seed=79, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    tr.train_step(net, x, y, 1e-3, make_rng(0))  # moves the running stats off their init
+    logits = tr.forward_eval(net, x)
+
+    def reference(x, gamma, beta, running_mean, running_var, eps=1e-5):
+        shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        return gamma.reshape(shape) * ((x - running_mean.reshape(shape)) * inv_std.reshape(shape)) + beta.reshape(shape)
+
+    monkeypatch.setattr(nm, "batchnorm_eval", reference)
+    assert np.array_equal(tr.forward_eval(net, x), logits)
 
 
 @pytest.mark.parametrize("mode", MODES)
