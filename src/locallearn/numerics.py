@@ -58,29 +58,37 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 
 # Bytes one chunk's im2col buffer (and each product the chunk makes with it)
-# may take; the batch is lowered a few examples at a time to stay under it.
+# may take, or a quarter of the conv output's bytes when that is more; the
+# batch is lowered a few examples at a time to stay under it. The quarter caps
+# a large batch (an evaluation pass) at a few dozen chunks, so a few dozen
+# BLAS calls: each call hands work to BLAS's threads, and that hand-off stalls
+# whenever another process holds a core, so hundreds of calls make the pass
+# time swing with the load on the machine.
 COLS_BUDGET = 4 << 20
 
 
 def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: int, ho: int, wo: int):
-    """Yield (examples, cols) over the batch in chunks; cols[i, (c,u,v), (p,q)]
-    is padded input pixel (c, p*stride+u, q*stride+v) of example i."""
+    """Yield (examples, cols) over the batch in chunks; cols[(c,u,v), (i,p,q)]
+    is padded input pixel (c, p*stride+u, q*stride+v) of example i of the
+    chunk, so that each product with cols is a single 2-d GEMM."""
     n, ci = x.shape[:2]
     co, _, kh, kw = kshape
-    per_example = x.itemsize * ci * kh * kw * max(ho * wo, co)
-    m = max(1, COLS_BUDGET // per_example)
+    per_example = x.itemsize * ho * wo * max(ci * kh * kw, co)
+    budget = max(COLS_BUDGET, x.itemsize * n * co * ho * wo // 4)
+    m = max(1, budget // per_example)
     for i in range(0, n, m):
         xp = np.pad(x[i : i + m], ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x[i : i + m]
         win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        yield slice(i, i + m), win.transpose(0, 1, 4, 5, 2, 3).reshape(xp.shape[0], ci * kh * kw, ho * wo)
+        yield slice(i, i + m), win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, -1)
 
 
 def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
     """Cross-correlation of an NCHW batch with OIHW kernels.
 
     Lowered to one GEMM per chunk of examples: the kernel as a
-    (co, ci*kh*kw) matrix times that chunk's im2col buffer, which is bounded
-    by COLS_BUDGET.
+    (co, ci*kh*kw) matrix times that chunk's im2col buffer, sized as the
+    COLS_BUDGET note says. One BLAS call per chunk, not per example, keeps
+    the number of multithreaded calls (and their thread hand-offs) small.
     """
     x = _as_float(x, "x")
     k = _as_float(k, "k")
@@ -97,13 +105,13 @@ def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.nd
     out = np.empty((n, co, ho * wo), dtype=x.dtype)
     k2 = k.reshape(co, -1)
     for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
-        np.matmul(k2, cols, out=out[rows])
+        out[rows] = (k2 @ cols).reshape(co, -1, ho * wo).transpose(1, 0, 2)
     return out.reshape(n, co, ho, wo)
 
 
 def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: int, need_dx: bool):
-    """(dx or None, dk) of sum(g * conv2d(x, k)), chunk by chunk: dk sums
-    g @ colsᵀ over the examples, dx is kᵀ @ g scattered back (col2im)."""
+    """(dx or None, dk) of sum(g * conv2d(x, k)), chunk by chunk: dk adds up
+    g @ colsᵀ over the chunks, dx is kᵀ @ g scattered back (col2im)."""
     n, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
@@ -115,9 +123,10 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: i
     dk = np.zeros_like(k2)
     dx = np.empty_like(x) if need_dx else None
     for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
-        dk += np.matmul(g3[rows], cols.transpose(0, 2, 1)).sum(axis=0)
+        g2 = g3[rows].transpose(1, 0, 2).reshape(co, -1)
+        dk += g2 @ cols.T
         if need_dx:
-            dcols = np.matmul(k2.T, g3[rows]).reshape(-1, ci, kh, kw, ho, wo)
+            dcols = (k2.T @ g2).reshape(ci, kh, kw, -1, ho, wo).transpose(3, 0, 1, 2, 4, 5)
             dxp = np.zeros((dcols.shape[0], ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
             span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
             for u in range(kh):

@@ -141,16 +141,26 @@ def test_conv_kernels_match_per_tap_oracle(case):
     assert np.allclose(nm.conv2d_weight_grad(x, k, g, stride, pad), dk, rtol=1e-12, atol=1e-12)
 
 
-def test_conv_kernels_split_the_batch_into_chunks(monkeypatch):
+CHUNK_CASES = {
     # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1
-    x, k, g = _conv_case((5, 2, 5, 7), (3, 2, 3, 3), 1, 1, seed=40)
-    monkeypatch.setattr(nm, "COLS_BUDGET", 2 * x.itemsize * 2 * 9 * 5 * 7)
+    "budget": ((5, 2, 5, 7), (3, 2, 3, 3), lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7, [2, 2, 1]),
+    # under a budget of one byte a chunk may still take a quarter of the
+    # output, so 16 examples go as 4 x 4 and not as 16 one-example calls
+    "quarter": ((16, 1, 5, 7), (9, 1, 3, 3), lambda x: 1, [4, 4, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
+    xs, ks, budget, expected = CHUNK_CASES[case]
+    x, k, g = _conv_case(xs, ks, 1, 1, seed=40)
+    monkeypatch.setattr(nm, "COLS_BUDGET", budget(x))
     chunks = []
     make_chunks = nm._im2col_chunks
 
     def recording(*args):
         for rows, cols in make_chunks(*args):
-            chunks.append(cols.shape[0])
+            chunks.append(len(range(len(x))[rows]))
             yield rows, cols
 
     monkeypatch.setattr(nm, "_im2col_chunks", recording)
@@ -160,7 +170,7 @@ def test_conv_kernels_split_the_batch_into_chunks(monkeypatch):
     assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(nm.conv2d_weight_grad(x, k, g), dk, rtol=1e-12, atol=1e-12)
-    assert chunks == [2, 2, 1] * 3
+    assert chunks == expected * 3
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
