@@ -17,13 +17,16 @@ k = np.ones((1, 1, 3, 3))
 print(nm.conv2d(x, k)[0, 0])
 print("corners count 4 taps, edges 6, the center all 9.\n")
 
-print("== maxpool2x2 keeps the argmax for its backward ==")
+print("== maxpool2x2 keeps each window's winning position for its backward ==")
 x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
 pooled, idx = nm.maxpool2x2(x)
 print("input:\n", x[0, 0])
 print("pooled:\n", pooled[0, 0])
+print("winner index (uint8, 0..3 row-major in the 2x2 window):\n", idx[0, 0])
 grad = nm.maxpool2x2_backward(np.ones_like(pooled), idx)
-print("a unit upstream gradient lands only on the winners:\n", grad[0, 0], "\n")
+print("a unit upstream gradient lands only on the winners:\n", grad[0, 0])
+_, none = nm.maxpool2x2(x, need_index=False)
+print(f"with need_index=False (inference, local blocks) no index is made: {none}\n")
 
 print("== batchnorm whitens per feature ==")
 data = make_rng(1).standard_normal((256, 4)) * 3.0 + 7.0

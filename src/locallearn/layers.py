@@ -39,6 +39,12 @@ class AdamState:
         return cls(np.zeros_like(p), np.zeros_like(p))
 
 
+# Elements of a parameter that one Adam update works through at a time: its
+# dozen passes then run over scratch and state blocks that stay in cache,
+# instead of streaming whole multi-MiB tensors from memory a dozen times.
+ADAM_CHUNK = 1 << 16
+
+
 def adam_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -48,17 +54,40 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update, in place on both param and state."""
+    """One Adam update, in place on both param and state.
+
+    m += (1-beta1)(g-m); v += (1-beta2)(g*g-v);
+    param -= lr * mhat / (sqrt(vhat) + eps), with mhat and vhat the
+    bias-corrected m and v. Worked op for op in two scratch buffers, a
+    block of leading-axis rows (about ADAM_CHUNK elements) at a time, so
+    every byte is the one a whole-tensor evaluation gives.
+    """
     if grad.shape != param.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match param {param.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # a NaN reaches both, an inf one
         raise NonFiniteError("non-finite gradient reached the optimizer")
     state.t += 1
-    state.m += (1.0 - beta1) * (grad - state.m)
-    state.v += (1.0 - beta2) * (grad * grad - state.v)
-    mhat = state.m / (1.0 - beta1**state.t)
-    vhat = state.v / (1.0 - beta2**state.t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    mscale, vscale = 1.0 - beta1**state.t, 1.0 - beta2**state.t
+    rows = max(1, ADAM_CHUNK // param[0].size)
+    step = np.empty((min(rows, len(param)),) + param.shape[1:], dtype=param.dtype)
+    denom = np.empty_like(step)
+    for i in range(0, len(param), rows):
+        p, g, m, v = (a[i : i + rows] for a in (param, grad, state.m, state.v))
+        s, d = step[: len(p)], denom[: len(p)]
+        np.subtract(g, m, out=s)
+        s *= 1.0 - beta1
+        m += s
+        np.multiply(g, g, out=s)
+        s -= v
+        s *= 1.0 - beta2
+        v += s
+        np.divide(m, mscale, out=s)  # mhat
+        s *= lr
+        np.divide(v, vscale, out=d)  # vhat
+        np.sqrt(d, out=d)
+        d += eps
+        s /= d
+        p -= s
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +131,8 @@ class LayerSpec:
                 raise ConfigError(f"conv block needs a (c, h, w) input shape, got {self.in_shape}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.slope <= 1.0:
+            raise ConfigError(f"leaky relu slope must be in [0, 1], got {self.slope}")
         if self.feedback and not self.cls_targets:
             raise ConfigError("feedback matrix is only meaningful with a classifier head")
 
@@ -246,7 +277,7 @@ class BlockCache:
     x_shape: tuple  # original input shape, for reshaping dx
     xhat: np.ndarray
     inv_std: np.ndarray
-    bn_out: np.ndarray  # leaky relu input
+    positive: np.ndarray  # bool, leaky relu input >= 0: all its backward reads of it
     mask: Optional[np.ndarray]
     stats: tuple  # the batch (mean, var), for LayerBlock.fold_stats
 
@@ -271,13 +302,16 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         pre = nm.conv2d(x, block.weight, spec.stride, spec.pad)
         pre += block.bias[None, :, None, None]
 
+    # nothing reads pre after batchnorm, nor bn_out after the leaky relu (its
+    # backward reads the sign mask), so eval batchnorm and the relu write over them
     if train:
         bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta)
+        positive = bn_out >= 0
     else:
-        bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var)
-    del pre  # batchnorm has consumed it; the eval peak drops by one activation
+        bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var, out=pre)
+    del pre
 
-    act = nm.leaky_relu(bn_out, spec.slope)
+    act = nm.leaky_relu(bn_out, spec.slope, out=bn_out)
 
     mask = None
     if train and spec.dropout > 0.0:
@@ -287,7 +321,7 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
 
     if not train:
         return act, None
-    return act, BlockCache(x2, x_shape, xhat, inv_std, bn_out, mask, (mean, var))
+    return act, BlockCache(x2, x_shape, xhat, inv_std, positive, mask, (mean, var))
 
 
 def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need_dx: bool = True):
@@ -302,7 +336,7 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
     g = d_out
     if cache.mask is not None:
         g = nm.dropout_backward(g, cache.mask, spec.dropout)
-    g = nm.leaky_relu_backward(cache.bn_out, g, spec.slope)
+    g = nm.leaky_relu_backward(cache.positive, g, spec.slope)
     g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std)
     dx = None
     if spec.kind == "dense":

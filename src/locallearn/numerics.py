@@ -10,6 +10,10 @@ Conventions:
   * image batches are NCHW
   * backward functions return gradients in the same order as the forward
     arguments they correspond to
+  * no kernel overwrites an argument unless its caller hands that array
+    over as out=: batchnorm_eval and leaky_relu take out= (block_forward
+    passes the conv/dense output, then the batchnorm output, neither of
+    which it reads again); every other kernel returns new arrays
 """
 
 from __future__ import annotations
@@ -151,12 +155,22 @@ def conv2d_weight_grad(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int 
 # pooling
 # ---------------------------------------------------------------------------
 
+# (row, column) of each position in a 2x2 window, in row-major order: the
+# maxpool index is a position in this tuple
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-def maxpool2x2(x: np.ndarray):
-    """2x2/stride-2 max pooling; returns (pooled, argmax_index).
 
-    Ties go to the first maximum in row-major window order. Odd spatial
-    extents are an error, halving must be exact.
+def maxpool2x2(x: np.ndarray, need_index: bool = True):
+    """2x2/stride-2 max pooling; returns (pooled, index).
+
+    index holds each window's winning position (0..3, row-major in the
+    window) as uint8, for maxpool2x2_backward; with need_index=False, for a
+    caller that never backpropagates through the pool, it is not computed
+    and comes back None. Ties go to the first maximum in row-major window
+    order: each tap is folded into the running max as np.maximum(tap, max),
+    which keeps its second argument on a tie (+0 against -0 too), and the
+    index moves only where a tap is strictly greater. Odd spatial extents
+    are an error, halving must be exact.
     """
     x = _as_float(x, "x")
     if x.ndim != 4:
@@ -164,20 +178,37 @@ def maxpool2x2(x: np.ndarray):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = np.argmax(win, axis=-1)  # np.argmax picks the first max: the tie rule
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    t0, t1, t2, t3 = (x[:, :, u::2, v::2] for u, v in _POOL_TAPS)
+    idx = (t1 > t0).view(np.uint8) if need_index else None
+    out = np.maximum(t1, t0)
+    for p, tap in ((2, t2), (3, t3)):
+        if need_index:
+            # p where this tap wins, 0 elsewhere: the later winner has the larger p
+            wins = (tap > out).view(np.uint8)
+            wins *= np.uint8(p)
+            np.maximum(idx, wins, out=idx)
+        np.maximum(tap, out, out=out)
     return out, idx
 
 
 def maxpool2x2_backward(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Scatter the upstream gradient back to the winning input positions."""
+    """Route the upstream gradient to the winning input positions, +0 to
+    the rest.
+
+    One pass per window position, through its strided view of dx: g's bits
+    and-ed with an all-ones mask where the position won (an exact copy, -0
+    and NaN included) and an all-zeros one where it lost (+0).
+    """
     if g.shape != idx.shape:
         raise ShapeError(f"grad shape {g.shape} does not match index shape {idx.shape}")
     n, c, ho, wo = g.shape
-    dwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
-    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-    return dwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * ho, 2 * wo)
+    bits = np.dtype(f"i{g.itemsize}")  # the signed integer as wide as g's floats
+    dx = np.empty((n, c, 2 * ho, 2 * wo), dtype=g.dtype)
+    for p, (u, v) in enumerate(_POOL_TAPS):
+        mask = (idx == p).astype(bits)
+        np.negative(mask, out=mask)  # 1 -> all ones
+        np.bitwise_and(g.view(bits), mask, out=dx.view(bits)[:, :, u::2, v::2])
+    return dx
 
 
 def avgpool(x: np.ndarray, k: int) -> np.ndarray:
@@ -226,31 +257,37 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
 
     Uses population (1/N) variance. Returns (y, xhat, inv_std, mean, var);
     mean/var are the batch statistics the caller folds into running stats.
+    The batch is centered once: the centered array gives the variance (the
+    bytes of x.var) and then becomes xhat in place.
     """
     x = _as_float(x, "x")
     if x.shape[0] < 2:
         raise InputError("batchnorm in train mode needs a batch of at least 2")
     axes = _bn_axes(x)
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)  # population variance, matches the running-stat update
-    inv_std = 1.0 / np.sqrt(var + eps)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    y = _bn_shape(x, gamma) * xhat + _bn_shape(x, beta)
+    mean = x.mean(axis=axes)
+    xhat = x - mean.reshape(shape)
+    y = np.square(xhat)  # y's buffer holds the squares until y is computed
+    var = y.mean(axis=axes)  # population variance, matches the running-stat update
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std.reshape(shape)
+    np.multiply(_bn_shape(x, gamma), xhat, out=y)
+    y += _bn_shape(x, beta)
     return y, xhat, inv_std, mean, var
 
 
-def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5):
+def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5, out=None):
     """Eval-mode batch normalization using stored running statistics.
 
-    Works in one output buffer (x itself is left alone): the same elementwise
-    steps in the same order as gamma * ((x - mean) * inv_std) + beta.
+    Works in one buffer, out (a new array by default; out=x overwrites x):
+    the same elementwise steps in the same order as
+    gamma * ((x - mean) * inv_std) + beta.
     """
     x = _as_float(x, "x")
     _bn_axes(x)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     inv_std = 1.0 / np.sqrt(running_var + eps)
-    y = x - running_mean.reshape(shape)
+    y = np.subtract(x, running_mean.reshape(shape), out=out)
     y *= inv_std.reshape(shape)
     y *= _bn_shape(x, gamma)
     y += _bn_shape(x, beta)
@@ -262,34 +299,44 @@ def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_s
 
     dx includes the mean/variance coupling terms, so perturbing one example
     moves every other example's gradient, which the finite-difference checks
-    rely on.
+    rely on. With N examples per feature it is
+    gamma * inv_std / N * (N*g - dbeta - xhat*dgamma): the coupling sums of
+    g*gamma and g*gamma*xhat are gamma times dbeta and dgamma.
     """
     if g.shape != xhat.shape:
         raise ShapeError(f"grad shape {g.shape} does not match activations {xhat.shape}")
     axes = _bn_axes(g)
     count = g.size // g.shape[1]
-    dgamma = (g * xhat).sum(axis=axes)
-    dbeta = g.sum(axis=axes)
     shape = (1, g.shape[1]) + (1,) * (g.ndim - 2)
-    dxhat = g * gamma.reshape(shape)
-    dx = (
-        inv_std.reshape(shape)
-        / count
-        * (count * dxhat - dxhat.sum(axis=axes).reshape(shape) - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape))
-    )
+    scratch = g * xhat
+    dgamma = scratch.sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dx = g * g.dtype.type(count)
+    dx -= dbeta.reshape(shape)
+    dx -= np.multiply(xhat, dgamma.reshape(shape), out=scratch)
+    dx *= (_bn_shape(g, gamma) * inv_std.reshape(shape)) / g.dtype.type(count)
     return dx, dgamma, dbeta
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.0) -> np.ndarray:
-    """max(x, slope*x); slope 0 is plain relu."""
+def leaky_relu(x: np.ndarray, slope: float = 0.0, out=None) -> np.ndarray:
+    """max(x, slope*x) for 0 <= slope <= 1; slope 0 is plain relu.
+
+    In that range this is bit for bit where(x >= 0, x, slope*x), signed
+    zeros included. out=x overwrites x.
+    """
     x = _as_float(x, "x")
-    return np.where(x >= 0, x, x * x.dtype.type(slope))
+    return np.maximum(x, x * x.dtype.type(slope), out=out)
 
 
-def leaky_relu_backward(x: np.ndarray, g: np.ndarray, slope: float = 0.0) -> np.ndarray:
-    if g.shape != x.shape:
-        raise ShapeError(f"grad shape {g.shape} does not match input {x.shape}")
-    return np.where(x >= 0, g, g * g.dtype.type(slope))
+def leaky_relu_backward(positive: np.ndarray, g: np.ndarray, slope: float = 0.0) -> np.ndarray:
+    """Gradient through leaky_relu from the forward's branch mask,
+    positive = (x >= 0): g times 1 there (g exactly), times slope elsewhere."""
+    if g.shape != positive.shape:
+        raise ShapeError(f"grad shape {g.shape} does not match input {positive.shape}")
+    if positive.dtype != np.bool_:
+        raise ShapeError(f"leaky_relu_backward takes the bool mask x >= 0, got {positive.dtype}")
+    factor = np.array([slope, 1], dtype=g.dtype)[positive.view(np.uint8)]
+    return np.multiply(g, factor, out=factor)
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool = True):

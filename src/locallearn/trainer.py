@@ -174,6 +174,8 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 2 (batchnorm), got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.slope is not None and not 0.0 <= self.slope <= 1.0:
+            raise ConfigError(f"leaky relu slope must be in [0, 1], got {self.slope}")
         if self.classes_per_batch < 0:
             raise ConfigError("classes_per_batch must be >= 0")
         if self.pred_target_dim < 1:
@@ -335,10 +337,10 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     live = peak = 0
     for e in net.elements:
         if e == "pool":
-            a, idx = nm.maxpool2x2(a)
-            if not row.local:
+            # local modes make no pool index: nothing backpropagates through the pool
+            a, idx = nm.maxpool2x2(a, need_index=not row.local)
+            if idx is not None:
                 trace.append((e, idx, None))
-            del idx  # local modes keep no pool indices: nothing backpropagates through them
             continue
         h, cache = block_forward(e, a, train=True, rng=rng)
         live += 1
@@ -460,7 +462,7 @@ def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
     a = x
     for e in net.elements:
         if e == "pool":
-            a, _ = nm.maxpool2x2(a)
+            a, _ = nm.maxpool2x2(a, need_index=False)
         else:
             a, _ = block_forward(e, a, train=False)
     _, logits = _output_forward(net, a)
@@ -469,6 +471,8 @@ def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
 
 def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     """Classification error fraction on a dataset."""
+    if batch_size < 1:
+        raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
     wrong = 0
     for i in range(0, len(ds), batch_size):
         logits = forward_eval(net, ds.images[i : i + batch_size])

@@ -136,6 +136,14 @@ def test_negative_seed_is_an_error_line(tmp_path, capsys):
     assert err.count("error: seed must be >= 0") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("slope", ["5", "-1", "nan"])
+def test_slope_outside_unit_interval_writes_nothing(tmp_path, capsys, slope):
+    assert main(_train_argv(tmp_path / "x", **{"--slope": slope})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "slope" in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -171,6 +179,19 @@ def test_eval_truncated_checkpoint(tmp_path, capsys):
                  "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
     assert code == 1
     assert "truncated" in capsys.readouterr().err
+
+
+def test_eval_batch_size_below_one_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    capsys.readouterr()
+    for batch_size in ("0", "-5"):
+        code = main(["eval", "--checkpoint", str(out / "final.ckpt"), "--dataset", "blobs",
+                     "--arch", "fc16-fc", "--seed", "3", "--batch-size", batch_size])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "batch size" in captured.err
+        assert captured.out == ""
 
 
 def test_eval_missing_flag_exits_2(capsys):

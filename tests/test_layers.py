@@ -1,5 +1,6 @@
 """Blocks, initialization, Adam, and the checkpoint container."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -48,6 +49,42 @@ def test_adam_rejects_non_finite_grad():
     p = np.zeros(2)
     with pytest.raises(NonFiniteError):
         ly.adam_step(p, np.array([1.0, np.nan]), ly.AdamState.for_param(p), lr=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_adam_rejects_infinite_grad(bad):
+    p = np.zeros(3, dtype=np.float32)
+    st = ly.AdamState.for_param(p)
+    with pytest.raises(NonFiniteError):
+        ly.adam_step(p, np.array([1.0, bad, 2.0], dtype=np.float32), st, lr=1e-3)
+    assert st.t == 0 and not p.any() and not st.m.any()
+
+
+def _allocating_adam(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    state.t += 1
+    state.m += (1.0 - beta1) * (grad - state.m)
+    state.v += (1.0 - beta2) * (grad * grad - state.v)
+    mhat = state.m / (1.0 - beta1**state.t)
+    vhat = state.v / (1.0 - beta2**state.t)
+    param -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+@pytest.mark.parametrize("chunk", [ly.ADAM_CHUNK, 8, 4])  # one block; blocks with a ragged last one
+@pytest.mark.parametrize("shape", [(9, 3), (9,), (3, 2, 3, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_allocating_oracle_bitwise(dtype, shape, chunk, monkeypatch):
+    monkeypatch.setattr(ly, "ADAM_CHUNK", chunk)
+    p = rand(shape, seed=70, dtype=dtype)
+    q = p.copy()
+    st, ref = ly.AdamState.for_param(p), ly.AdamState.for_param(q)
+    for t in range(12):
+        g = rand(p.shape, seed=71 + t, dtype=dtype, scale=10.0 ** (t % 4 - 2))
+        lr = 2e-3 * 0.25 ** (t // 5)
+        ly.adam_step(p, g, st, lr)
+        _allocating_adam(q, g, ref, lr)
+        assert st.t == ref.t
+        for got, want in ((p, q), (st.m, ref.m), (st.v, ref.v)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_adam_rejects_shape_mismatch():
@@ -100,6 +137,18 @@ def test_init_conv_shapes_and_heads():
     assert "feedback" not in block.adam and "proj" not in block.adam
 
 
+@pytest.mark.parametrize("slope", [-1.0, -1e-9, 1.5, 5.0, float("nan"), float("inf")])
+def test_spec_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ConfigError, match="slope"):
+        ly.LayerSpec("dense", (4,), units=3, slope=slope)
+
+
+def test_spec_slope_bounds_are_legal_and_replace_rechecks():
+    specs = [ly.LayerSpec("dense", (4,), units=3, slope=slope) for slope in (0.0, 0.01, 1.0)]
+    with pytest.raises(ConfigError):
+        dataclasses.replace(specs[1], slope=5.0)
+
+
 def test_init_rejects_bad_spec():
     with pytest.raises(ConfigError):
         ly.LayerSpec("dense", (4,), units=0)
@@ -144,6 +193,28 @@ def test_block_forward_identity_weight_is_relu():
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     y, _ = ly.block_forward(block, x, train=True, rng=make_rng(0))
     assert np.max(np.abs(y - np.maximum(x, 0.0))) < 1e-3
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_cache_keeps_a_bool_sign_mask_and_no_float_copy(kind):
+    if kind == "dense":
+        block = _dense_block(din=4, units=5, slope=0.01)
+        x = rand((6, 4), seed=65, dtype=np.float32)
+        pre = x @ block.weight + block.bias
+    else:
+        block = ly.init_params(ly.LayerSpec("conv", (2, 4, 4), channels=3, slope=0.01), make_rng(4))
+        x = rand((3, 2, 4, 4), seed=66, dtype=np.float32)
+        pre = nm.conv2d(x, block.weight) + block.bias[None, :, None, None]
+    y, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    bn_out = nm.batchnorm_train(pre, block.gamma, block.beta)[0]
+    assert cache.positive.dtype == np.bool_ and np.array_equal(cache.positive, bn_out >= 0)
+    # of the activation's size, the cache holds xhat alone in floats
+    floats = [v for v in vars(cache).values() if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+    assert [v is cache.xhat for v in floats if v.shape == y.shape] == [True]
+    # at 0 the relu takes the x >= 0 branch: gamma = beta = 0 makes every output 0
+    block.gamma[:] = 0.0
+    _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    assert cache.positive.all()
 
 
 def test_block_forward_shape_mismatch():

@@ -301,7 +301,7 @@ def test_leaky_relu_values():
 def test_leaky_relu_backward_branches():
     x = np.array([-2.0, 3.0])
     g = np.array([1.0, 1.0])
-    assert np.allclose(nm.leaky_relu_backward(x, g, 0.01), [0.01, 1.0])
+    assert np.allclose(nm.leaky_relu_backward(x >= 0, g, 0.01), [0.01, 1.0])
 
 
 def test_dropout_rate_zero_and_eval_identity():
@@ -391,3 +391,131 @@ def test_one_hot():
     y = nm.one_hot(np.array([1, 0]), 3, np.float32)
     assert y.dtype == np.float32
     assert np.array_equal(y, [[0, 1, 0], [1, 0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# oracles: the allocating kernels the one-pass ones replaced
+# ---------------------------------------------------------------------------
+
+def _argmax_maxpool(x):
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = np.argmax(win, axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def _argmax_maxpool_backward(g, idx):
+    n, c, ho, wo = g.shape
+    dwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
+    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+    return dwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * ho, 2 * wo)
+
+
+def _tied(shape, seed, dtype):
+    """Values drawn from a handful, so that most windows hold ties, +0 and
+    -0 against each other included."""
+    values = np.array([-0.0, 0.0, 1.0, -1.0, 2.5], dtype=dtype)
+    return make_rng(seed).choice(values, size=shape)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_maximum_keeps_its_second_argument_on_a_tie():
+    # maxpool2x2's tie rule rests on this: +0 and -0 compare equal, and
+    # np.maximum(tap, running_max) must hand back running_max
+    x = _tied((8, 4, 16, 16), seed=30, dtype=np.float32)
+    a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+    tie = a == b
+    assert (tie & (np.signbit(a) != np.signbit(b))).any()
+    for first, second in ((a, b), (b, a), (np.ascontiguousarray(a), np.ascontiguousarray(b))):
+        got = np.maximum(first, second)
+        assert np.array_equal(np.signbit(got[tie]), np.signbit(second[tie]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_argmax_oracle_with_ties_and_signed_zeros(dtype):
+    for x in (_tied((4, 3, 8, 10), seed=31, dtype=dtype), rand((4, 3, 8, 10), seed=32, dtype=dtype)):
+        want, want_idx = _argmax_maxpool(x)
+        got, idx = nm.maxpool2x2(x)
+        assert _same_bytes(got, want)
+        assert idx.dtype == np.uint8 and np.array_equal(idx, want_idx)
+        g = rand(got.shape, seed=33, dtype=dtype)
+        g[0, 0, 0, 0] = -0.0
+        assert _same_bytes(nm.maxpool2x2_backward(g, idx), _argmax_maxpool_backward(g, want_idx))
+        unindexed, none = nm.maxpool2x2(x, need_index=False)
+        assert none is None and _same_bytes(unindexed, want)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_matches_where_oracle_bitwise(slope, dtype):
+    x = np.concatenate([
+        _tied((64,), seed=34, dtype=dtype),
+        rand((64,), seed=35, dtype=dtype),
+        np.array([np.finfo(dtype).tiny, -np.finfo(dtype).tiny, np.finfo(dtype).max, -np.finfo(dtype).max], dtype),
+    ])
+    s = x.dtype.type(slope)
+    assert _same_bytes(nm.leaky_relu(x, slope), np.where(x >= 0, x, x * s))
+    g = rand(x.shape, seed=36, dtype=dtype)
+    assert _same_bytes(nm.leaky_relu_backward(x >= 0, g, slope), np.where(x >= 0, g, g * s))
+
+
+def test_leaky_relu_out_writes_over_its_input():
+    x = rand((5, 6), seed=37, dtype=np.float32)
+    want = nm.leaky_relu(x, 0.01)
+    got = nm.leaky_relu(x, 0.01, out=x)
+    assert got is x and _same_bytes(x, want)
+
+
+def test_leaky_relu_backward_takes_a_bool_mask():
+    x = rand((3, 4), seed=38)
+    with pytest.raises(ShapeError):
+        nm.leaky_relu_backward(x, np.ones_like(x), 0.01)
+
+
+@pytest.mark.parametrize("shape", [(16, 5), (4, 3, 5, 5)])
+def test_batchnorm_train_matches_two_pass_oracle_bitwise(shape):
+    x = rand(shape, seed=39, dtype=np.float32, scale=3.0) + 2.0
+    c = shape[1]
+    gamma, beta = rand((c,), seed=40, dtype=np.float32) + 1.0, rand((c,), seed=41, dtype=np.float32)
+    axes = (0,) if len(shape) == 2 else (0, 2, 3)
+    bshape = (1, c) + (1,) * (len(shape) - 2)
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    want = (gamma.reshape(bshape) * xhat + beta.reshape(bshape), xhat, inv_std, mean, var)
+    for got, ref in zip(nm.batchnorm_train(x, gamma, beta), want):
+        assert _same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(16, 5), (4, 3, 5, 5)])
+def test_batchnorm_backward_matches_the_expanded_oracle(shape):
+    x = rand(shape, seed=42, scale=2.0)
+    c = shape[1]
+    gamma = rand((c,), seed=43) + 1.0
+    g = rand(shape, seed=44)
+    _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, np.zeros(c))
+    axes = (0,) if len(shape) == 2 else (0, 2, 3)
+    bshape = (1, c) + (1,) * (len(shape) - 2)
+    count = g.size // c
+    dxhat = g * gamma.reshape(bshape)
+    want = (
+        inv_std.reshape(bshape)
+        / count
+        * (count * dxhat - dxhat.sum(axis=axes).reshape(bshape)
+           - xhat * (dxhat * xhat).sum(axis=axes).reshape(bshape))
+    )
+    dx, dgamma, dbeta = nm.batchnorm_backward(g, gamma, xhat, inv_std)
+    assert np.allclose(dx, want, rtol=1e-10, atol=1e-12)
+    assert _same_bytes(dgamma, (g * xhat).sum(axis=axes)) and _same_bytes(dbeta, g.sum(axis=axes))
+
+
+def test_batchnorm_eval_out_writes_over_its_input():
+    x = rand((5, 3, 4, 4), seed=45, dtype=np.float32)
+    gamma, beta = rand((3,), seed=46, dtype=np.float32), rand((3,), seed=47, dtype=np.float32)
+    mean, var = rand((3,), seed=48, dtype=np.float32), np.abs(rand((3,), seed=49, dtype=np.float32))
+    want = nm.batchnorm_eval(x, gamma, beta, mean, var)
+    got = nm.batchnorm_eval(x, gamma, beta, mean, var, out=x)
+    assert got is x and _same_bytes(x, want)

@@ -261,6 +261,36 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
             assert np.array_equal(want[name], got[name]), name
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_pool_index_is_made_only_for_a_backward_that_reads_it(mode, monkeypatch):
+    net = small_net(mode, arch="conv3-pool-conv4-pool-fc", input_shape=(2, 8, 8), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 8, 8), seed=80, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    made, read = [], []
+    pool, pool_backward = nm.maxpool2x2, nm.maxpool2x2_backward
+
+    def recording_pool(*args, **kwargs):
+        out, idx = pool(*args, **kwargs)
+        made.append(idx)
+        return out, idx
+
+    def recording_backward(g, idx):
+        read.append(idx)
+        return pool_backward(g, idx)
+
+    monkeypatch.setattr(nm, "maxpool2x2", recording_pool)
+    monkeypatch.setattr(nm, "maxpool2x2_backward", recording_backward)
+    tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    if MODE_TABLE[mode].local:
+        assert made == [None, None] and read == []
+    else:
+        assert all(idx.dtype == np.uint8 for idx in made)
+        assert list(map(id, read)) == list(map(id, reversed(made)))
+    made.clear()
+    tr.forward_eval(net, x)
+    assert made == [None, None]
+
+
 def test_forward_eval_matches_the_reference_batchnorm_bitwise(monkeypatch):
     net = small_net("predsim", arch="conv3-pool-fc8-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
     x = rand((6, 2, 4, 4), seed=79, dtype=np.float32)
@@ -268,10 +298,14 @@ def test_forward_eval_matches_the_reference_batchnorm_bitwise(monkeypatch):
     tr.train_step(net, x, y, 1e-3, make_rng(0))  # moves the running stats off their init
     logits = tr.forward_eval(net, x)
 
-    def reference(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    def reference(x, gamma, beta, running_mean, running_var, eps=1e-5, out=None):
         shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        return gamma.reshape(shape) * ((x - running_mean.reshape(shape)) * inv_std.reshape(shape)) + beta.reshape(shape)
+        y = gamma.reshape(shape) * ((x - running_mean.reshape(shape)) * inv_std.reshape(shape)) + beta.reshape(shape)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     monkeypatch.setattr(nm, "batchnorm_eval", reference)
     assert np.array_equal(tr.forward_eval(net, x), logits)
@@ -344,6 +378,14 @@ def test_evaluate_is_deterministic_and_chance_level():
     assert abs(e1 - 0.9) < 0.05  # untrained net guesses
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    ds = tiny_blobs(per_class=4, seed=4)
+    net = small_net("glob", arch="fc16-fc", input_shape=(16, 1, 1), classes=3)
+    with pytest.raises(ConfigError, match="batch size"):
+        tr.evaluate(net, ds, batch_size)
+
+
 def test_metrics_csv_format(blobs3):
     _, hist = tr.train(_quick_cfg(epochs=2), LossConfig("glob"), blobs3)
     lines = tr.metrics_csv(hist).strip().split("\n")
@@ -385,6 +427,17 @@ def test_train_config_validation():
         _quick_cfg(lr=0.0)
     with pytest.raises(ConfigError, match="seed"):
         _quick_cfg(seed=-1)
+
+
+@pytest.mark.parametrize("slope", [-1.0, 5.0, float("nan")])
+def test_train_config_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ConfigError, match="slope"):
+        _quick_cfg(slope=slope)
+
+
+def test_train_config_slope_bounds_and_mode_default_are_legal():
+    for slope in (None, 0.0, 1.0):
+        assert _quick_cfg(slope=slope).slope == slope
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +487,14 @@ def test_plain_skeleton_loads_any_modes_checkpoint(tmp_path, blobs3):
         assert tr.evaluate(plain, blobs3) == tr.evaluate(net, blobs3)
         # slope travels through the file as f32
         assert plain.blocks[0].spec.slope == pytest.approx(net.blocks[0].spec.slope, abs=1e-7)
+
+
+def test_load_network_rejects_out_of_range_slope(tmp_path):
+    net = small_net("glob", arch="fc16-fc", input_shape=(8, 1, 1), classes=3)
+    tensors = tr.state_tensors(net)
+    tensors["block0.slope"] = np.float32(5.0)
+    path = tmp_path / "net.ckpt"
+    ly.save_checkpoint(path, tensors, block_count=2)
+    with pytest.raises(ConfigError, match="slope"):
+        tr.load_network_state(net, path)
+    assert net.blocks[0].spec.slope == 0.0
