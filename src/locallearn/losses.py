@@ -145,7 +145,7 @@ def _sim_match(feat: np.ndarray, target_sim: np.ndarray):
     diff = similarity_matrix(desc.T) - target_sim
     loss = float((diff * diff).sum() / (n * n))
     ddesc = similarity_matrix_backward(desc.T, diff * desc.dtype.type(2.0 / (n * n))).T
-    return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc))
+    return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc, std=desc))
 
 
 @dataclass
@@ -178,8 +178,9 @@ def sim_loss(h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head
         dh, dw = nm.matmul_backward(h, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw, "sim_b": dfeat.sum(axis=0)})
     if h.ndim == 4:
-        feat = nm.conv2d(h, head_w, stride=1, pad=1)
-        loss, dfeat = _sim_match(feat, target_sim)
+        # no name holds the head's feature map, so it dies when _sim_match
+        # returns, before the head's backward allocates
+        loss, dfeat = _sim_match(nm.conv2d(h, head_w, stride=1, pad=1), target_sim)
         dh, dw = nm.conv2d_backward(h, head_w, dfeat, stride=1, pad=1)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
@@ -275,6 +276,12 @@ def pred_bpf_loss(
 # ---------------------------------------------------------------------------
 
 
+# Elements of dh that one temporary ws * sim_dh of combine covers: a whole
+# number of examples, at least one, so the temporary stays far below h's size
+# while a dense batch still takes only a few passes.
+COMBINE_CHUNK = 1 << 16
+
+
 def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) -> LocalLossResult:
     """Convex combination (1-beta)*pred + beta*sim.
 
@@ -287,7 +294,14 @@ def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) ->
     wp, ws = 1.0 - beta, beta
     grads = {k: wp * v for k, v in pred_res.grads.items()}
     grads.update({k: ws * v for k, v in sim_res.grads.items()})
-    return LocalLossResult(wp * pred_res.loss + ws * sim_res.loss, wp * pred_res.dh + ws * sim_res.dh, grads)
+    dh = wp * pred_res.dh
+    n = len(dh)
+    rows, sim = dh.reshape(n, -1), sim_res.dh.reshape(n, -1)
+    step = max(1, COMBINE_CHUNK // rows.shape[1])
+    for i in range(0, n, step):
+        block = rows[i : i + step]
+        block += ws * sim[i : i + step]
+    return LocalLossResult(wp * pred_res.loss + ws * sim_res.loss, dh, grads)
 
 
 def local_block_loss(

@@ -14,6 +14,16 @@ Conventions:
     over as out=: batchnorm_eval and leaky_relu take out= (block_forward
     passes the conv/dense output, then the batchnorm output, neither of
     which it reads again); every other kernel returns new arrays
+
+Convolutions are GEMMs over im2col buffers, a chunk of examples at a time.
+conv2d and the input gradient share one private lowering: a conv's dx is
+itself a forward conv (the transposed conv) of g spread stride apart, with
+the kernel flipped in space and its in and out channels swapped, so no
+gradient is scatter-added back into the input. The lowering zeroes one
+padded canvas per call and copies each chunk into it; no chunk is padded
+on its own. conv2d itself runs forward convs only.
+std_per_feature_map_backward takes the forward's std rather than
+recomputing it, and writes the gradient into one buffer.
 """
 
 from __future__ import annotations
@@ -71,19 +81,52 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
 COLS_BUDGET = 4 << 20
 
 
-def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: int, ho: int, wo: int):
+def _placement(size: int, extent: int, offset: int, step: int):
+    """(source slice, canvas slice) that put element i of an axis of `size`
+    at offset + i*step of a canvas axis of `extent`, leaving out the
+    elements that land outside it."""
+    lo = max(0, -(offset // step))
+    hi = max(lo, min(size, -((offset - extent) // step)))
+    start = offset + lo * step
+    return slice(lo, hi), slice(start, start + (hi - lo) * step, step)
+
+
+def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: tuple, ho: int, wo: int, dilate: int = 1):
     """Yield (examples, cols) over the batch in chunks; cols[(c,u,v), (i,p,q)]
-    is padded input pixel (c, p*stride+u, q*stride+v) of example i of the
-    chunk, so that each product with cols is a single 2-d GEMM."""
-    n, ci = x.shape[:2]
+    is canvas pixel (c, p*stride+u, q*stride+v) of example i of the chunk,
+    so that each product with cols is a single 2-d GEMM.
+
+    The canvas is the input spread `dilate` apart and shifted by pad = (top,
+    left), zeros elsewhere, and as large as the windows read. It is one
+    zeroed buffer per call: each chunk writes the same pixels of it, so its
+    zeros are never overwritten.
+    """
+    n, ci, h, w = x.shape
     co, _, kh, kw = kshape
     per_example = x.itemsize * ho * wo * max(ci * kh * kw, co)
     budget = max(COLS_BUDGET, x.itemsize * n * co * ho * wo // 4)
     m = max(1, budget // per_example)
+    ch, cw = (ho - 1) * stride + kh, (wo - 1) * stride + kw
+    src_h, dst_h = _placement(h, ch, pad[0], dilate)
+    src_w, dst_w = _placement(w, cw, pad[1], dilate)
+    canvas = np.zeros((min(m, n), ci, ch, cw), dtype=x.dtype)
     for i in range(0, n, m):
-        xp = np.pad(x[i : i + m], ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x[i : i + m]
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        yield slice(i, i + m), win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, -1)
+        rows = slice(i, i + m)
+        chunk = canvas[: min(m, n - i)]
+        chunk[:, :, dst_h, dst_w] = x[rows, :, src_h, src_w]
+        win = sliding_window_view(chunk, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        yield rows, win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, -1)
+
+
+def _lowered_conv(x: np.ndarray, k: np.ndarray, stride: int, pad: tuple, ho: int, wo: int, dilate: int = 1):
+    """The (n, co, ho, wo) cross-correlation of the canvas of x (see
+    _im2col_chunks) with k, one GEMM per chunk of examples."""
+    n, co = x.shape[0], k.shape[0]
+    out = np.empty((n, co, ho * wo), dtype=x.dtype)
+    k2 = k.reshape(co, -1)
+    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo, dilate):
+        out[rows] = (k2 @ cols).reshape(co, -1, ho * wo).transpose(1, 0, 2)
+    return out.reshape(n, co, ho, wo)
 
 
 def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
@@ -102,41 +145,36 @@ def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.nd
         raise ShapeError(f"channel mismatch: input has {x.shape[1]}, kernel expects {k.shape[1]}")
     if stride < 1 or pad < 0:
         raise ConfigError(f"bad stride/pad: {stride}/{pad}")
-    n, _, h, w = x.shape
-    co, ci, kh, kw = k.shape
+    _, _, h, w = x.shape
+    _, _, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
     wo = _conv_out_extent(w, kw, stride, pad)
-    out = np.empty((n, co, ho * wo), dtype=x.dtype)
-    k2 = k.reshape(co, -1)
-    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
-        out[rows] = (k2 @ cols).reshape(co, -1, ho * wo).transpose(1, 0, 2)
-    return out.reshape(n, co, ho, wo)
+    return _lowered_conv(x, k, stride, (pad, pad), ho, wo)
 
 
 def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: int, need_dx: bool):
-    """(dx or None, dk) of sum(g * conv2d(x, k)), chunk by chunk: dk adds up
-    g @ colsᵀ over the chunks, dx is kᵀ @ g scattered back (col2im)."""
-    n, ci, h, w = x.shape
+    """(dx or None, dk) of sum(g * conv2d(x, k)).
+
+    dk adds up g @ colsᵀ over the chunks of x. dx is the transposed conv, a
+    forward one: g spread `stride` apart, correlated at stride 1 with the
+    kernel flipped in space and swapped in and out channels, with kh-1-pad
+    rows of padding on top (a negative pad crops) and as many at the bottom
+    as the output needs to come out h high.
+    """
+    n, _, h, w = x.shape
     co, _, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
     wo = _conv_out_extent(w, kw, stride, pad)
     if g.shape != (n, co, ho, wo):
         raise ShapeError(f"upstream grad shape {g.shape} does not match {(n, co, ho, wo)}")
     g3 = g.reshape(n, co, ho * wo)
-    k2 = k.reshape(co, -1)
-    dk = np.zeros_like(k2)
-    dx = np.empty_like(x) if need_dx else None
-    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo):
-        g2 = g3[rows].transpose(1, 0, 2).reshape(co, -1)
-        dk += g2 @ cols.T
-        if need_dx:
-            dcols = (k2.T @ g2).reshape(ci, kh, kw, -1, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-            dxp = np.zeros((dcols.shape[0], ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-            span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-            for u in range(kh):
-                for v in range(kw):
-                    dxp[:, :, u : u + span_h : stride, v : v + span_w : stride] += dcols[:, :, u, v]
-            dx[rows] = dxp[:, :, pad : pad + h, pad : pad + w]
+    dk = np.zeros_like(k).reshape(co, -1)
+    for rows, cols in _im2col_chunks(x, k.shape, stride, (pad, pad), ho, wo):
+        dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
+    dx = None
+    if need_dx:
+        flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = _lowered_conv(g, flipped, 1, (kh - 1 - pad, kw - 1 - pad), h, w, dilate=stride)
     return dx, dk.reshape(k.shape)
 
 
@@ -212,7 +250,11 @@ def maxpool2x2_backward(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def avgpool(x: np.ndarray, k: int) -> np.ndarray:
-    """k x k / stride-k average pooling; k must divide both spatial extents."""
+    """k x k / stride-k average pooling; k must divide both spatial extents.
+
+    Sums each window's k rows as k strided slices of whole image rows, then
+    the k columns of that as k strided slices, and divides once by k*k.
+    """
     x = _as_float(x, "x")
     if x.ndim != 4:
         raise ShapeError(f"avgpool expects NCHW, got {x.shape}")
@@ -221,15 +263,30 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"avgpool kernel {k} does not divide extents {h}x{w}")
-    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    rows = x.reshape(n, c, h // k, k, w)
+    acc = rows[:, :, :, 0].copy()
+    for u in range(1, k):
+        acc += rows[:, :, :, u]
+    cols = acc.reshape(n, c, h // k, w // k, k)
+    out = cols[..., 0].copy()
+    for v in range(1, k):
+        out += cols[..., v]
+    out /= x.dtype.type(k * k)
+    return out
 
 
 def avgpool_backward(g: np.ndarray, k: int) -> np.ndarray:
-    """Spread each pooled gradient uniformly over its k*k window."""
+    """Spread each pooled gradient uniformly over its k*k window: each
+    scaled value repeated k times along a row, then each such row written k
+    times, both as broadcast writes."""
     if g.ndim != 4:
         raise ShapeError(f"avgpool_backward expects NCHW grad, got {g.shape}")
-    scaled = g / (k * k)
-    return np.repeat(np.repeat(scaled, k, axis=2), k, axis=3)
+    n, c, ho, wo = g.shape
+    row = np.empty((n, c, ho, 1, wo, k), dtype=g.dtype)
+    row[...] = (g / (k * k))[:, :, :, None, :, None]
+    dx = np.empty((n, c, ho, k, wo * k), dtype=g.dtype)
+    dx[...] = row.reshape(n, c, ho, 1, wo * k)
+    return dx.reshape(n, c, ho * k, wo * k)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +430,22 @@ def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return np.sqrt(var + x.dtype.type(eps))
 
 
-def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Gradient of sum(g * std_per_feature_map(x)) w.r.t. x."""
+def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8, std=None) -> np.ndarray:
+    """Gradient of sum(g * std_per_feature_map(x)) w.r.t. x.
+
+    std is the forward's result, recomputed from x when not given. The
+    gradient is written into one buffer.
+    """
     if g.shape != x.shape[:2]:
         raise ShapeError(f"grad shape {g.shape} does not match {x.shape[:2]}")
     n, c, h, w = x.shape
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    s = np.sqrt(x.var(axis=(2, 3)) + x.dtype.type(eps))
+    if std is None:
+        std = std_per_feature_map(x, eps)
     # d std/dx_i = (x_i - mu) / (HW * s); the mean term cancels because sum(x - mu) = 0
-    return g[:, :, None, None] * (x - mu) / (x.dtype.type(h * w) * s[:, :, None, None])
+    dx = np.subtract(x, x.mean(axis=(2, 3), keepdims=True))
+    dx *= g[:, :, None, None]
+    dx /= x.dtype.type(h * w) * std[:, :, None, None]
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,9 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     d = dflat.reshape(a.shape)
 
     backward: list = []
-    for e, cache, res in reversed(trace):
+    while trace:
+        # popped, so each cache dies once its block's backward has run
+        e, cache, res = trace.pop()
         if e == "pool":
             d = nm.maxpool2x2_backward(d, cache)
             continue

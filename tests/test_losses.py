@@ -3,11 +3,13 @@ backprop-free variants, and their combination."""
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import locallearn.losses as ls
+import locallearn.numerics as nm
 from locallearn.errors import ConfigError, InputError, ShapeError
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
@@ -220,6 +222,18 @@ def test_combine_endpoints():
     assert ls.combine(a, b, 1.0).loss == 2.0
 
 
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 7)])
+def test_combine_adds_the_same_products_and_leaves_its_inputs(shape):
+    p = rand(shape, seed=60, dtype=np.float32)
+    s = rand(shape[::-1], seed=61, dtype=np.float32).T  # a transposed dh, as sim_bpf_loss hands back
+    a, b = ls.LocalLossResult(1.0, p.copy()), ls.LocalLossResult(2.0, s.copy())
+    beta = 0.3
+    out = ls.combine(a, b, beta)
+    want = (1.0 - beta) * p + beta * s
+    assert out.dh.dtype == want.dtype and out.dh.tobytes() == want.tobytes()
+    assert a.dh.tobytes() == p.tobytes() and b.dh.tobytes() == s.tobytes()
+
+
 def test_combine_beta_out_of_range():
     a = ls.LocalLossResult(1.0, np.ones(2))
     with pytest.raises(ConfigError):
@@ -273,3 +287,26 @@ def test_local_block_loss_dispatch():
         ls.local_block_loss("glob", 1.0, h, y, **kw)
     with pytest.raises(ConfigError):
         ls.local_block_loss("nonsense", 1.0, h, y, **kw)
+
+
+def test_sim_head_feature_map_is_dead_when_its_backward_starts(monkeypatch):
+    h = rand((4, 3, 6, 6), seed=62, dtype=np.float32)
+    head_w = rand((3, 3, 3, 3), seed=63, dtype=np.float32)
+    t = one_hot(np.array([0, 1, 2, 0]), 3, np.float32)
+    maps, alive = [], []
+    conv, conv_backward = nm.conv2d, nm.conv2d_backward
+
+    def recording(*args, **kwargs):
+        out = conv(*args, **kwargs)
+        maps.append(weakref.ref(out))
+        return out
+
+    def checking(*args, **kwargs):
+        alive.append(maps[-1]() is not None)
+        return conv_backward(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "conv2d", recording)
+    monkeypatch.setattr(nm, "conv2d_backward", checking)
+    res = ls.sim_loss(h, t, head_w)
+    assert len(maps) == 1 and alive == [False]
+    assert res.dh.shape == h.shape and np.isfinite(res.loss)

@@ -119,6 +119,8 @@ CONV_CASES = {
     "pad0": ((2, 3, 5, 5), (2, 3, 3, 3), 1, 0),
     "7x7-pad3": ((2, 2, 8, 8), (3, 2, 7, 7), 2, 3),
     "5x7-image": ((3, 2, 5, 7), (4, 2, 3, 3), 1, 1),
+    # pad > kh - 1: the input gradient's transposed conv crops g instead of padding it
+    "pad-past-kernel": ((2, 2, 5, 5), (3, 2, 2, 2), 2, 2),
 }
 
 
@@ -142,17 +144,21 @@ def test_conv_kernels_match_per_tap_oracle(case):
 
 
 CHUNK_CASES = {
-    # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1
-    "budget": ((5, 2, 5, 7), (3, 2, 3, 3), lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7, [2, 2, 1]),
+    # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1;
+    # the input gradient lowers g, whose 3 channels make an example's buffer
+    # 27/18 as large, so there one example fits
+    "budget": ((5, 2, 5, 7), (3, 2, 3, 3), lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7, [2, 2, 1], [1] * 5),
     # under a budget of one byte a chunk may still take a quarter of the
-    # output, so 16 examples go as 4 x 4 and not as 16 one-example calls
-    "quarter": ((16, 1, 5, 7), (9, 1, 3, 3), lambda x: 1, [4, 4, 4, 4]),
+    # output, so 16 examples go as 4 x 4 and not as 16 one-example calls; the
+    # input gradient's output has one channel, and a quarter of it holds
+    # less than one example's buffer of 9-channel g
+    "quarter": ((16, 1, 5, 7), (9, 1, 3, 3), lambda x: 1, [4, 4, 4, 4], [1] * 16),
 }
 
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
-    xs, ks, budget, expected = CHUNK_CASES[case]
+    xs, ks, budget, expected, expected_dx = CHUNK_CASES[case]
     x, k, g = _conv_case(xs, ks, 1, 1, seed=40)
     monkeypatch.setattr(nm, "COLS_BUDGET", budget(x))
     chunks = []
@@ -170,7 +176,8 @@ def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
     assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(nm.conv2d_weight_grad(x, k, g), dk, rtol=1e-12, atol=1e-12)
-    assert chunks == expected * 3
+    # forward; backward: dk over x, then dx over g; weight grad: dk alone
+    assert chunks == expected + expected + expected_dx + expected
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
@@ -237,6 +244,24 @@ def test_avgpool_backward_uniform_split():
     g = np.array([[4.0]]).reshape(1, 1, 1, 1)
     dx = nm.avgpool_backward(g, 2)
     assert np.all(dx == 1.0) and dx.shape == (1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_avgpool_float32_matches_the_float64_mean(k):
+    x = rand((3, 4, 8, 12), seed=21, dtype=np.float32, scale=3.0) + 1.0
+    got = nm.avgpool(x, k)
+    want = x.astype(np.float64).reshape(3, 4, 8 // k, k, 12 // k, k).mean(axis=(3, 5))
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpool_backward_matches_the_repeat_formula_bitwise(k, dtype):
+    g = rand((3, 4, 2, 5), seed=22, dtype=dtype)
+    want = np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=3)
+    got = nm.avgpool_backward(g, k)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +373,19 @@ def test_std_population_normalization():
     x = rand((2, 3, 4, 4), seed=19)
     expect = x.std(axis=(2, 3))  # numpy default is population (ddof=0)
     assert np.allclose(nm.std_per_feature_map(x), expect, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_std_backward_from_the_forward_std_is_the_recomputing_path(dtype):
+    x = rand((4, 3, 5, 6), seed=23, dtype=dtype, scale=2.0)
+    g = rand((4, 3), seed=24, dtype=dtype)
+    s = nm.std_per_feature_map(x)
+    got = nm.std_per_feature_map_backward(x, g, std=s)
+    assert got.tobytes() == nm.std_per_feature_map_backward(x, g).tobytes()
+    # and the same bytes as the three-temporary formula it replaced
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    want = g[:, :, None, None] * (x - mu) / (x.dtype.type(30) * s[:, :, None, None])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ loop, metrics formatting, and network state round-trips."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +260,30 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
         assert want.keys() == got.keys()
         for name in want:
             assert np.array_equal(want[name], got[name]), name
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
+def test_global_backward_frees_each_cache_above_the_block_it_runs(mode, monkeypatch):
+    net = small_net(mode, arch="conv3-pool-conv4-conv4-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 4, 4), seed=79, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    caches, alive_above = [], []  # a weakref to each block's cache, in forward order
+    forward, backward = tr.block_forward, tr.block_backward
+
+    def recording(block, *args, **kwargs):
+        h, cache = forward(block, *args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return h, cache
+
+    def checking(block, cache, *args, **kwargs):
+        k = next(i for i, ref in enumerate(caches) if ref() is cache)
+        alive_above.append((k, [ref() is not None for ref in caches[k + 1 :]]))
+        return backward(block, cache, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "block_forward", recording)
+    monkeypatch.setattr(tr, "block_backward", checking)
+    tr.train_step(net, x, y, 1e-3, make_rng(0))
+    assert alive_above == [(2, []), (1, [False]), (0, [False, False])]
 
 
 @pytest.mark.parametrize("mode", MODES)
