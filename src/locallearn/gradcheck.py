@@ -2,16 +2,20 @@
 
 Each check compares analytic gradients against central differences in
 float64 and reports the worst relative error. The per-op checks exercise the
-kernels in isolation; the per-mode checks push a 2-block toy net (conv ->
-pool -> dense -> output) through every loss mode and differentiate each
-block's parameters against that block's own local loss.
+kernels in isolation. The per-mode checks run `train_step` itself, with
+apply=False, on a 2-block toy net (conv -> pool -> dense -> output) in every
+loss mode, and compare the gradients it hands to Adam with the finite
+difference of the loss each parameter trains on: its block's local loss in a
+local mode, the sum of every layer's loss in a global one. A parameter the
+step gives no gradient fails its check.
 
 Feedback alignment needs a caveat: in the *-bpf pred path the activation
-gradient is routed through a fixed random matrix B and is deliberately not
-the gradient of the loss. There the classifier's own parameters are checked
-against the true loss, and the main path is checked against the frozen-error
-surrogate sum(dlogits0 * (pool(H) @ B)), whose exact gradient is what the
-implementation computes.
+gradient is routed through a fixed random matrix B in place of the
+classifier's w^T, so it is deliberately not the gradient of the loss. The
+mode checks set w = B first, where the routed gradient is the true one. The
+op-level pred_bpf check keeps w != B and compares the activation gradient
+with the frozen-error surrogate sum(dlogits0 * (H @ B)), whose exact
+gradient is what the implementation computes.
 
 The `corrupt` hook flips the sign of a named check's analytic gradients so
 the harness itself can be shown to catch a broken backward.
@@ -25,13 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numerics as nm
-from .layers import block_forward, block_local_backward
 from .losses import (
     MODE_TABLE,
     LossConfig,
-    _pool_flatten,
     binarized_targets,
-    local_block_loss,
     pred_bpf_loss,
     pred_loss,
     sim_bpf_loss,
@@ -293,89 +294,22 @@ def _toy_setup(mode: str, seed: int = 3):
     return net, x, y
 
 
-def _forward_to(net, k: int, x, rng):
-    """Input of the k-th block (k = block count gives the output layer's input)."""
-    a = x
-    bi = 0
-    for e in net.elements:
-        if e == "pool":
-            a, _ = nm.maxpool2x2(a, need_index=False)
-            continue
-        if bi == k:
-            return a
-        a, _ = block_forward(e, a, train=True, rng=rng)
-        bi += 1
-    return a
-
-
-def _check_local_mode(mode: str):
+def _check_mode(mode: str):
     net, x, y = _toy_setup(mode)
-    row = MODE_TABLE[mode]
+    for block in net.blocks:
+        if block.feedback is not None:
+            block.cls_w[...] = block.feedback  # at w = B the routed gradient is the true one
+    step = lambda: train_step(net, x, y, lr=0.0, rng=make_rng(7), apply=False)
+    base = step()
+    local = MODE_TABLE[mode].local
     pairs = []
-    for k, block in enumerate(net.blocks):
-        a_k = _forward_to(net, k, x, make_rng(77))
-        fwd = lambda: block_forward(block, a_k, train=True, rng=make_rng(88, k))
-        h0, cache0 = fwd()
-        res0 = local_block_loss(mode, net.beta, h0, y, **block.heads())
-        main0 = block_local_backward(block, cache0, res0.dh)
-
-        # head parameters against the actual loss (h0 fixed; heads do not affect h)
-        loss_at = lambda: local_block_loss(mode, net.beta, h0, y, **block.heads()).loss
-        for name, g0 in res0.grads.items():
-            pairs.append((g0, fd_grad(loss_at, getattr(block, name))))
-
-        # main-path parameters
-        if row.pred == "bpf" and row.sim is None:
-            target = _bpf_surrogate_fn(block, a_k, h0, y, k)
-        elif row.pred == "bpf":
-            surrogate = _bpf_surrogate_fn(block, a_k, h0, y, k)
-            sim_part = lambda: sim_bpf_loss(fwd()[0], block.proj @ y.T).loss
-            beta = net.beta
-            target = lambda: (1.0 - beta) * surrogate() + beta * sim_part()
-        else:
-            target = lambda: local_block_loss(mode, net.beta, fwd()[0], y, **block.heads()).loss
-        for name in ("weight", "bias", "gamma", "beta"):
-            pairs.append((main0[name], fd_grad(target, getattr(block, name))))
-
-    pairs.extend(_output_pairs(net, x, y))
-    return pairs
-
-
-def _bpf_surrogate_fn(block, a_k, h0, y, k):
-    """Frozen-error surrogate whose true gradient is the feedback chain."""
-    flat0, _ = _pool_flatten(h0, block.pool_k)
-    t = binarized_targets(block.proj, y, np.float64)
-    _, dlogits0 = nm.bce_logits(nm.matmul(flat0, block.cls_w) + block.cls_b, t)
-
-    def surrogate():
-        h, _ = block_forward(block, a_k, train=True, rng=make_rng(88, k))
-        flat, _ = _pool_flatten(h, block.pool_k)
-        return float((dlogits0 * (flat @ block.feedback)).sum())
-
-    return surrogate
-
-
-def _output_pairs(net, x, y):
-    """The output layer is a plain affine + cross-entropy in every mode."""
-    a = _forward_to(net, len(net.blocks), x, make_rng(77))
-    flat = a.reshape(a.shape[0], -1)
-    w, b = net.out.weight, net.out.bias
-    _, dlogits = nm.cross_entropy_logits(nm.matmul(flat, w) + b, y)
-    f = lambda: nm.cross_entropy_logits(nm.matmul(flat, w) + b, y)[0]
-    return [((flat.T @ dlogits), fd_grad(f, w)), (dlogits.sum(axis=0), fd_grad(f, b))]
-
-
-def _check_global_mode(mode: str):
-    net, x, y = _toy_setup(mode)
-    base = train_step(net, x, y, lr=0.0, rng=make_rng(7), apply=False)
-    # hidden blocks without a local loss report exactly 0.0, so there the sum is the output loss
-    f = lambda: float(sum(train_step(net, x, y, lr=0.0, rng=make_rng(7), apply=False).losses))
-    pairs = []
-    for k, block in enumerate(net.blocks):
-        for name, g0 in base.grads[k].items():
-            pairs.append((g0, fd_grad(f, getattr(block, name))))
-    for name, g0 in base.grads[-1].items():
-        pairs.append((g0, fd_grad(f, getattr(net.out, name))))
+    # a local block trains on its own loss and the output layer on the last
+    # one; a global step trains everything on the sum, where blocks without a
+    # local loss report exactly 0.0
+    for k, owner in enumerate(net.blocks + [net.out]):
+        target = (lambda k=k: step().losses[k]) if local else (lambda: float(sum(step().losses)))
+        for name in owner.adam:
+            pairs.append((base.grads[k].get(name), fd_grad(target, getattr(owner, name))))
     return pairs
 
 
@@ -409,9 +343,7 @@ def all_checks():
         ("sim_bpf_conv", lambda: _check_sim_bpf(True)),
         ("pred_bpf", _check_pred_bpf),
     ]
-    for mode, row in MODE_TABLE.items():
-        check = _check_local_mode if row.local else _check_global_mode
-        checks.append((f"mode_{mode}", lambda m=mode, c=check: c(m)))
+    checks += [(f"mode_{mode}", lambda m=mode: _check_mode(m)) for mode in MODE_TABLE]
     return checks
 
 
@@ -419,13 +351,18 @@ def run_all(corrupt: Optional[str] = None):
     """Run every check; returns a list of CheckResult.
 
     `corrupt` flips the analytic sign for checks whose name starts with it
-    (test hook proving the harness detects a wrong backward pass).
+    (test hook proving the harness detects a wrong backward pass). An
+    analytic gradient of None, a parameter nothing differentiated, fails
+    its check with an infinite error.
     """
     results = []
     for name, fn in all_checks():
         flip = corrupt is not None and name.startswith(corrupt)
         err = 0.0
         for analytic, numeric in fn():
+            if analytic is None:
+                err = np.inf
+                continue
             a = -np.asarray(analytic) if flip else analytic
             err = max(err, max_rel_err(a, numeric))
         results.append(CheckResult(name, err))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -102,13 +102,15 @@ class LayerSpec:
     Frozen, so the spec a block runs with is the one __post_init__ checked.
     """
 
+    # every conv block is 3x3, stride 1, pad 1, so it keeps its input's extent
+    kernel: ClassVar[int] = 3
+    stride: ClassVar[int] = 1
+    pad: ClassVar[int] = 1
+
     kind: str  # "dense" | "conv"
     in_shape: tuple  # (d,) for dense, (c, h, w) for conv
     units: int = 0  # dense output width
     channels: int = 0  # conv output channels
-    kernel: int = 3
-    stride: int = 1
-    pad: int = 1
     slope: float = 0.0
     dropout: float = 0.0
     # heads; zeros/False mean "absent"
@@ -146,12 +148,7 @@ class LayerSpec:
     def out_shape(self) -> tuple:
         if self.kind == "dense":
             return (self.units,)
-        _, h, w = self.in_shape
-        ho = (h + 2 * self.pad - self.kernel) // self.stride + 1
-        wo = (w + 2 * self.pad - self.kernel) // self.stride + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"conv kernel does not fit input {self.in_shape}")
-        return (self.channels, ho, wo)
+        return (self.channels, *self.in_shape[1:])
 
     @property
     def width(self) -> int:

@@ -106,7 +106,9 @@ def similarity_matrix_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(g * similarity_matrix(x)) w.r.t. x.
 
     The diagonal of g is ignored (those entries are pinned to 1), and the
-    clip is treated as the identity since it only trims float fuzz.
+    clip is treated as the identity since it only trims float fuzz. The
+    result is Fortran-ordered, so its transpose, one row per example as the
+    losses consume it, is C-ordered.
     """
     x = np.asarray(x)
     if g.shape != (x.shape[1], x.shape[1]):
@@ -123,7 +125,7 @@ def similarity_matrix_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     proj = (z * dz).sum(axis=0)
     active = (nrm > _NORM_EPS).astype(x.dtype)
     dc = dz / nu - active * proj / nu * z
-    return dc - dc.mean(axis=0)
+    return np.subtract(dc, dc.mean(axis=0), order="F")
 
 
 def label_similarity(targets_onehot: np.ndarray) -> np.ndarray:

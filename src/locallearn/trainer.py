@@ -6,8 +6,7 @@ forward once, and every hidden block computes its own loss, backpropagates
 one layer deep, updates immediately, and drops its cache before the next
 block runs. Global backprop is the same forward sweep, except that each
 block's cache goes onto a trace for one backward pass at the end. In a local
-mode, holding more than one block's cache at a time would be a bug (and is
-instrumented).
+mode, holding more than one block's cache at a time would be a bug.
 """
 
 from __future__ import annotations
@@ -295,13 +294,11 @@ def build_network(
 @dataclass
 class StepResult:
     """Per-layer losses (hidden blocks then the output cross-entropy), the
-    raw gradients, the batch predictions, and how many block caches were
-    alive at once (the locality instrumentation)."""
+    raw gradients, and the batch predictions."""
 
     losses: list
     grads: list
     predictions: np.ndarray
-    peak_caches: int
 
 
 def _output_forward(net: Network, a: np.ndarray):
@@ -334,7 +331,6 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     losses: list = []
     grads_list: list = []
     trace: list = []  # (element, cache or pool indices, sim result or None)
-    live = peak = 0
     for e in net.elements:
         if e == "pool":
             # local modes make no pool index: nothing backpropagates through the pool
@@ -343,8 +339,6 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
                 trace.append((e, idx, None))
             continue
         h, cache = block_forward(e, a, train=True, rng=rng)
-        live += 1
-        peak = max(peak, live)
         res = None
         if row.pred or row.sim:
             res = local_block_loss(net.mode, net.beta, h, targets_onehot, **e.heads())
@@ -354,7 +348,6 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             grads = block_local_backward(e, cache, res.dh)
             grads.update(res.grads)
             stats, cache = cache.stats, None  # the cache dies here, before the next block runs
-            live -= 1
             if apply:
                 update_params(e, grads, lr)
                 e.fold_stats(*stats)
@@ -392,7 +385,7 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
         update_params(net.out, ograds, lr)
     losses.append(out_loss)
     grads_list += [g for _, g, _ in backward] + [ograds]
-    return StepResult(losses, grads_list, logits.argmax(axis=1), peak)
+    return StepResult(losses, grads_list, logits.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 from locallearn.trainer import TrainConfig
 
+from conftest import peak_live_caches
+
 
 def _grab_all_params(block):
     names = ["weight", "bias", "gamma", "beta", "cls_w", "cls_b",
@@ -250,13 +252,13 @@ def test_criterion_08_one_live_cache_in_local_mode():
     y = one_hot(np.arange(8) % 3, 3, np.float32)
 
     local = _build("predsim", arch, (2, 8, 8), 3, seed=2, pred_target_dim=32)
-    res = tr.train_step(local, x, y, 1e-3, make_rng(0))
+    _, peak = peak_live_caches(lambda: tr.train_step(local, x, y, 1e-3, make_rng(0)))
     assert len(local.blocks) == 6
-    assert res.peak_caches == 1, f"local mode retained {res.peak_caches} caches"
+    assert peak == 1, f"local mode retained {peak} caches"
 
     full = _build("glob", arch, (2, 8, 8), 3, seed=2, pred_target_dim=32)
-    res = tr.train_step(full, x, y, 1e-3, make_rng(0))
-    assert res.peak_caches == 6, f"glob mode retained {res.peak_caches} caches"
+    _, peak = peak_live_caches(lambda: tr.train_step(full, x, y, 1e-3, make_rng(0)))
+    assert peak == 6, f"glob mode retained {peak} caches"
     print("\n[criterion 8] PASS: peak live caches 1 (predsim) vs 6 (glob)")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import locallearn.gradcheck as gc
+import locallearn.trainer as tr
 from locallearn.losses import MODES
 
 
@@ -52,8 +53,43 @@ def test_every_loss_mode_is_covered(results):
 
 def test_every_backward_op_is_covered(results):
     names = {r.name for r in results}
-    for op in ("matmul", "conv2d_3x3", "maxpool2x2", "avgpool", "batchnorm_dense",
-               "batchnorm_conv", "leaky_relu", "dropout", "std_per_feature_map",
-               "cross_entropy", "binary_cross_entropy", "similarity_matrix",
-               "sim_loss_dense", "sim_loss_conv", "pred_loss_dense", "pred_loss_conv"):
+    for op in ("matmul", "conv2d_3x3", "conv2d_stride2", "conv2d_7x7", "maxpool2x2",
+               "avgpool", "batchnorm_dense", "batchnorm_conv", "leaky_relu", "dropout",
+               "std_per_feature_map", "cross_entropy", "binary_cross_entropy",
+               "similarity_matrix", "sim_loss_dense", "sim_loss_conv", "pred_loss_dense",
+               "pred_loss_conv", "sim_bpf_dense", "sim_bpf_conv", "pred_bpf"):
         assert op in names, op
+
+
+def _run_only(monkeypatch, name):
+    """run_all restricted to the one named check."""
+    checks = [c for c in gc.all_checks() if c[0] == name]
+    monkeypatch.setattr(gc, "all_checks", lambda: checks)
+    (result,) = gc.run_all()
+    return result
+
+
+def test_mode_check_differentiates_the_gradients_train_step_hands_to_adam(monkeypatch):
+    loss = tr.local_block_loss
+
+    def halved_heads(*args, **kwargs):
+        res = loss(*args, **kwargs)
+        res.grads = {name: g / 2 for name, g in res.grads.items()}
+        return res
+
+    monkeypatch.setattr(tr, "local_block_loss", halved_heads)
+    result = _run_only(monkeypatch, "mode_predsim")
+    assert not result.ok and result.max_err > 0.4
+
+
+def test_parameter_without_a_gradient_fails_its_check(monkeypatch):
+    backward = tr.block_local_backward
+
+    def without_gamma(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        del grads["gamma"]
+        return grads
+
+    monkeypatch.setattr(tr, "block_local_backward", without_gamma)
+    result = _run_only(monkeypatch, "mode_pred")
+    assert not result.ok and result.max_err == np.inf

@@ -310,3 +310,15 @@ def test_sim_head_feature_map_is_dead_when_its_backward_starts(monkeypatch):
     res = ls.sim_loss(h, t, head_w)
     assert len(maps) == 1 and alive == [False]
     assert res.dh.shape == h.shape and np.isfinite(res.loss)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_sim_gradient_comes_back_c_ordered(dtype):
+    h = rand((16, 40), seed=64, dtype=dtype)
+    proj_targets = rand((6, 16), seed=65, dtype=dtype)
+    res = ls.sim_bpf_loss(h, proj_targets)
+    assert res.dh.flags.c_contiguous
+    # the same gradient from a C-ordered (features, n) copy of h
+    diff = ls.similarity_matrix(h.T) - ls.similarity_matrix(proj_targets)
+    want = ls.similarity_matrix_backward(np.ascontiguousarray(h.T), diff * dtype(2.0 / 16**2))
+    assert np.allclose(res.dh, want.T, rtol=1e-4, atol=1e-6 * np.abs(want).max())
