@@ -39,12 +39,6 @@ class AdamState:
         return cls(np.zeros_like(p), np.zeros_like(p))
 
 
-# Elements of a parameter that one Adam update works through at a time: its
-# dozen passes then run over scratch and state blocks that stay in cache,
-# instead of streaming whole multi-MiB tensors from memory a dozen times.
-ADAM_CHUNK = 1 << 16
-
-
 def adam_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -59,8 +53,10 @@ def adam_step(
     m += (1-beta1)(g-m); v += (1-beta2)(g*g-v);
     param -= lr * mhat / (sqrt(vhat) + eps), with mhat and vhat the
     bias-corrected m and v. Worked op for op in two scratch buffers, a
-    block of leading-axis rows (about ADAM_CHUNK elements) at a time, so
-    every byte is the one a whole-tensor evaluation gives.
+    block of leading-axis rows (about numerics.ROW_BLOCK elements) at a
+    time, so every byte is the one a whole-tensor evaluation gives, while
+    its dozen passes run over blocks that stay in cache instead of
+    streaming whole multi-MiB tensors from memory a dozen times.
     """
     if grad.shape != param.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match param {param.shape}")
@@ -68,12 +64,8 @@ def adam_step(
         raise NonFiniteError("non-finite gradient reached the optimizer")
     state.t += 1
     mscale, vscale = 1.0 - beta1**state.t, 1.0 - beta2**state.t
-    rows = max(1, ADAM_CHUNK // param[0].size)
-    step = np.empty((min(rows, len(param)),) + param.shape[1:], dtype=param.dtype)
-    denom = np.empty_like(step)
-    for i in range(0, len(param), rows):
-        p, g, m, v = (a[i : i + rows] for a in (param, grad, state.m, state.v))
-        s, d = step[: len(p)], denom[: len(p)]
+    for rows, s, d in nm._row_blocks(param, param.dtype, param.dtype):
+        p, g, m, v = (a[rows] for a in (param, grad, state.m, state.v))
         np.subtract(g, m, out=s)
         s *= 1.0 - beta1
         m += s
@@ -300,9 +292,10 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         pre += block.bias[None, :, None, None]
 
     # nothing reads pre after batchnorm, nor bn_out after the leaky relu (its
-    # backward reads the sign mask), so eval batchnorm and the relu write over them
+    # backward reads the sign mask), nor act after dropout, so each of them
+    # is written over by the next kernel
     if train:
-        bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta)
+        bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta, out=pre)
         positive = bn_out >= 0
     else:
         bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var, out=pre)
@@ -314,7 +307,7 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     if train and spec.dropout > 0.0:
         if rng is None:
             raise ConfigError("dropout needs an rng in train mode")
-        act, mask = nm.dropout(act, spec.dropout, rng)
+        act, mask = nm.dropout(act, spec.dropout, rng, out=act)
 
     if not train:
         return act, None
@@ -324,17 +317,19 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
 def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need_dx: bool = True):
     """Backward through one block; returns (grads dict, dx).
 
-    dx comes back in the shape the block was fed, so it can cross a flatten
-    boundary on the way down in the global modes. With need_dx=False it is
-    not computed and comes back None: the weight gradients are the same
-    bytes either way.
+    The block takes over d_out: the dropout, leaky relu and batchnorm
+    backwards write their gradients into it, so a caller that reads d_out
+    afterwards must pass a copy. dx comes back in the shape the block was
+    fed, so it can cross a flatten boundary on the way down in the global
+    modes. With need_dx=False it is not computed and comes back None: the
+    weight gradients are the same bytes either way.
     """
     spec = block.spec
     g = d_out
     if cache.mask is not None:
-        g = nm.dropout_backward(g, cache.mask, spec.dropout)
-    g = nm.leaky_relu_backward(cache.positive, g, spec.slope)
-    g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std)
+        g = nm.dropout_backward(g, cache.mask, spec.dropout, out=g)
+    g = nm.leaky_relu_backward(cache.positive, g, spec.slope, out=g)
+    g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std, out=g)
     dx = None
     if spec.kind == "dense":
         if need_dx:
@@ -354,7 +349,8 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
 
 def block_local_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray) -> dict:
     """Backward for locally trained blocks: the weight gradients alone,
-    because nothing upstream ever reads the input gradient."""
+    because nothing upstream ever reads the input gradient. Takes over d_out
+    as block_backward does."""
     return block_backward(block, cache, d_out, need_dx=False)[0]
 
 

@@ -137,17 +137,18 @@ def label_similarity(targets_onehot: np.ndarray) -> np.ndarray:
     return similarity_matrix(t.T)
 
 
-def _sim_match(feat: np.ndarray, target_sim: np.ndarray):
+def _sim_match(feat: np.ndarray, target_sim: np.ndarray, out=None):
     """Core sim loss: the mean-squared gap (sum of squares / n^2) between
     target_sim and the similarity matrix of feat's descriptors. Dense rows
-    are descriptors as they are; conv maps reduce to their per-map std.
-    Returns (loss, d feat)."""
+    are descriptors as they are; conv maps reduce to their per-map std, and
+    their gradient goes into out (a new array by default; out=feat, from a
+    caller that no longer reads feat, overwrites it). Returns (loss, d feat)."""
     desc = feat if feat.ndim == 2 else nm.std_per_feature_map(feat)
     n = desc.shape[0]
     diff = similarity_matrix(desc.T) - target_sim
     loss = float((diff * diff).sum() / (n * n))
     ddesc = similarity_matrix_backward(desc.T, diff * desc.dtype.type(2.0 / (n * n))).T
-    return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc, std=desc))
+    return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc, std=desc, out=out))
 
 
 @dataclass
@@ -180,9 +181,10 @@ def sim_loss(h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head
         dh, dw = nm.matmul_backward(h, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw, "sim_b": dfeat.sum(axis=0)})
     if h.ndim == 4:
-        # no name holds the head's feature map, so it dies when _sim_match
-        # returns, before the head's backward allocates
-        loss, dfeat = _sim_match(nm.conv2d(h, head_w, stride=1, pad=1), target_sim)
+        # nothing reads the head's feature map once its std is taken, so its
+        # gradient is written over it; the head's dx gets a buffer of its own
+        feat = nm.conv2d(h, head_w, stride=1, pad=1)
+        loss, dfeat = _sim_match(feat, target_sim, out=feat)
         dh, dw = nm.conv2d_backward(h, head_w, dfeat, stride=1, pad=1)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
@@ -278,31 +280,26 @@ def pred_bpf_loss(
 # ---------------------------------------------------------------------------
 
 
-# Elements of dh that one temporary ws * sim_dh of combine covers: a whole
-# number of examples, at least one, so the temporary stays far below h's size
-# while a dense batch still takes only a few passes.
-COMBINE_CHUNK = 1 << 16
-
-
 def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) -> LocalLossResult:
     """Convex combination (1-beta)*pred + beta*sim.
 
     The weights scale everything, head gradients included, so the result is
     exactly the gradient of the combined scalar. The two heads stay
     independent: neither receives a contribution from the other's loss.
+    The combined dh is built in sim_res.dh, which the result takes over, a
+    block of examples at a time (see numerics.ROW_BLOCK); pred_res is left
+    as it is.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
     wp, ws = 1.0 - beta, beta
     grads = {k: wp * v for k, v in pred_res.grads.items()}
     grads.update({k: ws * v for k, v in sim_res.grads.items()})
-    dh = wp * pred_res.dh
-    n = len(dh)
-    rows, sim = dh.reshape(n, -1), sim_res.dh.reshape(n, -1)
-    step = max(1, COMBINE_CHUNK // rows.shape[1])
-    for i in range(0, n, step):
-        block = rows[i : i + step]
-        block += ws * sim[i : i + step]
+    dh, pred = sim_res.dh, pred_res.dh
+    for rows, scaled in nm._row_blocks(dh, dh.dtype):
+        dh[rows] *= ws
+        np.multiply(pred[rows], wp, out=scaled)
+        dh[rows] += scaled
     return LocalLossResult(wp * pred_res.loss + ws * sim_res.loss, dh, grads)
 
 
@@ -321,20 +318,24 @@ def local_block_loss(
     pool_k: int = 1,
 ) -> LocalLossResult:
     """The local error signal of one hidden block: the mode's pred part and
-    sim part (see MODE_TABLE), mixed by beta when the mode has both."""
+    sim part (see MODE_TABLE), mixed by beta when the mode has both.
+
+    The sim part runs first: its gradient, which combine builds the mix in,
+    is then what lives through the lighter pred part, not the other way round.
+    """
     row = MODE_TABLE.get(mode)
     if row is None or not (row.pred or row.sim):
         raise ConfigError(f"mode {mode!r} has no local loss")
     pred = sim = None
+    if row.sim == "head":
+        sim = sim_loss(h, targets_onehot, sim_w, sim_b)
+    elif row.sim == "bpf":
+        sim = sim_bpf_loss(h, proj @ targets_onehot.T)
     if row.pred == "ce":
         pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k)
     elif row.pred == "bpf":
         t = binarized_targets(proj, targets_onehot, h.dtype)
         pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k)
-    if row.sim == "head":
-        sim = sim_loss(h, targets_onehot, sim_w, sim_b)
-    elif row.sim == "bpf":
-        sim = sim_bpf_loss(h, proj @ targets_onehot.T)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

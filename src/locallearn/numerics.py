@@ -11,9 +11,17 @@ Conventions:
   * backward functions return gradients in the same order as the forward
     arguments they correspond to
   * no kernel overwrites an argument unless its caller hands that array
-    over as out=: batchnorm_eval and leaky_relu take out= (block_forward
-    passes the conv/dense output, then the batchnorm output, neither of
-    which it reads again); every other kernel returns new arrays
+    over as out=, an array it no longer reads; the result is then written
+    there, bit for bit the one a new array gets. These take out=:
+    batchnorm_train and batchnorm_eval (block_forward passes the conv/dense
+    output), leaky_relu and dropout (the batchnorm output, then the relu's),
+    dropout_backward, leaky_relu_backward and batchnorm_backward (the
+    gradient block_backward takes over), and std_per_feature_map_backward
+    (sim_loss passes the sim head's feature map); every other kernel returns
+    new arrays
+  * leaky_relu, its backward, the dropout draw and the feature-map
+    variance work a block of leading rows at a time (see _row_blocks), so
+    their scratch stays small
 
 Convolutions are GEMMs over im2col buffers, a chunk of examples at a time.
 conv2d and the input gradient share one private lowering: a conv's dx is
@@ -32,6 +40,25 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, ShapeError
+
+
+# Elements one block of a row-blocked loop covers: Adam, leaky_relu and its
+# backward, the dropout draw, the feature-map variance and losses.combine
+# each work through their tensor a block of whole leading-axis rows at a
+# time, so their scratch stays cache-sized instead of as large as the tensor.
+ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(a: np.ndarray, *dtypes):
+    """Yield (rows, *scratch) over a's leading axis (a.ndim >= 1), in order:
+    rows slices whole rows, at least one, of about ROW_BLOCK elements in all;
+    one scratch per dtype, shaped like a[rows] and reused by every block."""
+    n = len(a)
+    step = max(1, ROW_BLOCK // max(1, a[0].size)) if n else 1
+    scratch = [np.empty((min(step, n),) + a.shape[1:], dtype=d) for d in dtypes]
+    for i in range(0, n, step):
+        size = min(step, n - i)
+        yield (slice(i, i + size), *(s[:size] for s in scratch))
 
 
 def _as_float(x, name: str) -> np.ndarray:
@@ -99,7 +126,9 @@ def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: tuple, ho: in
     The canvas is the input spread `dilate` apart and shifted by pad = (top,
     left), zeros elsewhere, and as large as the windows read. It is one
     zeroed buffer per call: each chunk writes the same pixels of it, so its
-    zeros are never overwritten.
+    zeros are never overwritten. cols, too, is one buffer per call, which
+    each chunk's windows are copied into, so a consumer must be done with
+    one chunk's cols before it asks for the next.
     """
     n, ci, h, w = x.shape
     co, _, kh, kw = kshape
@@ -110,12 +139,15 @@ def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: tuple, ho: in
     src_h, dst_h = _placement(h, ch, pad[0], dilate)
     src_w, dst_w = _placement(w, cw, pad[1], dilate)
     canvas = np.zeros((min(m, n), ci, ch, cw), dtype=x.dtype)
+    buf = np.empty(ci * kh * kw * min(m, n) * ho * wo, dtype=x.dtype)
     for i in range(0, n, m):
         rows = slice(i, i + m)
         chunk = canvas[: min(m, n - i)]
         chunk[:, :, dst_h, dst_w] = x[rows, :, src_h, src_w]
         win = sliding_window_view(chunk, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        yield rows, win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, -1)
+        cols = buf[: ci * kh * kw * len(chunk) * ho * wo].reshape(ci, kh, kw, len(chunk), ho, wo)
+        np.copyto(cols, win.transpose(1, 4, 5, 0, 2, 3))
+        yield rows, cols.reshape(ci * kh * kw, -1)
 
 
 def _lowered_conv(x: np.ndarray, k: np.ndarray, stride: int, pad: tuple, ho: int, wo: int, dilate: int = 1):
@@ -171,6 +203,7 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: i
     dk = np.zeros_like(k).reshape(co, -1)
     for rows, cols in _im2col_chunks(x, k.shape, stride, (pad, pad), ho, wo):
         dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
+    cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
     dx = None
     if need_dx:
         flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -309,13 +342,15 @@ def _bn_shape(x: np.ndarray, p: np.ndarray):
     return p.reshape((1, c) + (1,) * (x.ndim - 2))
 
 
-def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5, out=None):
     """Train-mode batch normalization over the feature axis.
 
     Uses population (1/N) variance. Returns (y, xhat, inv_std, mean, var);
     mean/var are the batch statistics the caller folds into running stats.
     The batch is centered once: the centered array gives the variance (the
-    bytes of x.var) and then becomes xhat in place.
+    bytes of x.var) and then becomes xhat in place. y is written into out
+    (a new array by default; out=x overwrites x once xhat is taken from it),
+    which holds the squares until y is computed.
     """
     x = _as_float(x, "x")
     if x.shape[0] < 2:
@@ -324,7 +359,7 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     mean = x.mean(axis=axes)
     xhat = x - mean.reshape(shape)
-    y = np.square(xhat)  # y's buffer holds the squares until y is computed
+    y = np.square(xhat, out=out)
     var = y.mean(axis=axes)  # population variance, matches the running-stat update
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std.reshape(shape)
@@ -351,14 +386,16 @@ def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5,
     return y
 
 
-def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray):
+def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, out=None):
     """Full batch-coupled backward pass; returns (dx, dgamma, dbeta).
 
     dx includes the mean/variance coupling terms, so perturbing one example
     moves every other example's gradient, which the finite-difference checks
     rely on. With N examples per feature it is
     gamma * inv_std / N * (N*g - dbeta - xhat*dgamma): the coupling sums of
-    g*gamma and g*gamma*xhat are gamma times dbeta and dgamma.
+    g*gamma and g*gamma*xhat are gamma times dbeta and dgamma. dx is written
+    into out (a new array by default; out=g overwrites g once both sums are
+    taken), beside one scratch array of g's size.
     """
     if g.shape != xhat.shape:
         raise ShapeError(f"grad shape {g.shape} does not match activations {xhat.shape}")
@@ -368,7 +405,7 @@ def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_s
     scratch = g * xhat
     dgamma = scratch.sum(axis=axes)
     dbeta = g.sum(axis=axes)
-    dx = g * g.dtype.type(count)
+    dx = np.multiply(g, g.dtype.type(count), out=out)
     dx -= dbeta.reshape(shape)
     dx -= np.multiply(xhat, dgamma.reshape(shape), out=scratch)
     dx *= (_bn_shape(g, gamma) * inv_std.reshape(shape)) / g.dtype.type(count)
@@ -379,62 +416,97 @@ def leaky_relu(x: np.ndarray, slope: float = 0.0, out=None) -> np.ndarray:
     """max(x, slope*x) for 0 <= slope <= 1; slope 0 is plain relu.
 
     In that range this is bit for bit where(x >= 0, x, slope*x), signed
-    zeros included. out=x overwrites x.
+    zeros included. slope*x exists one block of rows at a time. The result
+    goes into out (a new array by default; out=x overwrites x).
     """
     x = _as_float(x, "x")
-    return np.maximum(x, x * x.dtype.type(slope), out=out)
+    if out is None:
+        out = np.empty_like(x)
+    xs, ys = np.atleast_1d(x, out)  # a 0-d x is one row
+    for rows, scaled in _row_blocks(xs, x.dtype):
+        np.multiply(xs[rows], x.dtype.type(slope), out=scaled)
+        np.maximum(xs[rows], scaled, out=ys[rows])
+    return out
 
 
-def leaky_relu_backward(positive: np.ndarray, g: np.ndarray, slope: float = 0.0) -> np.ndarray:
+def leaky_relu_backward(positive: np.ndarray, g: np.ndarray, slope: float = 0.0, out=None) -> np.ndarray:
     """Gradient through leaky_relu from the forward's branch mask,
-    positive = (x >= 0): g times 1 there (g exactly), times slope elsewhere."""
+    positive = (x >= 0): g times 1 there (g exactly), times slope elsewhere.
+
+    The factor exists one block of rows at a time. The result goes into out
+    (a new C-ordered array by default; out=g overwrites g).
+    """
     if g.shape != positive.shape:
         raise ShapeError(f"grad shape {g.shape} does not match input {positive.shape}")
     if positive.dtype != np.bool_:
         raise ShapeError(f"leaky_relu_backward takes the bool mask x >= 0, got {positive.dtype}")
-    factor = np.array([slope, 1], dtype=g.dtype)[positive.view(np.uint8)]
-    return np.multiply(g, factor, out=factor)
+    if out is None:
+        out = np.empty(g.shape, dtype=g.dtype)
+    table = np.array([slope, 1], dtype=g.dtype)
+    gs, ys, ps = np.atleast_1d(g, out, positive)
+    for rows, factor in _row_blocks(gs, g.dtype):
+        np.take(table, ps[rows].view(np.uint8), out=factor, mode="clip")  # indices are 0 and 1
+        np.multiply(gs[rows], factor, out=ys[rows])
+    return out
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool = True):
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool = True, out=None):
     """Inverted dropout. Returns (y, mask); mask is None in eval mode.
 
     Keeping E[y] = x means surviving units are scaled by 1/(1-rate), so eval
-    mode is the identity and consumes no randomness.
+    mode is the identity and consumes no randomness. The mask is
+    rng.random(x.shape) >= rate, drawn a block of rows at a time into one
+    small float64 buffer: the same doubles, and the same generator state
+    after, as one whole draw. y goes into out in train mode (a new array by
+    default; out=x overwrites x).
     """
     x = _as_float(x, "x")
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train:
         return x, None
-    mask = rng.random(x.shape) >= rate  # mask depends on shape and rng only, never on values
-    return x * mask / x.dtype.type(1.0 - rate), mask
+    mask = np.empty(x.shape, dtype=np.bool_)  # depends on shape and rng only, never on values
+    keep = np.atleast_1d(mask)
+    for rows, draw in _row_blocks(keep, np.float64):
+        rng.random(out=draw)
+        np.greater_equal(draw, rate, out=keep[rows])
+    y = np.multiply(x, mask, out=out)
+    y /= x.dtype.type(1.0 - rate)
+    return y, mask
 
 
-def dropout_backward(g: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarray:
+def dropout_backward(g: np.ndarray, mask: np.ndarray, rate: float, out=None) -> np.ndarray:
+    """g * mask / (1 - rate), written into out (a new array by default;
+    out=g overwrites g)."""
     if g.shape != mask.shape:
         raise ShapeError(f"grad shape {g.shape} does not match mask {mask.shape}")
-    return g * mask / g.dtype.type(1.0 - rate)
+    dx = np.multiply(g, mask, out=out)
+    dx /= g.dtype.type(1.0 - rate)
+    return dx
 
 
 def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Population std over each (H, W) feature map; (n,c,h,w) -> (n,c).
 
     The eps inside the sqrt keeps constant maps differentiable (their std
-    reports as sqrt(eps) instead of 0).
+    reports as sqrt(eps) instead of 0). The variance is taken a block of
+    examples at a time, so its centered squares stay block-sized.
     """
     x = _as_float(x, "x")
     if x.ndim != 4:
         raise ShapeError(f"std_per_feature_map expects NCHW, got {x.shape}")
-    var = x.var(axis=(2, 3))
+    var = np.empty(x.shape[:2], dtype=x.dtype)
+    for (rows,) in _row_blocks(x):
+        var[rows] = x[rows].var(axis=(2, 3))
     return np.sqrt(var + x.dtype.type(eps))
 
 
-def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8, std=None) -> np.ndarray:
+def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8, std=None, out=None) -> np.ndarray:
     """Gradient of sum(g * std_per_feature_map(x)) w.r.t. x.
 
     std is the forward's result, recomputed from x when not given. The
-    gradient is written into one buffer.
+    gradient is written into one buffer, out (a new array by default; out=x
+    overwrites x).
     """
     if g.shape != x.shape[:2]:
         raise ShapeError(f"grad shape {g.shape} does not match {x.shape[:2]}")
@@ -442,7 +514,7 @@ def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8
     if std is None:
         std = std_per_feature_map(x, eps)
     # d std/dx_i = (x_i - mu) / (HW * s); the mean term cancels because sum(x - mu) = 0
-    dx = np.subtract(x, x.mean(axis=(2, 3), keepdims=True))
+    dx = np.subtract(x, x.mean(axis=(2, 3), keepdims=True), out=out)
     dx *= g[:, :, None, None]
     dx /= x.dtype.type(h * w) * std[:, :, None, None]
     return dx

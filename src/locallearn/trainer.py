@@ -167,8 +167,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):  # a nan lr is not <= 0 either
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 2:
             raise ConfigError(f"batch size must be >= 2 (batchnorm), got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
@@ -371,7 +371,7 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             d = nm.maxpool2x2_backward(d, cache)
             continue
         if res is not None:
-            d = d + res.dh
+            d += res.dh
         grads, d = block_backward(e, cache, d, need_dx=e is not net.elements[0])
         if res is not None:
             grads.update(res.grads)

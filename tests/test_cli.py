@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import locallearn.gradcheck as gc
 from locallearn.cli import main
 
 
@@ -144,6 +145,14 @@ def test_slope_outside_unit_interval_writes_nothing(tmp_path, capsys, slope):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_lr_writes_nothing(tmp_path, capsys, lr):
+    assert main(_train_argv(tmp_path / "x", **{"--lr": lr})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lr" in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -213,7 +222,9 @@ def test_gradcheck_passes_and_reports_every_mode(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_corrupt_exits_1_naming_op(capsys):
+def test_gradcheck_corrupt_exits_1_naming_op(capsys, monkeypatch):
+    checks = [c for c in gc.all_checks() if c[0] == "avgpool"]  # the one check this looks at
+    monkeypatch.setattr(gc, "all_checks", lambda: checks)
     assert main(["gradcheck", "--corrupt", "avgpool"]) == 1
     captured = capsys.readouterr()
     assert "avgpool" in captured.err

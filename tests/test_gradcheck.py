@@ -38,9 +38,8 @@ def test_all_checks_pass(results):
     assert all(r.max_err > 0.0 for r in results)
 
 
-def test_corrupt_hook_flags_named_check():
-    corrupted = gc.run_all(corrupt="matmul")
-    by_name = {r.name: r for r in corrupted}
+def test_corrupt_hook_flags_named_check(monkeypatch):
+    by_name = _run_only(monkeypatch, "matmul", "conv2d_3x3", corrupt="matmul")
     assert not by_name["matmul"].ok
     assert by_name["conv2d_3x3"].ok
 
@@ -61,12 +60,11 @@ def test_every_backward_op_is_covered(results):
         assert op in names, op
 
 
-def _run_only(monkeypatch, name):
-    """run_all restricted to the one named check."""
-    checks = [c for c in gc.all_checks() if c[0] == name]
+def _run_only(monkeypatch, *names, corrupt=None):
+    """run_all restricted to the named checks; name -> result."""
+    checks = [c for c in gc.all_checks() if c[0] in names]
     monkeypatch.setattr(gc, "all_checks", lambda: checks)
-    (result,) = gc.run_all()
-    return result
+    return {r.name: r for r in gc.run_all(corrupt=corrupt)}
 
 
 def test_mode_check_differentiates_the_gradients_train_step_hands_to_adam(monkeypatch):
@@ -78,7 +76,7 @@ def test_mode_check_differentiates_the_gradients_train_step_hands_to_adam(monkey
         return res
 
     monkeypatch.setattr(tr, "local_block_loss", halved_heads)
-    result = _run_only(monkeypatch, "mode_predsim")
+    result = _run_only(monkeypatch, "mode_predsim")["mode_predsim"]
     assert not result.ok and result.max_err > 0.4
 
 
@@ -91,5 +89,5 @@ def test_parameter_without_a_gradient_fails_its_check(monkeypatch):
         return grads
 
     monkeypatch.setattr(tr, "block_local_backward", without_gamma)
-    result = _run_only(monkeypatch, "mode_pred")
+    result = _run_only(monkeypatch, "mode_pred")["mode_pred"]
     assert not result.ok and result.max_err == np.inf

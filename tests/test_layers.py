@@ -69,11 +69,11 @@ def _allocating_adam(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     param -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-@pytest.mark.parametrize("chunk", [ly.ADAM_CHUNK, 8, 4])  # one block; blocks with a ragged last one
+@pytest.mark.parametrize("chunk", [nm.ROW_BLOCK, 8, 4])  # one block; blocks with a ragged last one
 @pytest.mark.parametrize("shape", [(9, 3), (9,), (3, 2, 3, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_matches_allocating_oracle_bitwise(dtype, shape, chunk, monkeypatch):
-    monkeypatch.setattr(ly, "ADAM_CHUNK", chunk)
+    monkeypatch.setattr(nm, "ROW_BLOCK", chunk)
     p = rand(shape, seed=70, dtype=dtype)
     q = p.copy()
     st, ref = ly.AdamState.for_param(p), ly.AdamState.for_param(q)
@@ -266,13 +266,33 @@ def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
         x = rand((4, 2, 5, 7), seed=68, dtype=np.float32)
     h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
     d_out = rand(h.shape, seed=69, dtype=np.float32)
-    full, dx = ly.block_backward(block, cache, d_out)
-    weights_only, no_dx = ly.block_backward(block, cache, d_out, need_dx=False)
+    # block_backward takes over d_out, so each call gets a copy of its own
+    full, dx = ly.block_backward(block, cache, d_out.copy())
+    weights_only, no_dx = ly.block_backward(block, cache, d_out.copy(), need_dx=False)
     assert dx.shape == x.shape and no_dx is None
     assert full.keys() == weights_only.keys()
     # with dx, the weight gradient comes from matmul_backward / conv2d_backward
     for name in full:
         assert np.array_equal(full[name], weights_only[name]), name
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_backward_takes_over_d_out(kind):
+    if kind == "dense":
+        block = ly.init_params(ly.LayerSpec("dense", (6,), units=5, dropout=0.3), make_rng(5))
+        x = rand((7, 6), seed=70, dtype=np.float32)
+    else:
+        block = ly.init_params(ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=0.3), make_rng(6))
+        x = rand((4, 2, 5, 7), seed=71, dtype=np.float32)
+    h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    d_out = rand(h.shape, seed=72, dtype=np.float32)
+    saved = d_out.copy()
+    want, want_dx = ly.block_backward(block, cache, saved.copy())
+    got, dx = ly.block_backward(block, cache, d_out)
+    assert not np.array_equal(d_out, saved)  # written over, not copied
+    assert dx.tobytes() == want_dx.tobytes()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_one_step_decreases_local_loss_statistically():

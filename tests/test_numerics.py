@@ -5,6 +5,7 @@ the forwards are pinned against values small enough to verify by hand.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,3 +558,143 @@ def test_batchnorm_eval_out_writes_over_its_input():
     want = nm.batchnorm_eval(x, gamma, beta, mean, var)
     got = nm.batchnorm_eval(x, gamma, beta, mean, var, out=x)
     assert got is x and _same_bytes(x, want)
+
+
+# ---------------------------------------------------------------------------
+# kernels that write into a buffer their caller hands over
+# ---------------------------------------------------------------------------
+
+_SHAPE = (7, 3, 4, 5)  # 7 rows of 60: ROW_BLOCK 130 makes blocks of 2, 2, 2 and 1
+
+
+def _case_args(kernel):
+    """Fresh arguments for one call of kernel; the same values every time."""
+    x = rand(_SHAPE, seed=90, dtype=np.float32, scale=2.0)
+    g = rand(_SHAPE, seed=91, dtype=np.float32)
+    gamma = rand((3,), seed=92, dtype=np.float32) + 1.0
+    if kernel == "batchnorm_train":
+        return [x, gamma, rand((3,), seed=93, dtype=np.float32)]
+    if kernel == "batchnorm_backward":
+        _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, gamma)
+        return [g, gamma, xhat, inv_std]
+    if kernel == "leaky_relu":
+        return [x, 0.01]
+    if kernel == "leaky_relu_backward":
+        return [x >= 0, g, 0.01]
+    if kernel == "dropout":
+        return [x, 0.3, make_rng(3)]
+    if kernel == "dropout_backward":
+        return [g, make_rng(4).random(_SHAPE) >= 0.3, 0.3]
+    assert kernel == "std_per_feature_map_backward"
+    return [x, rand(_SHAPE[:2], seed=94, dtype=np.float32), 1e-8, nm.std_per_feature_map(x)]
+
+
+# kernel -> position of the argument that out= may be
+_TAKES_OUT = {
+    "batchnorm_train": 0,
+    "batchnorm_backward": 0,
+    "leaky_relu": 0,
+    "leaky_relu_backward": 1,
+    "dropout": 0,
+    "dropout_backward": 0,
+    "std_per_feature_map_backward": 0,
+}
+
+
+@pytest.mark.parametrize("row_block", [None, 130])
+@pytest.mark.parametrize("onto_input", [False, True])
+@pytest.mark.parametrize("kernel", sorted(_TAKES_OUT))
+def test_out_gives_the_bytes_of_the_allocating_call(kernel, onto_input, row_block, monkeypatch):
+    if row_block:
+        monkeypatch.setattr(nm, "ROW_BLOCK", row_block)
+    fn = getattr(nm, kernel)
+    want = fn(*_case_args(kernel))
+    args = _case_args(kernel)
+    taken = args[_TAKES_OUT[kernel]]
+    out = taken if onto_input else np.full_like(taken, np.nan)
+    got = fn(*args, out=out)
+    want, got = (r if isinstance(r, tuple) else (r,) for r in (want, got))
+    assert got[0] is out
+    assert len(got) == len(want) and all(_same_bytes(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("row_block", [None, 130, 1])
+@pytest.mark.parametrize("shape", [_SHAPE, (300,), ()])
+def test_dropout_draws_the_whole_stream_a_block_at_a_time(shape, row_block, monkeypatch):
+    if row_block:
+        monkeypatch.setattr(nm, "ROW_BLOCK", row_block)
+    x = np.asarray(rand(shape, seed=95, dtype=np.float32))
+    ref = make_rng(5, 6)
+    want = ref.random(shape) >= 0.3
+    rng = make_rng(5, 6)
+    y, mask = nm.dropout(x, 0.3, rng)
+    assert mask.dtype == np.bool_ and mask.shape == x.shape and np.array_equal(mask, want)
+    assert np.asarray(y).tobytes() == np.asarray(x * want / np.float32(0.7)).tobytes()
+    # the generator moved on exactly as far as one whole draw takes it
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_row_blocked_kernels_take_0d_and_1d_input(shape):
+    x = np.asarray(rand(shape, seed=96, dtype=np.float32))
+    g = np.asarray(rand(shape, seed=97, dtype=np.float32))
+    s = np.float32(0.01)
+    positive = np.asarray(x >= 0)
+    assert _same_bytes(np.asarray(nm.leaky_relu(x, 0.01)), np.asarray(np.where(x >= 0, x, x * s)))
+    assert _same_bytes(nm.leaky_relu_backward(positive, g, 0.01), np.asarray(np.where(x >= 0, g, g * s)))
+    y = x.copy()
+    assert nm.leaky_relu(y, 0.01, out=y) is y and _same_bytes(y, np.asarray(np.where(x >= 0, x, x * s)))
+
+
+@pytest.mark.parametrize("row_block", [None, 130, 1])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_feature_map_variance_is_the_whole_tensor_one(n, dtype, row_block, monkeypatch):
+    if row_block:
+        monkeypatch.setattr(nm, "ROW_BLOCK", row_block)
+    x = rand((n, 3, 4, 5), seed=98, dtype=dtype, scale=3.0) + 1.0
+    want = np.sqrt(x.var(axis=(2, 3)) + x.dtype.type(1e-8))
+    assert _same_bytes(nm.std_per_feature_map(x), want)
+
+
+def _transient_bytes(fn):
+    """Peak bytes fn() holds beyond what is still allocated once it has
+    returned (its results included), under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+# kernel -> a call with out= over a (16, 64, 32, 32) float32 batch, 4 MiB
+_IN_PLACE_CALLS = {
+    "leaky_relu": lambda x, g, pos, mask: nm.leaky_relu(x, 0.01, out=x),
+    "leaky_relu_backward": lambda x, g, pos, mask: nm.leaky_relu_backward(pos, g, 0.01, out=g),
+    "dropout": lambda x, g, pos, mask: nm.dropout(x, 0.2, make_rng(7), out=x),
+    "dropout_backward": lambda x, g, pos, mask: nm.dropout_backward(g, mask, 0.2, out=g),
+    "std_per_feature_map_backward": lambda x, g, pos, mask: nm.std_per_feature_map_backward(
+        x, g[:, :, 0, 0].copy(), std=nm.std_per_feature_map(x), out=x
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_IN_PLACE_CALLS))
+def test_in_place_kernels_allocate_under_a_quarter_of_their_input(kernel):
+    x = rand((16, 64, 32, 32), seed=99, dtype=np.float32)
+    g = rand(x.shape, seed=100, dtype=np.float32)
+    pos, mask = x >= 0, g >= -0.8
+    assert _transient_bytes(lambda: _IN_PLACE_CALLS[kernel](x, g, pos, mask)) < x.nbytes // 4
+
+
+def test_batchnorm_backward_in_place_takes_one_input_sized_scratch():
+    x = rand((16, 64, 32, 32), seed=101, dtype=np.float32)
+    g = rand(x.shape, seed=102, dtype=np.float32)
+    gamma = np.ones(64, dtype=np.float32)
+    _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, gamma)
+    extra = _transient_bytes(lambda: nm.batchnorm_backward(g, gamma, xhat, inv_std, out=g))
+    assert x.nbytes <= extra < 1.25 * x.nbytes

@@ -3,6 +3,7 @@ loop, metrics formatting, and network state round-trips."""
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -523,3 +524,23 @@ def test_load_network_rejects_out_of_range_slope(tmp_path):
     with pytest.raises(ConfigError, match="slope"):
         tr.load_network_state(net, path)
     assert net.blocks[0].spec.slope == 0.0
+
+
+@pytest.mark.parametrize("mode", ["predsim", "glob"])
+def test_conv_step_peak_stays_near_the_first_block_output(mode):
+    # the benchmark's conv net and batch, with its dropout and pooling target
+    spec = tr.parse_arch("conv64-pool-conv128-pool-fc256-fc", (3, 32, 32), 10)
+    net = tr.build_network(spec, LossConfig(mode), dropout=0.2, pred_target_dim=2048, seed=0)
+    x = rand((32, 3, 32, 32), seed=110, dtype=np.float32)
+    y = one_hot(np.arange(32) % 10, 10, np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.train_step(net, x, y, 1e-3, make_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block0_out = 32 * 64 * 32 * 32 * 4
+    # the block-0 cache (xhat, sign and dropout masks) and its output hold
+    # 1.5x of it; the transient rest of the step may hold 3.75x more
+    assert peak < 5.25 * block0_out
