@@ -23,7 +23,7 @@ import numpy as np
 from . import data as datamod
 from . import gradcheck as gc
 from .data import AugmentConfig, Dataset
-from .errors import ConfigError, LocalLearnError
+from .errors import ConfigError, DataError, LocalLearnError
 from .losses import MODES, LossConfig
 from .trainer import (
     ARCH_PRESETS,
@@ -51,7 +51,7 @@ DATASET_PRESETS = {
 
 
 def _load_dataset(name: str, data_dir: str, seed: int):
-    """Returns (train split, test split)."""
+    """Returns (train split, test split); an empty one is an error."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if name == "blobs":
@@ -61,11 +61,13 @@ def _load_dataset(name: str, data_dir: str, seed: int):
     if not data_dir:
         raise LocalLearnError(f"dataset {name!r} needs --data-dir")
     if name == "cifar10":
-        return datamod.load_cifar10(data_dir, "train"), datamod.load_cifar10(data_dir, "test")
-    return (
-        datamod.load_mnist_dir(data_dir, "train", name),
-        datamod.load_mnist_dir(data_dir, "test", name),
-    )
+        splits = datamod.load_cifar10(data_dir, "train"), datamod.load_cifar10(data_dir, "test")
+    else:
+        splits = datamod.load_mnist_dir(data_dir, "train", name), datamod.load_mnist_dir(data_dir, "test", name)
+    for ds in splits:
+        if not len(ds):
+            raise DataError(f"the {ds.name} split under {data_dir!r} holds no images")
+    return splits
 
 
 def _family(resolved_arch: str) -> str:
@@ -157,7 +159,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(args) -> int:
     train_ds, test_ds = _load_dataset(args.dataset, args.data_dir, args.seed)
-    _, test_std = datamod.standardize(train_ds, test_ds)
+    # the train split lends its channel statistics and is never standardized
+    test_std = datamod.standardized(test_ds, datamod.channel_stats(train_ds))
     spec = parse_arch(args.arch, test_std.images.shape[1:], test_std.num_classes, args.width_mult)
     # heads never run at inference; a plain-backprop skeleton accepts any
     # mode's checkpoint and picks the trained slope up from it
@@ -203,7 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data-dir", default="")
     e.add_argument("--arch", required=True)
     e.add_argument("--width-mult", type=int, default=1)
-    e.add_argument("--batch-size", type=int, default=512)
+    e.add_argument(
+        "--batch-size",
+        type=int,
+        default=512,
+        help="most examples per evaluation slice; a wide net's slices hold fewer",
+    )
     e.add_argument("--seed", type=int, default=0)
     e.set_defaults(fn=cmd_eval)
     return p

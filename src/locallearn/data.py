@@ -2,8 +2,10 @@
 
 Images are float32 NCHW in [0, 1] straight off disk; call standardize() once
 with the train split to get per-channel zero mean / unit variance for all
-splits. Augmentations operate on single images and are composed per batch in
-a fixed order (jitter, flip, cutout) so a seeded rng reproduces a run.
+splits, or standardized() with the train split's channel_stats() for one
+split alone. Augmentations operate on single images and are composed per
+batch in a fixed order (jitter, flip, cutout) so a seeded rng reproduces a
+run.
 """
 
 from __future__ import annotations
@@ -259,17 +261,30 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 
 
-def standardize(train: Dataset, *others: Dataset):
-    """Per-channel zero mean / unit std, statistics from the train split only.
+def channel_stats(train: Dataset):
+    """Per-channel (mean, std) of a train split, each shaped (1, c, 1, 1).
 
-    Returns the transformed datasets in the order given. A constant channel
-    is guarded with an epsilon rather than dividing by zero.
+    A constant channel's std is guarded with an epsilon rather than letting
+    standardized() divide by zero.
     """
     mean = train.images.mean(axis=(0, 2, 3))
     std = np.maximum(train.images.std(axis=(0, 2, 3)), np.float32(1e-8))
-    m = mean[None, :, None, None]
-    s = std[None, :, None, None]
-    out = [Dataset((d.images - m) / s, d.labels, d.num_classes, d.name) for d in (train,) + others]
+    return mean[None, :, None, None], std[None, :, None, None]
+
+
+def standardized(ds: Dataset, stats) -> Dataset:
+    """A new split: ds shifted and scaled by channel_stats() of a train split."""
+    m, s = stats
+    return Dataset((ds.images - m) / s, ds.labels, ds.num_classes, ds.name)
+
+
+def standardize(train: Dataset, *others: Dataset):
+    """Per-channel zero mean / unit std, statistics from the train split only.
+
+    Returns the transformed datasets in the order given.
+    """
+    stats = channel_stats(train)
+    out = [standardized(d, stats) for d in (train,) + others]
     return out[0] if not others else tuple(out)
 
 

@@ -100,11 +100,13 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 # Bytes one chunk's im2col buffer (and each product the chunk makes with it)
 # may take, or a quarter of the conv output's bytes when that is more; the
-# batch is lowered a few examples at a time to stay under it. The quarter caps
-# a large batch (an evaluation pass) at a few dozen chunks, so a few dozen
-# BLAS calls: each call hands work to BLAS's threads, and that hand-off stalls
-# whenever another process holds a core, so hundreds of calls make the pass
-# time swing with the load on the machine.
+# batch is lowered a few examples at a time to stay under it. Evaluation
+# slices its split so that no activation exceeds the budget (trainer.evaluate),
+# so the quarter never applies there; it caps a training batch whose conv
+# output exceeds 16 MiB at a few dozen chunks, so a few dozen BLAS calls: each
+# call hands work to BLAS's threads, and that hand-off stalls whenever another
+# process holds a core, so hundreds of calls make the step time swing with the
+# load on the machine.
 COLS_BUDGET = 4 << 20
 
 

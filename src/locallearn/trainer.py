@@ -294,7 +294,8 @@ def build_network(
 @dataclass
 class StepResult:
     """Per-layer losses (hidden blocks then the output cross-entropy), the
-    raw gradients, and the batch predictions."""
+    raw gradients of a dry step (apply=False; an applied step keeps none),
+    and the batch predictions."""
 
     losses: list
     grads: list
@@ -323,8 +324,9 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     it, in forward order. A block's batch statistics are folded into its
     running batchnorm stats when it is updated, so with apply=False the
     gradients are computed and returned but nothing moves, which the
-    gradient checks build on. No block computes an input gradient that
-    nothing reads: not a local one, and not the first.
+    gradient checks build on; with apply=True no gradient outlives its
+    update. No block computes an input gradient that nothing reads: not a
+    local one, and not the first.
     """
     row = MODE_TABLE[net.mode]
     a = x
@@ -351,7 +353,9 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             if apply:
                 update_params(e, grads, lr)
                 e.fold_stats(*stats)
-            grads_list.append(grads)
+            else:
+                grads_list.append(grads)
+            grads = res = None  # the gradients and dh die with the update, too
         else:
             trace.append((e, cache, res))
         a = h
@@ -384,7 +388,8 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             e.fold_stats(*stats)
         update_params(net.out, ograds, lr)
     losses.append(out_loss)
-    grads_list += [g for _, g, _ in backward] + [ograds]
+    if not apply:
+        grads_list += [g for _, g, _ in backward] + [ograds]
     return StepResult(losses, grads_list, logits.argmax(axis=1))
 
 
@@ -465,13 +470,26 @@ def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
-    """Classification error fraction on a dataset."""
+    """Classification error fraction on a dataset.
+
+    The split goes through forward_eval a slice at a time. batch_size is an
+    upper bound on a slice's examples; a slice also holds no more of them
+    than fit their widest activation (the input or any block's output) into
+    numerics.COLS_BUDGET, at least one. Every op of an eval forward works
+    per example, so the slice size bounds the memory the pass holds, not
+    what it computes.
+    """
     if batch_size < 1:
         raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
+    if not len(ds):
+        raise DataError(f"cannot evaluate on the empty split {ds.name!r}")
+    shapes = [ds.images.shape[1:]] + [b.spec.out_shape for b in net.blocks]
+    widest = max(int(np.prod(s)) for s in shapes) * ds.images.itemsize
+    step = max(1, min(batch_size, nm.COLS_BUDGET // widest))
     wrong = 0
-    for i in range(0, len(ds), batch_size):
-        logits = forward_eval(net, ds.images[i : i + batch_size])
-        wrong += int((logits.argmax(axis=1) != ds.labels[i : i + batch_size]).sum())
+    for i in range(0, len(ds), step):
+        logits = forward_eval(net, ds.images[i : i + step])
+        wrong += int((logits.argmax(axis=1) != ds.labels[i : i + step]).sum())
     return wrong / len(ds)
 
 

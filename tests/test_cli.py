@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import locallearn.data as datamod
 import locallearn.gradcheck as gc
 from locallearn.cli import main
 
@@ -26,6 +27,21 @@ def _train_argv(out, **over):
 def _read(path):
     with open(path) as f:
         return f.read()
+
+
+def _write_mnist_dir(path, n_train, n_test):
+    """An MNIST-layout directory of random 28x28 images, labels 0..9 in turn."""
+    path.mkdir()
+    gen = np.random.default_rng(0)
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
+        datamod.write_idx_images(path / f"{prefix}-images-idx3-ubyte", gen.integers(0, 256, (n, 28, 28), dtype=np.uint8))
+        datamod.write_idx_labels(path / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 10)
+    return path
+
+
+def _mnist_train_argv(data_dir, out):
+    return ["train", "--dataset", "mnist", "--data-dir", str(data_dir), "--arch", "fc16-fc",
+            "--epochs", "1", "--batch-size", "8", "--out", str(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +134,15 @@ def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, fla
     assert not (tmp_path / "x").exists()
 
 
+def test_empty_test_split_is_rejected_before_training(tmp_path, capsys):
+    data_dir = _write_mnist_dir(tmp_path / "mnist", n_train=40, n_test=0)
+    code = main(_mnist_train_argv(data_dir, tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mnist/test" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_beta_for_a_mode_that_never_reads_it_writes_nothing(tmp_path, capsys):
     assert main(_train_argv(tmp_path / "x", **{"--loss": "pred", "--beta": "0.3"})) == 1
     err = capsys.readouterr().err
@@ -201,6 +226,40 @@ def test_eval_batch_size_below_one_is_an_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "batch size" in captured.err
         assert captured.out == ""
+
+
+def test_eval_on_an_empty_split_is_an_error_line(tmp_path, capsys):
+    data_dir = _write_mnist_dir(tmp_path / "mnist", n_train=40, n_test=10)
+    out = tmp_path / "run"
+    assert main(_mnist_train_argv(data_dir, out)) == 0
+    capsys.readouterr()
+    datamod.write_idx_images(data_dir / "t10k-images-idx3-ubyte", np.zeros((0, 28, 28), dtype=np.uint8))
+    datamod.write_idx_labels(data_dir / "t10k-labels-idx1-ubyte", np.zeros(0, dtype=np.int64))
+    code = main(["eval", "--checkpoint", str(out / "final.ckpt"), "--dataset", "mnist",
+                 "--data-dir", str(data_dir), "--arch", "fc16-fc"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "mnist/test" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_standardizes_the_test_split_alone(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    train_line = capsys.readouterr().out.strip()
+    sizes = []
+    standardized = datamod.standardized
+
+    def recording(ds, stats):
+        sizes.append(len(ds))
+        return standardized(ds, stats)
+
+    monkeypatch.setattr(datamod, "standardized", recording)
+    code = main(["eval", "--checkpoint", str(out / "final.ckpt"),
+                 "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == train_line
+    assert sizes == [200]  # the blobs test split; the 1000-example train split is never copied
 
 
 def test_eval_missing_flag_exits_2(capsys):

@@ -212,6 +212,17 @@ def test_standardize_train_stats():
     assert np.allclose(stest.images[:, 0], (raw_test[:, 0] - mu[0]) / train.images[:, 0].std(), atol=1e-2)
 
 
+def test_standardized_split_matches_standardize_bitwise():
+    train = dt.Dataset(make_rng(87).random((50, 3, 4, 4)).astype(np.float32) * 2,
+                       np.zeros(50, dtype=np.int64), 10, "train")
+    test = dt.Dataset(make_rng(88).random((20, 3, 4, 4)).astype(np.float32),
+                      np.zeros(20, dtype=np.int64), 10, "test")
+    alone = dt.standardized(test, dt.channel_stats(train))
+    assert alone.images.dtype == np.float32
+    assert np.array_equal(alone.images, dt.standardize(train, test)[1].images)
+    assert alone.name == "test" and np.array_equal(alone.labels, test.labels)
+
+
 def test_standardize_constant_channel_finite():
     train = dt.Dataset(np.full((10, 1, 2, 2), 0.5, dtype=np.float32),
                        np.zeros(10, dtype=np.int64), 2, "train")

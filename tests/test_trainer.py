@@ -3,8 +3,10 @@ loop, metrics formatting, and network state round-trips."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 
 from conftest import peak_live_caches, rand, small_net, tiny_blobs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from tracing import MemoryProbe  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +323,30 @@ def test_pool_index_is_made_only_for_a_backward_that_reads_it(mode, monkeypatch)
     assert made == [None, None]
 
 
+@pytest.mark.parametrize("mode", LOCAL_MODES)
+def test_applied_step_drops_each_blocks_gradients_before_the_next_block(mode, monkeypatch):
+    net = small_net(mode, arch="fc8-fc8-fc8-fc", input_shape=(6, 1, 1), classes=3)
+    x = rand((6, 6, 1, 1), seed=81, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    refs, live_at_forward = [], []
+    forward, local_backward = tr.block_forward, tr.block_local_backward
+
+    def watched_forward(*args, **kwargs):
+        live_at_forward.append(sum(ref() is not None for ref in refs))
+        return forward(*args, **kwargs)
+
+    def watched_backward(block, cache, dh):
+        grads = local_backward(block, cache, dh)
+        refs.extend([weakref.ref(grads["weight"]), weakref.ref(dh)])
+        return grads
+
+    monkeypatch.setattr(tr, "block_forward", watched_forward)
+    monkeypatch.setattr(tr, "block_local_backward", watched_backward)
+    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    assert live_at_forward == [0, 0, 0]  # block k's dw and dh are dead before block k+1 runs
+    assert len(refs) == 6 and res.grads == []
+
+
 def test_forward_eval_matches_the_reference_batchnorm_bitwise(monkeypatch):
     net = small_net("predsim", arch="conv3-pool-fc8-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
     x = rand((6, 2, 4, 4), seed=79, dtype=np.float32)
@@ -402,6 +432,72 @@ def test_evaluate_is_deterministic_and_chance_level():
     e2 = tr.evaluate(net, ds)
     assert e1 == e2
     assert abs(e1 - 0.9) < 0.05  # untrained net guesses
+
+
+def _recording_forward_eval(monkeypatch):
+    """Wrap the trainer's forward_eval; returns the list of (slice, logits) it saw."""
+    seen = []
+    forward = tr.forward_eval
+
+    def recording(net, x):
+        logits = forward(net, x)
+        seen.append((len(x), logits))
+        return logits
+
+    monkeypatch.setattr(tr, "forward_eval", recording)
+    return seen
+
+
+@pytest.mark.parametrize("batch_size, slices", [(512, [8, 8, 8, 8, 5]), (5, [5] * 7 + [2])])
+def test_evaluate_slices_match_a_per_example_reference(batch_size, slices, monkeypatch):
+    net = small_net("predsim", arch="conv8-pool-conv16-fc", input_shape=(3, 8, 8), classes=4, pred_target_dim=4)
+    x = rand((16, 3, 8, 8), seed=82, dtype=np.float32)
+    tr.train_step(net, x, one_hot(np.arange(16) % 4, 4, np.float32), 1e-3, make_rng(0))  # moves the running stats
+    ds = Dataset(rand((37, 3, 8, 8), seed=83, dtype=np.float32), np.arange(37) % 4, 4, "probe")
+    reference = np.concatenate([tr.forward_eval(net, ds.images[i : i + 1]) for i in range(len(ds))])
+    # the widest activation, block 0's output, is 8*8*8 float32: 2 KiB, so 8 examples fill 16 KiB
+    monkeypatch.setattr(nm, "COLS_BUDGET", 16 << 10)
+    seen = _recording_forward_eval(monkeypatch)
+    err = tr.evaluate(net, ds, batch_size)
+    assert [n for n, _ in seen] == slices
+    logits = np.concatenate([lg for _, lg in seen])
+    assert np.allclose(logits, reference, rtol=1e-5, atol=1e-6)
+    assert err == np.mean(reference.argmax(axis=1) != ds.labels)
+
+
+def test_evaluate_peak_holds_with_the_split_and_the_batch():
+    # the benchmark's conv net: block 0's output is 256 KiB an image, so a
+    # slice holds 16 of them and never 4 MiB more
+    spec = tr.parse_arch("conv64-pool-conv128-pool-fc256-fc", (3, 32, 32), 10)
+    net = tr.build_network(spec, LossConfig("predsim"), pred_target_dim=2048, seed=0)
+    peaks = []
+    for n in (64, 512):
+        ds = Dataset(rand((n, 3, 32, 32), seed=84, dtype=np.float32), np.arange(n) % 10, 10, "probe")
+        probe = MemoryProbe().watch_evaluate(tr)
+        with probe.tracking():
+            tr.evaluate(net, ds, batch_size=512)
+        peaks += probe.eval_peaks
+    assert len(peaks) == 2
+    assert max(peaks) < 12 << 20
+    assert abs(peaks[0] - peaks[1]) < 1 << 20
+
+
+def test_evaluate_keeps_the_batch_size_on_a_dense_net(monkeypatch):
+    # mlp3x1024 on 28x28 images: 1024 floats per example lets 1024 into the
+    # budget, so the 512 cap sets every slice
+    spec = tr.parse_arch("mlp3x1024", (1, 28, 28), 10)
+    net = tr.build_network(spec, LossConfig("predsim-bpf"), seed=0)
+    ds = Dataset(rand((1100, 1, 28, 28), seed=85, dtype=np.float32), np.arange(1100) % 10, 10, "probe")
+    seen = _recording_forward_eval(monkeypatch)
+    tr.evaluate(net, ds, batch_size=512)
+    assert [n for n, _ in seen] == [512, 512, 76]
+
+
+def test_evaluate_rejects_an_empty_split():
+    net = small_net("glob", arch="fc16-fc", input_shape=(16, 1, 1), classes=3)
+    empty = Dataset(np.zeros((0, 16, 1, 1), np.float32), np.zeros(0, np.int64), 3, "blobs/test")
+    with pytest.raises(DataError, match="blobs/test"):
+        tr.evaluate(net, empty)
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])
