@@ -147,7 +147,8 @@ def _check_leaky_relu():
     x = r.normal(size=(4, 6))
     x += np.sign(x) * 0.1  # keep clear of the kink, FD cannot cross it
     g = r.normal(size=x.shape)
-    dx = nm.leaky_relu_backward(x >= 0, g, 0.01)
+    _, positive = nm.leaky_relu(x, 0.01, need_sign=True)
+    dx = nm.leaky_relu_backward(positive, g, 0.01)
     f = lambda: float((g * nm.leaky_relu(x, 0.01)).sum())
     return [(dx, fd_grad(f, x))]
 

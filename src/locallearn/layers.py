@@ -266,8 +266,8 @@ class BlockCache:
     x_shape: tuple  # original input shape, for reshaping dx
     xhat: np.ndarray
     inv_std: np.ndarray
-    positive: np.ndarray  # bool, leaky relu input >= 0: all its backward reads of it
-    mask: Optional[np.ndarray]
+    positive: np.ndarray  # packed sign of the leaky relu input (numerics.leaky_relu)
+    mask: Optional[np.ndarray]  # packed dropout mask, None without dropout
     stats: tuple  # the batch (mean, var), for LayerBlock.fold_stats
 
 
@@ -294,23 +294,18 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     # nothing reads pre after batchnorm, nor bn_out after the leaky relu (its
     # backward reads the sign mask), nor act after dropout, so each of them
     # is written over by the next kernel
-    if train:
-        bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta, out=pre)
-        positive = bn_out >= 0
-    else:
-        bn_out = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var, out=pre)
+    if not train:
+        act = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var, out=pre)
+        return nm.leaky_relu(act, spec.slope, out=act), None
+    bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta, out=pre)
     del pre
-
-    act = nm.leaky_relu(bn_out, spec.slope, out=bn_out)
+    act, positive = nm.leaky_relu(bn_out, spec.slope, out=bn_out, need_sign=True)
 
     mask = None
-    if train and spec.dropout > 0.0:
+    if spec.dropout > 0.0:
         if rng is None:
             raise ConfigError("dropout needs an rng in train mode")
         act, mask = nm.dropout(act, spec.dropout, rng, out=act)
-
-    if not train:
-        return act, None
     return act, BlockCache(x2, x_shape, xhat, inv_std, positive, mask, (mean, var))
 
 

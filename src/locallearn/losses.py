@@ -270,7 +270,7 @@ def pred_bpf_loss(
     flat, unflatten = _pool_flatten(h, pool_k)
     logits = nm.matmul(flat, w) + b
     loss, dlogits = nm.bce_logits(logits, bin_targets)
-    _, dw = nm.matmul_backward(flat, w, dlogits)
+    dw = flat.T @ dlogits  # matmul_backward's dw; its dx, through w, is not this loss's
     dflat = dlogits @ feedback.T  # feedback alignment: B replaces w^T on the way down
     return LocalLossResult(loss, unflatten(dflat), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 

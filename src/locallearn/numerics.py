@@ -19,9 +19,15 @@ Conventions:
     gradient block_backward takes over), and std_per_feature_map_backward
     (sim_loss passes the sim head's feature map); every other kernel returns
     new arrays
-  * leaky_relu, its backward, the dropout draw and the feature-map
-    variance work a block of leading rows at a time (see _row_blocks), so
-    their scratch stays small
+  * leaky_relu, dropout, their backwards and the feature-map variance work
+    a block of leading rows at a time (see _row_blocks), so their scratch
+    stays small
+  * the two masks a backward reads, leaky_relu's sign (x >= 0) and
+    dropout's keep mask, are bits: np.packbits rows, uint8, with
+    ceil(row/8) bytes for each leading-axis row of the tensor (a 1-d
+    tensor's rows are single units, a 0-d tensor is one row of one). Only
+    this module writes or reads them, a row block at a time, so no
+    full-size bool array ever exists
 
 Convolutions are GEMMs over im2col buffers, a chunk of examples at a time.
 conv2d and the input gradient share one private lowering: a conv's dx is
@@ -36,14 +42,16 @@ recomputing it, and writes the gradient into one buffer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, ShapeError
 
 
-# Elements one block of a row-blocked loop covers: Adam, leaky_relu and its
-# backward, the dropout draw, the feature-map variance and losses.combine
+# Elements one block of a row-blocked loop covers: Adam, leaky_relu, dropout,
+# their backwards, the feature-map variance and losses.combine
 # each work through their tensor a block of whole leading-axis rows at a
 # time, so their scratch stays cache-sized instead of as large as the tensor.
 ROW_BLOCK = 1 << 16
@@ -414,40 +422,66 @@ def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_s
     return dx, dgamma, dbeta
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.0, out=None) -> np.ndarray:
+def _packed_shape(a: np.ndarray) -> tuple:
+    """Shape of the packed mask of a: one row of ceil(row/8) bytes for each
+    leading-axis row of a (a 0-d a is one row of one)."""
+    rows = np.atleast_1d(a)
+    return (len(rows), (math.prod(rows.shape[1:]) + 7) // 8)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The packed rows of a bool block, one per leading-axis row."""
+    return np.packbits(bits.reshape(len(bits), -1), axis=1)
+
+
+def _unpack(packed: np.ndarray, shape: tuple) -> np.ndarray:
+    """The 0/1 uint8 block of `shape` whose rows packed holds."""
+    return np.unpackbits(packed, axis=1, count=math.prod(shape[1:])).reshape(shape)
+
+
+def _check_packed(mask: np.ndarray, g: np.ndarray, what: str) -> None:
+    want = _packed_shape(g)
+    if mask.dtype != np.uint8 or mask.shape != want:
+        raise ShapeError(f"{what} takes the packed uint8 {want} mask of a {g.shape} grad, got {mask.dtype} {mask.shape}")
+
+
+def leaky_relu(x: np.ndarray, slope: float = 0.0, out=None, need_sign: bool = False):
     """max(x, slope*x) for 0 <= slope <= 1; slope 0 is plain relu.
 
     In that range this is bit for bit where(x >= 0, x, slope*x), signed
     zeros included. slope*x exists one block of rows at a time. The result
-    goes into out (a new array by default; out=x overwrites x).
+    goes into out (a new array by default; out=x overwrites x). With
+    need_sign=True, for a caller that backpropagates, it returns (out, sign),
+    sign the packed mask of x >= 0 (see the module docstring) that
+    leaky_relu_backward reads.
     """
     x = _as_float(x, "x")
     if out is None:
         out = np.empty_like(x)
     xs, ys = np.atleast_1d(x, out)  # a 0-d x is one row
+    sign = np.empty(_packed_shape(x), dtype=np.uint8) if need_sign else None
     for rows, scaled in _row_blocks(xs, x.dtype):
+        if need_sign:  # before out, which may be x, is written
+            sign[rows] = _pack(xs[rows] >= 0)
         np.multiply(xs[rows], x.dtype.type(slope), out=scaled)
         np.maximum(xs[rows], scaled, out=ys[rows])
-    return out
+    return (out, sign) if need_sign else out
 
 
 def leaky_relu_backward(positive: np.ndarray, g: np.ndarray, slope: float = 0.0, out=None) -> np.ndarray:
-    """Gradient through leaky_relu from the forward's branch mask,
-    positive = (x >= 0): g times 1 there (g exactly), times slope elsewhere.
+    """Gradient through leaky_relu from the forward's packed sign mask of
+    x >= 0: g times 1 where it is set (g exactly), times slope elsewhere.
 
     The factor exists one block of rows at a time. The result goes into out
     (a new C-ordered array by default; out=g overwrites g).
     """
-    if g.shape != positive.shape:
-        raise ShapeError(f"grad shape {g.shape} does not match input {positive.shape}")
-    if positive.dtype != np.bool_:
-        raise ShapeError(f"leaky_relu_backward takes the bool mask x >= 0, got {positive.dtype}")
+    _check_packed(positive, g, "leaky_relu_backward")
     if out is None:
         out = np.empty(g.shape, dtype=g.dtype)
     table = np.array([slope, 1], dtype=g.dtype)
-    gs, ys, ps = np.atleast_1d(g, out, positive)
+    gs, ys = np.atleast_1d(g, out)
     for rows, factor in _row_blocks(gs, g.dtype):
-        np.take(table, ps[rows].view(np.uint8), out=factor, mode="clip")  # indices are 0 and 1
+        np.take(table, _unpack(positive[rows], factor.shape), out=factor, mode="clip")  # indices are 0 and 1
         np.multiply(gs[rows], factor, out=ys[rows])
     return out
 
@@ -456,35 +490,44 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool = 
     """Inverted dropout. Returns (y, mask); mask is None in eval mode.
 
     Keeping E[y] = x means surviving units are scaled by 1/(1-rate), so eval
-    mode is the identity and consumes no randomness. The mask is
-    rng.random(x.shape) >= rate, drawn a block of rows at a time into one
-    small float64 buffer: the same doubles, and the same generator state
-    after, as one whole draw. y goes into out in train mode (a new array by
-    default; out=x overwrites x).
+    mode is the identity and consumes no randomness. The mask is the packed
+    form (see the module docstring) of rng.random(x.shape) >= rate, drawn a
+    block of rows at a time into one small float64 buffer: the same doubles,
+    and the same generator state after, as one whole draw. y goes into out
+    in train mode (a new array by default; out=x overwrites x).
     """
     x = _as_float(x, "x")
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train:
         return x, None
-    mask = np.empty(x.shape, dtype=np.bool_)  # depends on shape and rng only, never on values
-    keep = np.atleast_1d(mask)
-    for rows, draw in _row_blocks(keep, np.float64):
+    if out is None:
+        out = np.empty_like(x)
+    mask = np.empty(_packed_shape(x), dtype=np.uint8)  # depends on shape and rng only, never on values
+    xs, ys = np.atleast_1d(x, out)
+    scale = x.dtype.type(1.0 - rate)
+    for rows, draw in _row_blocks(xs, np.float64):
         rng.random(out=draw)
-        np.greater_equal(draw, rate, out=keep[rows])
-    y = np.multiply(x, mask, out=out)
-    y /= x.dtype.type(1.0 - rate)
-    return y, mask
+        keep = draw >= rate
+        mask[rows] = _pack(keep)
+        np.multiply(xs[rows], keep, out=ys[rows])
+        ys[rows] /= scale
+    return out, mask
 
 
 def dropout_backward(g: np.ndarray, mask: np.ndarray, rate: float, out=None) -> np.ndarray:
-    """g * mask / (1 - rate), written into out (a new array by default;
-    out=g overwrites g)."""
-    if g.shape != mask.shape:
-        raise ShapeError(f"grad shape {g.shape} does not match mask {mask.shape}")
-    dx = np.multiply(g, mask, out=out)
-    dx /= g.dtype.type(1.0 - rate)
-    return dx
+    """g * mask / (1 - rate) from the forward's packed mask, a block of rows
+    at a time, written into out (a new array by default; out=g overwrites
+    g)."""
+    _check_packed(mask, g, "dropout_backward")
+    if out is None:
+        out = np.empty(g.shape, dtype=g.dtype)
+    gs, ys = np.atleast_1d(g, out)
+    scale = g.dtype.type(1.0 - rate)
+    for (rows,) in _row_blocks(gs):
+        np.multiply(gs[rows], _unpack(mask[rows], gs[rows].shape), out=ys[rows])
+        ys[rows] /= scale
+    return out
 
 
 def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -579,11 +622,11 @@ def bce_logits(logits: np.ndarray, targets: np.ndarray):
     if not np.all((targets == 0) | (targets == 1)):
         raise InputError("binary targets must be 0 or 1")
     z = logits
-    loss = float((np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))).mean())
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    loss = float((np.maximum(z, 0) - z * targets + np.log1p(e)).mean())
+    # the sigmoid as 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below,
+    # both from e, so neither exp can overflow
+    d = 1.0 + e
+    sig = np.where(z >= 0, 1.0 / d, e / d)
     dlogits = (sig - targets) / z.dtype.type(z.size)
     return loss, dlogits

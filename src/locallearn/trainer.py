@@ -312,6 +312,15 @@ def _check_finite(loss: float, what: str) -> None:
         raise NonFiniteError(f"non-finite loss at {what}")
 
 
+def _update(owner, grads: dict, lr: float, what: str) -> None:
+    """update_params, with a non-finite gradient's error naming the layer
+    as well as the parameter."""
+    try:
+        update_params(owner, grads, lr)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{e} at {what}") from None
+
+
 def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rng, apply: bool = True) -> StepResult:
     """One optimisation step: a single forward sweep over the blocks.
 
@@ -320,13 +329,16 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     next block runs) or pushes (block, cache, sim result) onto a trace
     (glob, glob+sim). The output layer's cross-entropy then starts one
     reverse loop over the trace, the global backward, where glob+sim adds
-    each block's sim gradient with unit weight; global blocks update after
-    it, in forward order. A block's batch statistics are folded into its
-    running batchnorm stats when it is updated, so with apply=False the
-    gradients are computed and returned but nothing moves, which the
-    gradient checks build on; with apply=True no gradient outlives its
-    update. No block computes an input gradient that nothing reads: not a
-    local one, and not the first.
+    each block's sim gradient with unit weight. Every owner of parameters
+    updates as soon as its gradients exist, the output layer first in the
+    global modes and each global block right after its backward; blocks
+    update independently, so the order leaves the bytes as they are. A
+    block's batch statistics are folded into its running batchnorm stats
+    when it is updated, so with apply=False the gradients are computed and
+    returned, in forward order, but nothing moves, which the gradient
+    checks build on; with apply=True no gradient outlives its update, and
+    no cache or block output outlives its last reader. No block computes an
+    input gradient that nothing reads: not a local one, and not the first.
     """
     row = MODE_TABLE[net.mode]
     a = x
@@ -340,56 +352,60 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
             if idx is not None:
                 trace.append((e, idx, None))
             continue
-        h, cache = block_forward(e, a, train=True, rng=rng)
+        # a is rebound here, so a pooled block's output dies with the pool
+        a, cache = block_forward(e, a, train=True, rng=rng)
+        what = f"layer {len(losses)} ({net.mode})"
         res = None
         if row.pred or row.sim:
-            res = local_block_loss(net.mode, net.beta, h, targets_onehot, **e.heads())
-            _check_finite(res.loss, f"layer {len(losses)} ({net.mode})")
+            res = local_block_loss(net.mode, net.beta, a, targets_onehot, **e.heads())
+            _check_finite(res.loss, what)
         losses.append(0.0 if res is None else res.loss)
         if row.local:
             grads = block_local_backward(e, cache, res.dh)
             grads.update(res.grads)
             stats, cache = cache.stats, None  # the cache dies here, before the next block runs
             if apply:
-                update_params(e, grads, lr)
+                _update(e, grads, lr, what)
                 e.fold_stats(*stats)
             else:
                 grads_list.append(grads)
             grads = res = None  # the gradients and dh die with the update, too
         else:
             trace.append((e, cache, res))
-        a = h
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
     _check_finite(out_loss, "output layer")
-    dflat, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
+    d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
     ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
-    d = dflat.reshape(a.shape)
+    if apply:
+        _update(net.out, ograds, lr, "output layer")
+    d = d.reshape(a.shape)
 
     backward: list = []
+    k = len(losses)
     while trace:
         # popped, so each cache dies once its block's backward has run
         e, cache, res = trace.pop()
         if e == "pool":
             d = nm.maxpool2x2_backward(d, cache)
             continue
+        k -= 1
         if res is not None:
             d += res.dh
         grads, d = block_backward(e, cache, d, need_dx=e is not net.elements[0])
         if res is not None:
             grads.update(res.grads)
-        backward.append((e, grads, cache.stats))
-    backward.reverse()
+        if apply:
+            _update(e, grads, lr, f"layer {k} ({net.mode})")
+            e.fold_stats(*cache.stats)
+        else:
+            backward.append(grads)
+        grads = None  # dead before the block below runs its backward
 
-    if apply:
-        for e, grads, stats in backward:
-            update_params(e, grads, lr)
-            e.fold_stats(*stats)
-        update_params(net.out, ograds, lr)
     losses.append(out_loss)
     if not apply:
-        grads_list += [g for _, g, _ in backward] + [ograds]
+        grads_list += backward[::-1] + [ograds]
     return StepResult(losses, grads_list, logits.argmax(axis=1))
 
 

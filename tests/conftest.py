@@ -1,10 +1,12 @@
 """Shared fixtures and small builders used across the suite."""
 
+import time
 import weakref
 
 import numpy as np
 import pytest
 
+import locallearn.gradcheck as gc
 import locallearn.trainer as tr
 from locallearn.data import synthetic_blobs
 from locallearn.losses import LossConfig
@@ -14,6 +16,29 @@ from locallearn.trainer import build_network, parse_arch
 
 def rand(shape, seed=0, dtype=np.float64, scale=1.0):
     return (make_rng(9000, seed).standard_normal(shape) * scale).astype(dtype)
+
+
+def _rows(shape):
+    """(rows, units per row) of the packed mask of an array of `shape`:
+    its leading-axis rows, a 0-d array being one row of one."""
+    shape = (1,) if shape == () else tuple(shape)
+    return shape[0], int(np.prod(shape[1:]))
+
+
+def packed(bits):
+    """The packed mask of a bool array: np.packbits of each row."""
+    return np.packbits(np.asarray(bits, dtype=np.bool_).reshape(_rows(np.shape(bits))), axis=1)
+
+
+def packed_shape(shape):
+    """(rows, ceil(units per row / 8))."""
+    n, row = _rows(shape)
+    return (n, (row + 7) // 8)
+
+
+def unpacked(mask, shape):
+    """The bool array of `shape` whose packed mask is mask."""
+    return np.unpackbits(mask, axis=1, count=_rows(shape)[1]).astype(np.bool_).reshape(shape)
 
 
 def tiny_blobs(classes=3, per_class=40, dim=16, separation=6.0, seed=0):
@@ -52,3 +77,12 @@ def peak_live_caches(step):
 def blobs3():
     """3 well-separated Gaussian clusters, 120 points, 16-dim."""
     return tiny_blobs()
+
+
+@pytest.fixture(scope="session")
+def gradcheck_run():
+    """One run of the whole gradient-check suite per session, shared by the
+    tests that read it: (results, wall seconds)."""
+    t0 = time.perf_counter()
+    results = gc.run_all()
+    return results, time.perf_counter() - t0

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import locallearn.data as dt
-import locallearn.gradcheck as gc
 import locallearn.layers as ly
 import locallearn.losses as ls
 import locallearn.trainer as tr
@@ -43,10 +42,8 @@ def _build(mode, arch, in_shape, classes, seed=0, **kw):
 # 1. gradient oracle suite
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_gradient_oracle_suite():
-    t0 = time.perf_counter()
-    results = gc.run_all()
-    elapsed = time.perf_counter() - t0
+def test_criterion_01_gradient_oracle_suite(gradcheck_run):
+    results, elapsed = gradcheck_run
     bad = [(r.name, r.max_err) for r in results if not (r.ok and r.max_err < 1e-4)]
     assert bad == [], f"gradient checks out of tolerance: {bad}"
     covered = {r.name for r in results}

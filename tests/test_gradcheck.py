@@ -26,9 +26,9 @@ def test_max_rel_err_floor():
     assert gc.max_rel_err(np.array([2.0]), np.array([1.0])) == pytest.approx(0.5)
 
 
-@pytest.fixture(scope="module")
-def results():
-    return gc.run_all()
+@pytest.fixture
+def results(gradcheck_run):
+    return gradcheck_run[0]
 
 
 def test_all_checks_pass(results):

@@ -13,7 +13,7 @@ from locallearn.losses import local_block_loss
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 
-from conftest import rand
+from conftest import packed_shape, rand, unpacked
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +207,16 @@ def test_block_cache_keeps_a_bool_sign_mask_and_no_float_copy(kind):
         pre = nm.conv2d(x, block.weight) + block.bias[None, :, None, None]
     y, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
     bn_out = nm.batchnorm_train(pre, block.gamma, block.beta)[0]
-    assert cache.positive.dtype == np.bool_ and np.array_equal(cache.positive, bn_out >= 0)
+    # the sign mask as bits: uint8, ceil(row/8) bytes for each example
+    assert cache.positive.dtype == np.uint8 and cache.positive.shape == packed_shape(y.shape)
+    assert np.array_equal(unpacked(cache.positive, y.shape), bn_out >= 0)
     # of the activation's size, the cache holds xhat alone in floats
     floats = [v for v in vars(cache).values() if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
     assert [v is cache.xhat for v in floats if v.shape == y.shape] == [True]
     # at 0 the relu takes the x >= 0 branch: gamma = beta = 0 makes every output 0
     block.gamma[:] = 0.0
     _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
-    assert cache.positive.all()
+    assert unpacked(cache.positive, y.shape).all()
 
 
 def test_block_forward_shape_mismatch():

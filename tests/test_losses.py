@@ -194,6 +194,21 @@ def test_pred_bpf_feedback_swap_changes_dh_not_dw():
     assert not np.array_equal(r1.dh, r2.dh)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pred_bpf_computes_the_classifier_gradient_alone(dtype, monkeypatch):
+    h = rand((16, 12), seed=57, dtype=dtype)
+    t = make_rng(58).integers(0, 2, (16, 8)).astype(dtype)
+    w, b, feedback = (rand(shape, seed=s, dtype=dtype) for shape, s in (((12, 8), 59), ((8,), 60), ((12, 8), 61)))
+    calls = []
+    matmul_backward = nm.matmul_backward
+    monkeypatch.setattr(nm, "matmul_backward", lambda *a: calls.append(a) or matmul_backward(*a))
+    res = ls.pred_bpf_loss(h, t, w, b, feedback)
+    assert calls == []  # no input gradient through w is made, only to be dropped
+    _, dlogits = nm.bce_logits(nm.matmul(h, w) + b, t)
+    _, dw = matmul_backward(h, w, dlogits)
+    assert res.grads["cls_w"].dtype == dw.dtype and res.grads["cls_w"].tobytes() == dw.tobytes()
+
+
 def test_pred_bpf_feedback_shape_enforced():
     with pytest.raises(ShapeError):
         ls.pred_bpf_loss(np.ones((2, 4)), np.ones((2, 3)), np.zeros((4, 3)),

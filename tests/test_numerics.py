@@ -15,7 +15,7 @@ from locallearn.errors import ConfigError, InputError, ShapeError
 from locallearn.gradcheck import fd_grad, max_rel_err
 from locallearn.rng import make_rng
 
-from conftest import rand
+from conftest import packed, packed_shape, rand, unpacked
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_leaky_relu_values():
 def test_leaky_relu_backward_branches():
     x = np.array([-2.0, 3.0])
     g = np.array([1.0, 1.0])
-    assert np.allclose(nm.leaky_relu_backward(x >= 0, g, 0.01), [0.01, 1.0])
+    assert np.allclose(nm.leaky_relu_backward(packed(x >= 0), g, 0.01), [0.01, 1.0])
 
 
 def test_dropout_rate_zero_and_eval_identity():
@@ -426,6 +426,25 @@ def test_bce_huge_logits_stable():
     assert np.isfinite(loss) and loss < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_matches_the_masked_two_exp_oracle_bitwise(dtype):
+    f = np.finfo(dtype)
+    edge = np.array([0.0, -0.0, 1.0, -1.0, 1000.0, -1000.0, f.max, -f.max, f.tiny, -f.tiny], dtype)
+    z = np.stack([edge, edge[::-1], rand(edge.shape, seed=18, dtype=dtype, scale=30.0)])
+    t = (np.arange(z.size).reshape(z.shape) % 2).astype(dtype)
+    with np.errstate(over="ignore"):  # the mean of a few finfo.max terms is inf on both sides
+        want_loss = float((np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean())
+        loss, dlogits = nm.bce_logits(z, t)
+    # the sigmoid from exp(-z) where z >= 0 and from exp(z) elsewhere
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    assert _same_bytes(np.float64(loss), np.float64(want_loss))
+    assert _same_bytes(dlogits, (sig - t) / z.dtype.type(z.size))
+
+
 def test_one_hot():
     y = nm.one_hot(np.array([1, 0]), 3, np.float32)
     assert y.dtype == np.float32
@@ -497,8 +516,10 @@ def test_leaky_relu_matches_where_oracle_bitwise(slope, dtype):
     ])
     s = x.dtype.type(slope)
     assert _same_bytes(nm.leaky_relu(x, slope), np.where(x >= 0, x, x * s))
+    y, sign = nm.leaky_relu(x, slope, need_sign=True)
+    assert _same_bytes(y, np.where(x >= 0, x, x * s)) and _same_bytes(sign, packed(x >= 0))
     g = rand(x.shape, seed=36, dtype=dtype)
-    assert _same_bytes(nm.leaky_relu_backward(x >= 0, g, slope), np.where(x >= 0, g, g * s))
+    assert _same_bytes(nm.leaky_relu_backward(packed(x >= 0), g, slope), np.where(x >= 0, g, g * s))
 
 
 def test_leaky_relu_out_writes_over_its_input():
@@ -509,9 +530,15 @@ def test_leaky_relu_out_writes_over_its_input():
 
 
 def test_leaky_relu_backward_takes_a_bool_mask():
-    x = rand((3, 4), seed=38)
-    with pytest.raises(ShapeError):
-        nm.leaky_relu_backward(x, np.ones_like(x), 0.01)
+    # the bool mask x >= 0 packed (see the numerics docstring), and nothing else
+    x = rand((3, 12), seed=38)
+    g = np.ones_like(x)
+    for wrong in (x, x >= 0, packed(x[:, :8] >= 0), packed(x >= 0).astype(np.int8), packed(x[:2] >= 0)):
+        with pytest.raises(ShapeError):
+            nm.leaky_relu_backward(wrong, g, 0.01)
+        with pytest.raises(ShapeError):
+            nm.dropout_backward(g, wrong, 0.5)
+    assert _same_bytes(nm.leaky_relu_backward(packed(x >= 0), g, 0.01), np.where(x >= 0, g, g * 0.01))
 
 
 @pytest.mark.parametrize("shape", [(16, 5), (4, 3, 5, 5)])
@@ -580,11 +607,11 @@ def _case_args(kernel):
     if kernel == "leaky_relu":
         return [x, 0.01]
     if kernel == "leaky_relu_backward":
-        return [x >= 0, g, 0.01]
+        return [packed(x >= 0), g, 0.01]
     if kernel == "dropout":
         return [x, 0.3, make_rng(3)]
     if kernel == "dropout_backward":
-        return [g, make_rng(4).random(_SHAPE) >= 0.3, 0.3]
+        return [g, packed(make_rng(4).random(_SHAPE) >= 0.3), 0.3]
     assert kernel == "std_per_feature_map_backward"
     return [x, rand(_SHAPE[:2], seed=94, dtype=np.float32), 1e-8, nm.std_per_feature_map(x)]
 
@@ -628,7 +655,8 @@ def test_dropout_draws_the_whole_stream_a_block_at_a_time(shape, row_block, monk
     want = ref.random(shape) >= 0.3
     rng = make_rng(5, 6)
     y, mask = nm.dropout(x, 0.3, rng)
-    assert mask.dtype == np.bool_ and mask.shape == x.shape and np.array_equal(mask, want)
+    assert mask.dtype == np.uint8 and mask.shape == packed_shape(shape)
+    assert np.array_equal(unpacked(mask, shape), want) and _same_bytes(mask, packed(want))
     assert np.asarray(y).tobytes() == np.asarray(x * want / np.float32(0.7)).tobytes()
     # the generator moved on exactly as far as one whole draw takes it
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -640,9 +668,16 @@ def test_row_blocked_kernels_take_0d_and_1d_input(shape):
     x = np.asarray(rand(shape, seed=96, dtype=np.float32))
     g = np.asarray(rand(shape, seed=97, dtype=np.float32))
     s = np.float32(0.01)
-    positive = np.asarray(x >= 0)
+    positive = packed(x >= 0)
     assert _same_bytes(np.asarray(nm.leaky_relu(x, 0.01)), np.asarray(np.where(x >= 0, x, x * s)))
+    y, sign = nm.leaky_relu(x, 0.01, need_sign=True)
+    assert _same_bytes(np.asarray(y), np.asarray(np.where(x >= 0, x, x * s))) and _same_bytes(sign, positive)
+    assert sign.shape == packed_shape(shape)
     assert _same_bytes(nm.leaky_relu_backward(positive, g, 0.01), np.asarray(np.where(x >= 0, g, g * s)))
+    keep = np.asarray(make_rng(5).random(shape) >= 0.3)
+    _, mask = nm.dropout(x, 0.3, make_rng(5))
+    assert _same_bytes(mask, packed(keep))
+    assert _same_bytes(nm.dropout_backward(g, mask, 0.3), np.asarray(g * keep / np.float32(0.7)))
     y = x.copy()
     assert nm.leaky_relu(y, 0.01, out=y) is y and _same_bytes(y, np.asarray(np.where(x >= 0, x, x * s)))
 
@@ -687,7 +722,7 @@ _IN_PLACE_CALLS = {
 def test_in_place_kernels_allocate_under_a_quarter_of_their_input(kernel):
     x = rand((16, 64, 32, 32), seed=99, dtype=np.float32)
     g = rand(x.shape, seed=100, dtype=np.float32)
-    pos, mask = x >= 0, g >= -0.8
+    pos, mask = packed(x >= 0), packed(g >= -0.8)
     assert _transient_bytes(lambda: _IN_PLACE_CALLS[kernel](x, g, pos, mask)) < x.nbytes // 4
 
 
