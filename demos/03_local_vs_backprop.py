@@ -15,7 +15,7 @@ from locallearn.data import synthetic_blobs
 from locallearn.losses import LossConfig
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
-from locallearn.trainer import TrainConfig, build_network, parse_arch, train, train_step
+from locallearn.trainer import TrainConfig, build_network, dropout_rngs, parse_arch, train, train_step
 
 ds = synthetic_blobs(classes=3, per_class=60, dim=16, separation=6.0, seed=5)
 print(f"dataset: {len(ds)} points, {ds.num_classes} classes, 16-dim\n")
@@ -37,7 +37,7 @@ for mode in ("predsim", "glob"):
     net = build_network(parse_arch(arch, (2, 8, 8), 3),
                         LossConfig(mode), seed=1, pred_target_dim=32)
     tracemalloc.start()
-    train_step(net, x, y, 1e-3, make_rng(0))
+    train_step(net, x, y, 1e-3, dropout_rngs(0, 0, len(net.blocks)))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(f"{mode:8s} {peak / 1024:6.0f} KiB (tracemalloc peak)")

@@ -2,8 +2,10 @@
 
 `train` runs the full protocol and leaves three artifacts in --out:
 metrics.csv (one row per epoch), manifest.txt (the resolved configuration as
-sorted key=value lines), and final.ckpt. `gradcheck` runs the finite
-difference suite and fails loudly on the first broken backward. `eval`
+sorted key=value lines, with the arithmetic contract its trained bytes follow
+and the BLAS, version and thread count that computed them), and final.ckpt.
+`gradcheck` runs the finite difference suite and fails loudly on the first
+broken backward. `eval`
 rebuilds an inference net from an architecture string and scores a
 checkpoint on a dataset's test split.
 
@@ -15,6 +17,7 @@ flags always win.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -27,6 +30,7 @@ from .errors import ConfigError, DataError, LocalLearnError
 from .losses import MODES, LossConfig
 from .trainer import (
     ARCH_PRESETS,
+    CONTRACT,
     TrainConfig,
     build_network,
     evaluate,
@@ -72,6 +76,32 @@ def _load_dataset(name: str, data_dir: str, seed: int):
 
 def _family(resolved_arch: str) -> str:
     return "vgg" if "conv" in resolved_arch else "mlp"
+
+
+def _openblas_threads() -> str:
+    """The thread count of the OpenBLAS numpy calls, or "unknown". numpy's
+    own extension module is dlopen-ed again, which looks the symbol up
+    through the libraries it links, the bundled OpenBLAS among them."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed numpy.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return str(fn())
+    return "unknown"
+
+
+def blas_entries() -> dict:
+    """Manifest entries for the BLAS numpy calls: its name and version, and
+    its thread count, because the thread count moves trained bytes (a
+    float32 GEMM sums in another order on another count)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 takes no mode=
+        blas = {}
+    name = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    return {"blas": name, "blas_threads": _openblas_threads()}
 
 
 def write_manifest(path, entries: dict) -> None:
@@ -133,6 +163,8 @@ def cmd_train(args) -> int:
             "hflip": str(cfg.augment.hflip).lower(),
             "cutout": cfg.augment.cutout,
             "out": args.out,
+            "contract": CONTRACT,
+            **blas_entries(),
         },
     )
 

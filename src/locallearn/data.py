@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as nm
 from . import rng as rngmod
 from .errors import ConfigError, DataError, InputError, ShapeError
 
@@ -264,18 +265,29 @@ def augment_batch(images: np.ndarray, cfg: AugmentConfig, rng: np.random.Generat
 def channel_stats(train: Dataset):
     """Per-channel (mean, std) of a train split, each shaped (1, c, 1, 1).
 
-    A constant channel's std is guarded with an epsilon rather than letting
-    standardized() divide by zero.
+    The population variance adds up the centered squares a block of images
+    at a time (numerics.ROW_BLOCK elements), in float64, so no temporary as
+    large as the split exists. A constant channel's std is guarded with an
+    epsilon rather than letting standardized() divide by zero.
     """
-    mean = train.images.mean(axis=(0, 2, 3))
-    std = np.maximum(train.images.std(axis=(0, 2, 3)), np.float32(1e-8))
+    x = train.images
+    mean = x.mean(axis=(0, 2, 3))
+    squares = np.zeros(x.shape[1])
+    for rows, centered in nm._row_blocks(x, x.dtype):
+        np.subtract(x[rows], mean[None, :, None, None], out=centered)
+        squares += np.square(centered, out=centered).sum(axis=(0, 2, 3), dtype=np.float64)
+    std = np.sqrt(squares / (x.size // x.shape[1])).astype(x.dtype)
+    std = np.maximum(std, np.float32(1e-8))
     return mean[None, :, None, None], std[None, :, None, None]
 
 
 def standardized(ds: Dataset, stats) -> Dataset:
-    """A new split: ds shifted and scaled by channel_stats() of a train split."""
+    """A new split: ds shifted and scaled by channel_stats() of a train split,
+    worked in the one new array: (x - m) / s."""
     m, s = stats
-    return Dataset((ds.images - m) / s, ds.labels, ds.num_classes, ds.name)
+    out = np.subtract(ds.images, m)
+    out /= s
+    return Dataset(out, ds.labels, ds.num_classes, ds.name)
 
 
 def standardize(train: Dataset, *others: Dataset):

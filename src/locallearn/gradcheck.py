@@ -41,7 +41,7 @@ from .losses import (
     similarity_matrix_backward,
 )
 from .rng import make_rng
-from .trainer import build_network, parse_arch, train_step
+from .trainer import build_network, dropout_rngs, parse_arch, train_step
 
 THRESHOLD = 1e-4
 FD_STEP = 1e-5
@@ -300,7 +300,7 @@ def _check_mode(mode: str):
     for block in net.blocks:
         if block.feedback is not None:
             block.cls_w[...] = block.feedback  # at w = B the routed gradient is the true one
-    step = lambda: train_step(net, x, y, lr=0.0, rng=make_rng(7), apply=False)
+    step = lambda: train_step(net, x, y, 0.0, dropout_rngs(7, 0, len(net.blocks)), apply=False)
     base = step()
     local = MODE_TABLE[mode].local
     pairs = []
@@ -326,6 +326,8 @@ def all_checks():
         ("conv2d_3x3", lambda: _check_conv((2, 2, 4, 4), (3, 2, 3, 3), 1, 1, 11)),
         ("conv2d_stride2", lambda: _check_conv((2, 2, 5, 5), (3, 2, 3, 3), 2, 1, 111)),
         ("conv2d_7x7", lambda: _check_conv((1, 1, 8, 8), (2, 1, 7, 7), 2, 3, 112)),
+        # co*h*w <= ci*ho*wo: dk and dx from one lowering of g
+        ("conv2d_same_channel", lambda: _check_conv((2, 3, 4, 4), (3, 3, 3, 3), 1, 1, 113)),
         ("maxpool2x2", _check_maxpool),
         ("avgpool", _check_avgpool),
         ("batchnorm_dense", lambda: _check_batchnorm((8, 5), 14)),

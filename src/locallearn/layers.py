@@ -51,11 +51,14 @@ def adam_step(
     """One Adam update, in place on both param and state.
 
     m += (1-beta1)(g-m); v += (1-beta2)(g*g-v);
-    param -= lr * mhat / (sqrt(vhat) + eps), with mhat and vhat the
-    bias-corrected m and v. Worked op for op in two scratch buffers, a
-    block of leading-axis rows (about numerics.ROW_BLOCK elements) at a
-    time, so every byte is the one a whole-tensor evaluation gives, while
-    its dozen passes run over blocks that stay in cache instead of
+    param -= alpha * m / (sqrt(v) + eps_hat), with the bias corrections
+    folded into the two scalars (Kingma & Ba, arXiv:1412.6980, section 2):
+    alpha = lr * sqrt(1-beta2^t) / (1-beta1^t), eps_hat = eps * sqrt(1-beta2^t).
+    That is lr * mhat / (sqrt(vhat) + eps) for the bias-corrected mhat and
+    vhat, with no pass spent on either. Worked op for op in two
+    scratch buffers, a block of leading-axis rows (about numerics.ROW_BLOCK
+    elements) at a time, so every byte is the one a whole-tensor evaluation
+    gives, while its passes run over blocks that stay in cache instead of
     streaming whole multi-MiB tensors from memory a dozen times.
     """
     if grad.shape != param.shape:
@@ -63,7 +66,8 @@ def adam_step(
     if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # a NaN reaches both, an inf one
         raise NonFiniteError("non-finite gradient reached the optimizer")
     state.t += 1
-    mscale, vscale = 1.0 - beta1**state.t, 1.0 - beta2**state.t
+    root = math.sqrt(1.0 - beta2**state.t)
+    alpha, eps_hat = lr * root / (1.0 - beta1**state.t), eps * root
     for rows, s, d in nm._row_blocks(param, param.dtype, param.dtype):
         p, g, m, v = (a[rows] for a in (param, grad, state.m, state.v))
         np.subtract(g, m, out=s)
@@ -73,11 +77,9 @@ def adam_step(
         s -= v
         s *= 1.0 - beta2
         v += s
-        np.divide(m, mscale, out=s)  # mhat
-        s *= lr
-        np.divide(v, vscale, out=d)  # vhat
-        np.sqrt(d, out=d)
-        d += eps
+        np.sqrt(v, out=d)
+        d += eps_hat
+        np.multiply(m, alpha, out=s)
         s /= d
         p -= s
 

@@ -137,17 +137,19 @@ def label_similarity(targets_onehot: np.ndarray) -> np.ndarray:
     return similarity_matrix(t.T)
 
 
-def _sim_match(feat: np.ndarray, target_sim: np.ndarray, out=None):
+def _sim_match(feat: np.ndarray, target_sim: np.ndarray, weight: float = 1.0, out=None):
     """Core sim loss: the mean-squared gap (sum of squares / n^2) between
     target_sim and the similarity matrix of feat's descriptors. Dense rows
     are descriptors as they are; conv maps reduce to their per-map std, and
     their gradient goes into out (a new array by default; out=feat, from a
-    caller that no longer reads feat, overwrites it). Returns (loss, d feat)."""
+    caller that no longer reads feat, overwrites it). Returns (loss, d feat),
+    the gradient that of weight * loss: the weight scales the n x n
+    gradient of the similarity matrix, the smallest one on the way down."""
     desc = feat if feat.ndim == 2 else nm.std_per_feature_map(feat)
     n = desc.shape[0]
     diff = similarity_matrix(desc.T) - target_sim
     loss = float((diff * diff).sum() / (n * n))
-    ddesc = similarity_matrix_backward(desc.T, diff * desc.dtype.type(2.0 / (n * n))).T
+    ddesc = similarity_matrix_backward(desc.T, diff * desc.dtype.type(weight * 2.0 / (n * n))).T
     return loss, (ddesc if feat.ndim == 2 else nm.std_per_feature_map_backward(feat, ddesc, std=desc, out=out))
 
 
@@ -155,7 +157,8 @@ def _sim_match(feat: np.ndarray, target_sim: np.ndarray, out=None):
 class LocalLossResult:
     """What a local loss hands back: scalar, grad w.r.t. the tapped hidden
     activation, and grads for the loss's own head parameters (keyed by the
-    block attribute names)."""
+    block attribute names). The scalar is the loss itself; the gradients
+    are those of the weight the loss was given times it."""
 
     loss: float
     dh: np.ndarray
@@ -167,36 +170,40 @@ class LocalLossResult:
 # ---------------------------------------------------------------------------
 
 
-def sim_loss(h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head_b=None) -> LocalLossResult:
+def sim_loss(
+    h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head_b=None, weight: float = 1.0
+) -> LocalLossResult:
     """Similarity-matching loss through the layer's sim head.
 
     Dense h (n, d): the head is a square linear map, the descriptor is its
     output. Conv h (n, c, hh, ww): the head is a 3x3 same-channel conv with
     no bias, and the descriptor is the per-feature-map std of its output.
+    The gradients are those of weight * loss (see _sim_match).
     """
     target_sim = label_similarity(targets_onehot)
     if h.ndim == 2:
         feat = nm.matmul(h, head_w) + head_b
-        loss, dfeat = _sim_match(feat, target_sim)
+        loss, dfeat = _sim_match(feat, target_sim, weight)
         dh, dw = nm.matmul_backward(h, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw, "sim_b": dfeat.sum(axis=0)})
     if h.ndim == 4:
         # nothing reads the head's feature map once its std is taken, so its
         # gradient is written over it; the head's dx gets a buffer of its own
         feat = nm.conv2d(h, head_w, stride=1, pad=1)
-        loss, dfeat = _sim_match(feat, target_sim, out=feat)
+        loss, dfeat = _sim_match(feat, target_sim, weight, out=feat)
         dh, dw = nm.conv2d_backward(h, head_w, dfeat, stride=1, pad=1)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
 
 
-def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray) -> LocalLossResult:
+def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray, weight: float = 1.0) -> LocalLossResult:
     """Backprop-free sim loss: no head, descriptors matched against the
     similarity matrix of randomly projected labels.
 
-    proj_targets is (projection_dim, n), columns per example.
+    proj_targets is (projection_dim, n), columns per example. dh is the
+    gradient of weight * loss.
     """
-    return LocalLossResult(*_sim_match(h, similarity_matrix(proj_targets)))
+    return LocalLossResult(*_sim_match(h, similarity_matrix(proj_targets), weight))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +242,16 @@ def choose_pool_kernel(channels: int, spatial: int, target_dim: int) -> int:
     return best
 
 
-def pred_loss(h: np.ndarray, targets_onehot: np.ndarray, w: np.ndarray, b: np.ndarray, pool_k: int = 1) -> LocalLossResult:
+def pred_loss(
+    h: np.ndarray, targets_onehot: np.ndarray, w: np.ndarray, b: np.ndarray, pool_k: int = 1, weight: float = 1.0
+) -> LocalLossResult:
     """Cross-entropy of a single local linear classifier on this layer's
-    (pooled, flattened) activations."""
+    (pooled, flattened) activations. The gradients are those of
+    weight * loss: the weight scales dlogits, the smallest gradient."""
     flat, unflatten = _pool_flatten(h, pool_k)
     logits = nm.matmul(flat, w) + b
     loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
+    dlogits *= dlogits.dtype.type(weight)
     dflat, dw = nm.matmul_backward(flat, w, dlogits)
     return LocalLossResult(loss, unflatten(dflat), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 
@@ -257,19 +268,22 @@ def pred_bpf_loss(
     b: np.ndarray,
     feedback: np.ndarray,
     pool_k: int = 1,
+    weight: float = 1.0,
 ) -> LocalLossResult:
     """Backprop-free pred loss: binary cross-entropy against binarised
     projected labels, with the activation gradient routed through a fixed
     random feedback matrix instead of the classifier's transpose.
 
     dh is therefore deliberately *not* the gradient of the loss; the
-    classifier's own w/b gradients are.
+    classifier's own w/b gradients are, of weight * loss (the weight scales
+    dlogits, as in pred_loss).
     """
     if feedback.shape != w.shape:
         raise ShapeError(f"feedback shape {feedback.shape} must match classifier {w.shape}")
     flat, unflatten = _pool_flatten(h, pool_k)
     logits = nm.matmul(flat, w) + b
     loss, dlogits = nm.bce_logits(logits, bin_targets)
+    dlogits *= dlogits.dtype.type(weight)
     dw = flat.T @ dlogits  # matmul_backward's dw; its dx, through w, is not this loss's
     dflat = dlogits @ feedback.T  # feedback alignment: B replaces w^T on the way down
     return LocalLossResult(loss, unflatten(dflat), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
@@ -281,26 +295,22 @@ def pred_bpf_loss(
 
 
 def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) -> LocalLossResult:
-    """Convex combination (1-beta)*pred + beta*sim.
+    """Convex combination (1-beta)*pred + beta*sim of two parts whose
+    gradients already carry their weights (each loss took its own as
+    weight=), so that only the scalar losses are mixed here.
 
-    The weights scale everything, head gradients included, so the result is
-    exactly the gradient of the combined scalar. The two heads stay
-    independent: neither receives a contribution from the other's loss.
-    The combined dh is built in sim_res.dh, which the result takes over, a
-    block of examples at a time (see numerics.ROW_BLOCK); pred_res is left
-    as it is.
+    The result is exactly the gradient of the combined scalar. The two heads
+    stay independent: neither receives a contribution from the other's loss,
+    so their gradients are merged as they are. The pred dh is added into
+    sim_res.dh in place, which the result takes over; pred_res is left as it
+    is.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
-    wp, ws = 1.0 - beta, beta
-    grads = {k: wp * v for k, v in pred_res.grads.items()}
-    grads.update({k: ws * v for k, v in sim_res.grads.items()})
-    dh, pred = sim_res.dh, pred_res.dh
-    for rows, scaled in nm._row_blocks(dh, dh.dtype):
-        dh[rows] *= ws
-        np.multiply(pred[rows], wp, out=scaled)
-        dh[rows] += scaled
-    return LocalLossResult(wp * pred_res.loss + ws * sim_res.loss, dh, grads)
+    dh = sim_res.dh
+    dh += pred_res.dh
+    loss = (1.0 - beta) * pred_res.loss + beta * sim_res.loss
+    return LocalLossResult(loss, dh, {**pred_res.grads, **sim_res.grads})
 
 
 def local_block_loss(
@@ -320,22 +330,25 @@ def local_block_loss(
     """The local error signal of one hidden block: the mode's pred part and
     sim part (see MODE_TABLE), mixed by beta when the mode has both.
 
-    The sim part runs first: its gradient, which combine builds the mix in,
-    is then what lives through the lighter pred part, not the other way round.
+    Each part takes its weight, 1 - beta and beta, into its own smallest
+    gradient; a mode without both parts weighs its one part by 1. The sim
+    part runs first: its gradient, which combine adds the pred one into, is
+    then what lives through the lighter pred part, not the other way round.
     """
     row = MODE_TABLE.get(mode)
     if row is None or not (row.pred or row.sim):
         raise ConfigError(f"mode {mode!r} has no local loss")
+    wp, ws = (1.0 - beta, beta) if row.pred and row.sim else (1.0, 1.0)
     pred = sim = None
     if row.sim == "head":
-        sim = sim_loss(h, targets_onehot, sim_w, sim_b)
+        sim = sim_loss(h, targets_onehot, sim_w, sim_b, weight=ws)
     elif row.sim == "bpf":
-        sim = sim_bpf_loss(h, proj @ targets_onehot.T)
+        sim = sim_bpf_loss(h, proj @ targets_onehot.T, weight=ws)
     if row.pred == "ce":
-        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k)
+        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k, weight=wp)
     elif row.pred == "bpf":
         t = binarized_targets(proj, targets_onehot, h.dtype)
-        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k)
+        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k, weight=wp)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

@@ -19,9 +19,9 @@ Conventions:
     gradient block_backward takes over), and std_per_feature_map_backward
     (sim_loss passes the sim head's feature map); every other kernel returns
     new arrays
-  * leaky_relu, dropout, their backwards and the feature-map variance work
-    a block of leading rows at a time (see _row_blocks), so their scratch
-    stays small
+  * leaky_relu, dropout, their backwards, the feature-map variance and
+    batchnorm_backward work a block of leading rows at a time (see
+    _row_blocks), so their scratch stays small
   * the two masks a backward reads, leaky_relu's sign (x >= 0) and
     dropout's keep mask, are bits: np.packbits rows, uint8, with
     ceil(row/8) bytes for each leading-axis row of the tensor (a 1-d
@@ -35,7 +35,12 @@ itself a forward conv (the transposed conv) of g spread stride apart, with
 the kernel flipped in space and its in and out channels swapped, so no
 gradient is scatter-added back into the input. The lowering zeroes one
 padded canvas per call and copies each chunk into it; no chunk is padded
-on its own. conv2d itself runs forward convs only.
+on its own. conv2d itself runs forward convs only. The weight gradient
+comes from the smaller of the two lowerings a backward could make, x's
+(ci*kh*kw rows of n*ho*wo columns) or g's (co*kh*kw rows of n*h*w), and when
+it is g's the input gradient's GEMM reads the same buffer: a same-channel,
+stride-1 conv such as the sim heads' lowers once per backward, a conv that
+widens its channels lowers x for dk and g for dx.
 std_per_feature_map_backward takes the forward's std rather than
 recomputing it, and writes the gradient into one buffer.
 """
@@ -51,9 +56,10 @@ from .errors import ConfigError, InputError, ShapeError
 
 
 # Elements one block of a row-blocked loop covers: Adam, leaky_relu, dropout,
-# their backwards, the feature-map variance and losses.combine
-# each work through their tensor a block of whole leading-axis rows at a
-# time, so their scratch stays cache-sized instead of as large as the tensor.
+# their backwards, the feature-map variance and batchnorm_backward's two
+# passes over xhat each work through their tensor a block of whole
+# leading-axis rows at a time, so their scratch stays cache-sized instead of
+# as large as the tensor.
 ROW_BLOCK = 1 << 16
 
 
@@ -197,28 +203,46 @@ def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.nd
 def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: int, need_dx: bool):
     """(dx or None, dk) of sum(g * conv2d(x, k)).
 
-    dk adds up g @ colsᵀ over the chunks of x. dx is the transposed conv, a
-    forward one: g spread `stride` apart, correlated at stride 1 with the
-    kernel flipped in space and swapped in and out channels, with kh-1-pad
-    rows of padding on top (a negative pad crops) and as many at the bottom
-    as the output needs to come out h high.
+    dx is the transposed conv, a forward one: g spread `stride` apart,
+    correlated at stride 1 with the kernel flipped in space and swapped in
+    and out channels, with kh-1-pad rows of padding on top (a negative pad
+    crops) and as many at the bottom as the output needs to come out h high.
+
+    dk comes from whichever lowering is smaller, chosen on the shapes alone,
+    so it is the same bytes with or without dx. x's im2col has ci*kh*kw rows
+    of n*ho*wo columns, g's (the one the transposed conv reads) co*kh*kw
+    rows of n*h*w. Over x's chunks dk adds up g @ colsᵀ, and dx, if wanted,
+    lowers g afterwards. Over g's chunks the same cols feed both GEMMs, one
+    lowering in all: dk adds up, an example at a time, cols @ x[i]ᵀ, a
+    (co, kh-1-u, kw-1-v) by ci product that the end un-flips to (co, ci, u, v).
     """
-    n, _, h, w = x.shape
+    n, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     ho = _conv_out_extent(h, kh, stride, pad)
     wo = _conv_out_extent(w, kw, stride, pad)
     if g.shape != (n, co, ho, wo):
         raise ShapeError(f"upstream grad shape {g.shape} does not match {(n, co, ho, wo)}")
-    g3 = g.reshape(n, co, ho * wo)
-    dk = np.zeros_like(k).reshape(co, -1)
-    for rows, cols in _im2col_chunks(x, k.shape, stride, (pad, pad), ho, wo):
-        dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
-    cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
-    dx = None
-    if need_dx:
-        flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = _lowered_conv(g, flipped, 1, (kh - 1 - pad, kw - 1 - pad), h, w, dilate=stride)
-    return dx, dk.reshape(k.shape)
+    flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    back_pad = (kh - 1 - pad, kw - 1 - pad)
+    if co * h * w > ci * ho * wo:
+        g3 = g.reshape(n, co, ho * wo)
+        dk = np.zeros_like(k).reshape(co, -1)
+        for rows, cols in _im2col_chunks(x, k.shape, stride, (pad, pad), ho, wo):
+            dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
+        cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
+        dx = _lowered_conv(g, flipped, 1, back_pad, h, w, dilate=stride) if need_dx else None
+        return dx, dk.reshape(k.shape)
+    x3 = x.reshape(n, ci, h * w)
+    dkf = np.zeros((co * kh * kw, ci), dtype=k.dtype)
+    dx = np.empty((n, ci, h * w), dtype=x.dtype) if need_dx else None
+    f2 = flipped.reshape(ci, -1)
+    for rows, cols in _im2col_chunks(g, flipped.shape, 1, back_pad, h, w, stride):
+        for j, i in enumerate(range(n)[rows]):
+            dkf += cols[:, j * h * w : (j + 1) * h * w] @ x3[i].T
+        if need_dx:
+            dx[rows] = (f2 @ cols).reshape(ci, -1, h * w).transpose(1, 0, 2)
+    dk = dkf.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return (None if dx is None else dx.reshape(n, ci, h, w)), np.ascontiguousarray(dk)
 
 
 def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1):
@@ -403,21 +427,25 @@ def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_s
     moves every other example's gradient, which the finite-difference checks
     rely on. With N examples per feature it is
     gamma * inv_std / N * (N*g - dbeta - xhat*dgamma): the coupling sums of
-    g*gamma and g*gamma*xhat are gamma times dbeta and dgamma. dx is written
-    into out (a new array by default; out=g overwrites g once both sums are
-    taken), beside one scratch array of g's size.
+    g*gamma and g*gamma*xhat are gamma times dbeta and dgamma. dgamma adds
+    up the sums of g*xhat a block of rows at a time (see _row_blocks), and
+    xhat*dgamma is subtracted a block at a time, so the scratch stays
+    block-sized. dx is written into out (a new array by default; out=g
+    overwrites g once both sums are taken).
     """
     if g.shape != xhat.shape:
         raise ShapeError(f"grad shape {g.shape} does not match activations {xhat.shape}")
     axes = _bn_axes(g)
     count = g.size // g.shape[1]
     shape = (1, g.shape[1]) + (1,) * (g.ndim - 2)
-    scratch = g * xhat
-    dgamma = scratch.sum(axis=axes)
+    dgamma = np.zeros(g.shape[1], dtype=g.dtype)
+    for rows, scratch in _row_blocks(g, g.dtype):
+        dgamma += np.multiply(g[rows], xhat[rows], out=scratch).sum(axis=axes)
     dbeta = g.sum(axis=axes)
     dx = np.multiply(g, g.dtype.type(count), out=out)
     dx -= dbeta.reshape(shape)
-    dx -= np.multiply(xhat, dgamma.reshape(shape), out=scratch)
+    for rows, scratch in _row_blocks(g, g.dtype):
+        dx[rows] -= np.multiply(xhat[rows], dgamma.reshape(shape), out=scratch)
     dx *= (_bn_shape(g, gamma) * inv_std.reshape(shape)) / g.dtype.type(count)
     return dx, dgamma, dbeta
 

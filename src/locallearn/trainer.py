@@ -43,6 +43,14 @@ ARCH_PRESETS = {
 
 LR_DROP_FRACTIONS = (0.50, 0.75, 0.89, 0.94)
 
+# Version of the arithmetic a run's trained bytes follow, which manifest.txt
+# records (a manifest without it is contract 1). 2: the conv weight gradient
+# from the smaller lowering, Adam's bias correction folded into its step
+# size, beta folded into each local loss part's smallest gradient, batchnorm's
+# dgamma and the channel statistics summed in row blocks, and one dropout
+# stream per hidden block.
+CONTRACT = 2
+
 
 # ---------------------------------------------------------------------------
 # architecture grammar
@@ -321,7 +329,16 @@ def _update(owner, grads: dict, lr: float, what: str) -> None:
         raise NonFiniteError(f"{e} at {what}") from None
 
 
-def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rng, apply: bool = True) -> StepResult:
+def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
+    """One dropout generator per hidden block for one epoch, keyed by
+    (seed, DROPOUT, epoch, block): a block's masks depend on no other
+    block's width, nor on the order in which the blocks run."""
+    return [rngmod.make_rng(seed, rngmod.DROPOUT, epoch, k) for k in range(blocks)]
+
+
+def train_step(
+    net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, apply: bool = True
+) -> StepResult:
     """One optimisation step: a single forward sweep over the blocks.
 
     After each hidden block the sweep either trains it at once (local modes:
@@ -337,9 +354,13 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     when it is updated, so with apply=False the gradients are computed and
     returned, in forward order, but nothing moves, which the gradient
     checks build on; with apply=True no gradient outlives its update, and
-    no cache or block output outlives its last reader. No block computes an
-    input gradient that nothing reads: not a local one, and not the first.
+    no cache or block output outlives its last reader. No layer computes an
+    input gradient that nothing reads: not a local block, not the first
+    block, and not the output layer of a local mode. Hidden block k draws
+    its dropout masks from rngs[k] (see dropout_rngs).
     """
+    if len(rngs) != len(net.blocks):
+        raise ConfigError(f"train_step takes a dropout generator per hidden block, {len(net.blocks)}, got {len(rngs)}")
     row = MODE_TABLE[net.mode]
     a = x
     losses: list = []
@@ -353,7 +374,7 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
                 trace.append((e, idx, None))
             continue
         # a is rebound here, so a pooled block's output dies with the pool
-        a, cache = block_forward(e, a, train=True, rng=rng)
+        a, cache = block_forward(e, a, train=True, rng=rngs[len(losses)])
         what = f"layer {len(losses)} ({net.mode})"
         res = None
         if row.pred or row.sim:
@@ -376,11 +397,14 @@ def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: floa
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
     _check_finite(out_loss, "output layer")
-    d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
+    if row.local:  # nothing reads the output layer's input gradient
+        d, dw = None, flat.T @ dlogits  # matmul_backward's dw
+    else:
+        d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
+        d = d.reshape(a.shape)
     ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
     if apply:
         _update(net.out, ograds, lr, "output layer")
-    d = d.reshape(a.shape)
 
     backward: list = []
     k = len(losses)
@@ -521,9 +545,10 @@ class EpochStats:
 def train(cfg: TrainConfig, loss: LossConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None):
     """Run the full protocol; returns (net, history).
 
-    Derived rng streams are keyed by (seed, purpose, epoch), so two calls
-    with identical configs and data produce bit-identical parameters and
-    metrics. Train error is counted on the step predictions (augmented
+    Derived rng streams are keyed by (seed, purpose, epoch), dropout's by
+    hidden block as well (dropout_rngs), so two calls with identical
+    configs and data produce bit-identical parameters and metrics on the
+    same numpy and BLAS build and thread count. Train error is counted on the step predictions (augmented
     batches, parameters moving), unless clean_train_error asks for an extra
     eval pass. The class-per-batch restriction, when set, lifts at the first
     learning-rate drop.
@@ -549,7 +574,7 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
         limit = cfg.classes_per_batch if epoch < first_drop else 0
         sampler_rng = rngmod.make_rng(cfg.seed, rngmod.SAMPLER, epoch)
         augment_rng = rngmod.make_rng(cfg.seed, rngmod.AUGMENT, epoch)
-        dropout_rng = rngmod.make_rng(cfg.seed, rngmod.DROPOUT, epoch)
+        rngs = dropout_rngs(cfg.seed, epoch, len(net.blocks))
 
         correct = 0
         seen = 0
@@ -558,7 +583,7 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
         for idx in sample_batches(train_ds.labels, cfg.batch_size, sampler_rng, limit):
             xb = augment_batch(train_ds.images[idx], cfg.augment, augment_rng)
             yb = nm.one_hot(train_ds.labels[idx], train_ds.num_classes, xb.dtype)
-            result = train_step(net, xb, yb, lr, dropout_rng, apply=True)
+            result = train_step(net, xb, yb, lr, rngs, apply=True)
             correct += int((result.predictions == train_ds.labels[idx]).sum())
             seen += len(idx)
             loss_sums += result.losses

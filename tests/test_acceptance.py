@@ -65,13 +65,13 @@ def test_criterion_02_detachment_four_blocks():
 
     for mode in LOCAL_MODES:
         base = _build(mode, arch, in_shape, classes, seed=9)
-        ref = tr.train_step(base, x, y, 1e-3, make_rng(77), apply=False).grads
+        ref = tr.train_step(base, x, y, 1e-3, tr.dropout_rngs(77, 0, len(base.blocks)), apply=False).grads
 
         for j in range(1, 4):
             poked = _build(mode, arch, in_shape, classes, seed=9)
             for arr in _grab_all_params(poked.blocks[j]).values():
                 arr += np.float32(0.05)
-            got = tr.train_step(poked, x, y, 1e-3, make_rng(77), apply=False).grads
+            got = tr.train_step(poked, x, y, 1e-3, tr.dropout_rngs(77, 0, len(poked.blocks)), apply=False).grads
             for i in range(j):
                 for name in ref[i]:
                     assert np.array_equal(ref[i][name], got[i][name]), \
@@ -102,7 +102,7 @@ def test_criterion_03_feedback_alignment_structure():
     for step in range(100):
         idx = rng.choice(len(ds), size=32, replace=False)
         yb = one_hot(ds.labels[idx], 3, np.float32)
-        tr.train_step(net, ds.images[idx], yb, 5e-4, rng)
+        tr.train_step(net, ds.images[idx], yb, 5e-4, tr.dropout_rngs(22, step, len(net.blocks)))
     assert fixed_hashes() == before, "a fixed matrix moved during training"
 
     # swapping B changes dL/dH but leaves the classifier's own gradient alone
@@ -119,9 +119,9 @@ def test_criterion_03_feedback_alignment_structure():
     # and at the network level: only gradients downstream of dH move
     x = ds.images[:16]
     y = one_hot(ds.labels[:16], 3, np.float32)
-    g1 = tr.train_step(net, x, y, 5e-4, make_rng(1), apply=False).grads
+    g1 = tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), apply=False).grads
     net.blocks[0].feedback = make_rng(28).standard_normal(net.blocks[0].feedback.shape).astype(np.float32)
-    g2 = tr.train_step(net, x, y, 5e-4, make_rng(1), apply=False).grads
+    g2 = tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), apply=False).grads
     assert np.array_equal(g1[0]["cls_w"], g2[0]["cls_w"])
     assert not np.array_equal(g1[0]["weight"], g2[0]["weight"])
     print("\n[criterion 3] PASS: B frozen across 100 steps; B-swap moved dL/dH only")
@@ -249,12 +249,12 @@ def test_criterion_08_one_live_cache_in_local_mode():
     y = one_hot(np.arange(8) % 3, 3, np.float32)
 
     local = _build("predsim", arch, (2, 8, 8), 3, seed=2, pred_target_dim=32)
-    _, peak = peak_live_caches(lambda: tr.train_step(local, x, y, 1e-3, make_rng(0)))
+    _, peak = peak_live_caches(lambda: tr.train_step(local, x, y, 1e-3, tr.dropout_rngs(0, 0, len(local.blocks))))
     assert len(local.blocks) == 6
     assert peak == 1, f"local mode retained {peak} caches"
 
     full = _build("glob", arch, (2, 8, 8), 3, seed=2, pred_target_dim=32)
-    _, peak = peak_live_caches(lambda: tr.train_step(full, x, y, 1e-3, make_rng(0)))
+    _, peak = peak_live_caches(lambda: tr.train_step(full, x, y, 1e-3, tr.dropout_rngs(0, 0, len(full.blocks))))
     assert peak == 6, f"glob mode retained {peak} caches"
     print("\n[criterion 8] PASS: peak live caches 1 (predsim) vs 6 (glob)")
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from locallearn import cli, data, gradcheck, layers, losses, numerics, trainer
-from locallearn.rng import make_rng
 
 from conftest import rand, small_net
 
@@ -83,7 +82,7 @@ def test_traced_conv_step_runs_and_counts_flops(mode):
     y = numerics.one_hot(np.arange(6) % 3, 3, np.float32)
     before = _state()
     with perlayer.trace_recorder(LL) as rec:
-        trainer.train_step(net, x, y, 1e-3, make_rng(0))
+        trainer.train_step(net, x, y, 1e-3, trainer.dropout_rngs(0, 0, len(net.blocks)))
     _assert_restored(before)
     spans = {}
     for s in rec.spans:

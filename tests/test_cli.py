@@ -1,11 +1,15 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
+import locallearn.cli as cli
 import locallearn.data as datamod
 import locallearn.gradcheck as gc
 from locallearn.cli import main
+from locallearn.rng import make_rng
 
 
 def _train_argv(out, **over):
@@ -65,7 +69,39 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert manifest["loss"] == "predsim"
     assert manifest["beta"] == "0.99"
     assert manifest["arch"] == "fc16-fc"
+    assert manifest["contract"] == "2"
+    # the BLAS that computed the bytes, with its version and thread count
+    want = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == f"{want['name']} {want['version']}"
+    assert manifest["blas_threads"] == cli._openblas_threads()
     assert (out / "final.ckpt").exists()
+
+
+def test_blas_thread_count_moves_float32_gemm_bytes():
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if setter is None or getter is None:
+        pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    a = make_rng(1).standard_normal((32, 784), dtype=np.float32)
+    b = make_rng(2).standard_normal((784, 1024), dtype=np.float32)
+    before = getter()
+    try:
+        products = {}
+        for threads in (1, 2):
+            setter(threads)
+            products[threads] = a @ b
+            assert cli.blas_entries()["blas_threads"] == str(threads)
+    finally:
+        setter(before)
+    assert getter() == before
+    # the same product, summed in another order: which is why the manifest
+    # records the thread count
+    assert products[1].tobytes() != products[2].tobytes()
+    assert np.allclose(products[1], products[2], rtol=0, atol=1e-3)
 
 
 def test_train_same_seed_byte_identical_artifacts(tmp_path):

@@ -1,6 +1,7 @@
 """IDX and CIFAR loaders, augmentations, standardization, synthetic data."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,10 +218,29 @@ def test_standardized_split_matches_standardize_bitwise():
                        np.zeros(50, dtype=np.int64), 10, "train")
     test = dt.Dataset(make_rng(88).random((20, 3, 4, 4)).astype(np.float32),
                       np.zeros(20, dtype=np.int64), 10, "test")
-    alone = dt.standardized(test, dt.channel_stats(train))
+    m, s = dt.channel_stats(train)
+    alone = dt.standardized(test, (m, s))
     assert alone.images.dtype == np.float32
+    assert alone.images.tobytes() == ((test.images - m) / s).tobytes()
     assert np.array_equal(alone.images, dt.standardize(train, test)[1].images)
     assert alone.name == "test" and np.array_equal(alone.labels, test.labels)
+
+
+def test_channel_stats_hold_no_split_sized_temporary():
+    images = make_rng(89).random((1000, 3, 32, 32), dtype=np.float32) * 3 + 1
+    train = dt.Dataset(images, np.zeros(1000, dtype=np.int64), 10, "train")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mean, std = dt.channel_stats(train)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 10
+    want = images.astype(np.float64)
+    assert np.allclose(mean.ravel(), want.mean(axis=(0, 2, 3)), rtol=1e-6, atol=0)
+    assert np.allclose(std.ravel(), want.std(axis=(0, 2, 3)), rtol=1e-6, atol=0)
+    assert mean.dtype == std.dtype == np.float32
 
 
 def test_standardize_constant_channel_finite():

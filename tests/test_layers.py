@@ -1,6 +1,7 @@
 """Blocks, initialization, Adam, and the checkpoint container."""
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -62,11 +63,26 @@ def test_adam_rejects_infinite_grad(bad):
 
 def _allocating_adam(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     state.t += 1
+    root = math.sqrt(1.0 - beta2**state.t)
+    alpha, eps_hat = lr * root / (1.0 - beta1**state.t), eps * root
     state.m += (1.0 - beta1) * (grad - state.m)
     state.v += (1.0 - beta2) * (grad * grad - state.v)
-    mhat = state.m / (1.0 - beta1**state.t)
-    vhat = state.v / (1.0 - beta2**state.t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    param -= state.m * alpha / (np.sqrt(state.v) + eps_hat)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_adam_is_the_bias_corrected_step(dtype):
+    # the folded scalars give lr * mhat / (sqrt(vhat) + eps) up to rounding
+    p = rand((64,), seed=69, dtype=dtype)
+    q = p.astype(np.float64)
+    st, m, v = ly.AdamState.for_param(p), np.zeros(64), np.zeros(64)
+    for t in range(1, 8):
+        g = rand(p.shape, seed=80 + t, dtype=dtype, scale=10.0 ** (t % 3 - 1))
+        ly.adam_step(p, g, st, 1e-2)
+        m += 0.1 * (g - m)
+        v += 0.001 * (g.astype(np.float64) ** 2 - v)
+        q -= 1e-2 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        assert np.allclose(p, q, rtol=0, atol=1e-5 if dtype == np.float32 else 1e-12)
 
 
 @pytest.mark.parametrize("chunk", [nm.ROW_BLOCK, 8, 4])  # one block; blocks with a ragged last one

@@ -220,13 +220,16 @@ def test_pred_bpf_feedback_shape_enforced():
 # ---------------------------------------------------------------------------
 
 def test_combine_arithmetic():
+    # the parts' gradients carry their weights already: combine mixes the
+    # scalars, sums the dh and merges the head gradients as they are
     a = ls.LocalLossResult(1.0, np.ones((2, 2)), {"cls_w": np.ones(3)})
-    b = ls.LocalLossResult(2.0, np.full((2, 2), 3.0), {"sim_w": np.ones(3)})
+    b = ls.LocalLossResult(2.0, np.full((2, 2), 3.0), {"sim_w": np.full(3, 2.0)})
+    cls_w, sim_w = a.grads["cls_w"], b.grads["sim_w"]
     out = ls.combine(a, b, 0.99)
     assert out.loss == pytest.approx(1.99)
-    assert np.allclose(out.dh, 0.01 * 1.0 + 0.99 * 3.0)
-    assert np.allclose(out.grads["cls_w"], 0.01)
-    assert np.allclose(out.grads["sim_w"], 0.99)
+    assert np.array_equal(out.dh, np.full((2, 2), 4.0))
+    assert sorted(out.grads) == ["cls_w", "sim_w"]
+    assert out.grads["cls_w"] is cls_w and out.grads["sim_w"] is sim_w
 
 
 def test_combine_endpoints():
@@ -241,9 +244,8 @@ def test_combine_adds_the_same_products_and_leaves_its_inputs(shape):
     p = rand(shape, seed=60, dtype=np.float32)
     s = rand(shape[::-1], seed=61, dtype=np.float32).T  # a transposed dh, as sim_bpf_loss once handed back
     a, b = ls.LocalLossResult(1.0, p.copy()), ls.LocalLossResult(2.0, s.copy(order="K"))
-    beta = 0.3
-    out = ls.combine(a, b, beta)
-    want = (1.0 - beta) * p + beta * s
+    out = ls.combine(a, b, 0.3)
+    want = s + p
     assert out.dh.dtype == want.dtype and out.dh.tobytes() == want.tobytes()
     # the sum is built in the sim part's dh; the pred part is left as it was
     assert out.dh is b.dh and a.dh.tobytes() == p.tobytes()
@@ -298,6 +300,12 @@ def test_local_block_loss_dispatch():
     sim = ls.local_block_loss("sim", 1.0, h, y, **kw)
     both = ls.local_block_loss("predsim", 0.99, h, y, **kw)
     assert both.loss == pytest.approx(0.01 * pred.loss + 0.99 * sim.loss)
+    # each part carries its weight into its gradients; a one-part mode weighs 1
+    assert np.allclose(both.dh, 0.01 * pred.dh + 0.99 * sim.dh, rtol=1e-12, atol=0)
+    assert np.allclose(both.grads["cls_w"], 0.01 * pred.grads["cls_w"], rtol=1e-12, atol=0)
+    assert np.allclose(both.grads["sim_w"], 0.99 * sim.grads["sim_w"], rtol=1e-12, atol=0)
+    assert pred.dh.tobytes() == ls.pred_loss(h, y, kw["cls_w"], kw["cls_b"]).dh.tobytes()
+    assert sim.dh.tobytes() == ls.sim_loss(h, y, kw["sim_w"], kw["sim_b"]).dh.tobytes()
     with pytest.raises(ConfigError):
         ls.local_block_loss("glob", 1.0, h, y, **kw)
     with pytest.raises(ConfigError):

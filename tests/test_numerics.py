@@ -122,6 +122,12 @@ CONV_CASES = {
     "5x7-image": ((3, 2, 5, 7), (4, 2, 3, 3), 1, 1),
     # pad > kh - 1: the input gradient's transposed conv crops g instead of padding it
     "pad-past-kernel": ((2, 2, 5, 5), (3, 2, 2, 2), 2, 2),
+    # co*h*w <= ci*ho*wo: the weight gradient comes from g's lowering
+    "same-channel": ((2, 3, 5, 5), (3, 3, 3, 3), 1, 1),
+    "same-channel-5x7": ((3, 4, 5, 7), (4, 4, 3, 3), 1, 1),
+    "g-lowered-pad0": ((2, 8, 6, 6), (3, 8, 3, 3), 1, 0),
+    "g-lowered-stride2": ((2, 8, 7, 7), (2, 8, 3, 3), 2, 1),
+    "g-lowered-pad-past-kernel": ((2, 8, 5, 5), (2, 8, 2, 2), 2, 2),
 }
 
 
@@ -148,37 +154,67 @@ CHUNK_CASES = {
     # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1;
     # the input gradient lowers g, whose 3 channels make an example's buffer
     # 27/18 as large, so there one example fits
-    "budget": ((5, 2, 5, 7), (3, 2, 3, 3), lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7, [2, 2, 1], [1] * 5),
+    "budget": (
+        (5, 2, 5, 7),
+        (3, 2, 3, 3),
+        lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7,
+        [("x", [2, 2, 1])],
+        [("x", [2, 2, 1]), ("g", [1] * 5)],
+        [("x", [2, 2, 1])],
+    ),
     # under a budget of one byte a chunk may still take a quarter of the
     # output, so 16 examples go as 4 x 4 and not as 16 one-example calls; the
     # input gradient's output has one channel, and a quarter of it holds
     # less than one example's buffer of 9-channel g
-    "quarter": ((16, 1, 5, 7), (9, 1, 3, 3), lambda x: 1, [4, 4, 4, 4], [1] * 16),
+    "quarter": (
+        (16, 1, 5, 7),
+        (9, 1, 3, 3),
+        lambda x: 1,
+        [("x", [4, 4, 4, 4])],
+        [("x", [4, 4, 4, 4]), ("g", [1] * 16)],
+        [("x", [4, 4, 4, 4])],
+    ),
+    # same-channel: g's lowering is no larger than x's, so the backward
+    # lowers g alone, once, for dk and dx both, and dk alone lowers g too
+    "same-channel": (
+        (5, 2, 5, 7),
+        (2, 2, 3, 3),
+        lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7,
+        [("x", [2, 2, 1])],
+        [("g", [2, 2, 1])],
+        [("g", [2, 2, 1])],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
-    xs, ks, budget, expected, expected_dx = CHUNK_CASES[case]
+    xs, ks, budget, forward, backward, weight_grad = CHUNK_CASES[case]
     x, k, g = _conv_case(xs, ks, 1, 1, seed=40)
     monkeypatch.setattr(nm, "COLS_BUDGET", budget(x))
-    chunks = []
+    passes = []  # (lowered array, its chunk sizes) for each pass of a call
     make_chunks = nm._im2col_chunks
 
-    def recording(*args):
-        for rows, cols in make_chunks(*args):
-            chunks.append(len(range(len(x))[rows]))
+    def recording(a, *args):
+        passes.append(("x" if a is x else "g" if a is g else "?", []))
+        for rows, cols in make_chunks(a, *args):
+            passes[-1][1].append(len(range(len(a))[rows]))
             yield rows, cols
+
+    def lowered(call):
+        passes.clear()
+        return call(), list(passes)
 
     monkeypatch.setattr(nm, "_im2col_chunks", recording)
     out, dx, dk = _conv_oracle(x, k, g, 1, 1)
-    assert np.allclose(nm.conv2d(x, k), out, rtol=1e-12, atol=1e-12)
-    got_dx, got_dk = nm.conv2d_backward(x, k, g)
+    got, passes = lowered(lambda: nm.conv2d(x, k))
+    assert np.allclose(got, out, rtol=1e-12, atol=1e-12) and passes == forward
+    (got_dx, got_dk), passes = lowered(lambda: nm.conv2d_backward(x, k, g))
     assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
-    assert np.allclose(nm.conv2d_weight_grad(x, k, g), dk, rtol=1e-12, atol=1e-12)
-    # forward; backward: dk over x, then dx over g; weight grad: dk alone
-    assert chunks == expected + expected + expected_dx + expected
+    assert passes == backward
+    got, passes = lowered(lambda: nm.conv2d_weight_grad(x, k, g))
+    assert np.allclose(got, dk, rtol=1e-12, atol=1e-12) and passes == weight_grad
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
@@ -578,6 +614,28 @@ def test_batchnorm_backward_matches_the_expanded_oracle(shape):
     assert _same_bytes(dgamma, (g * xhat).sum(axis=axes)) and _same_bytes(dbeta, g.sum(axis=axes))
 
 
+@pytest.mark.parametrize("row_block", [130, 1])
+@pytest.mark.parametrize("shape", [(16, 5), (7, 3, 4, 5)])
+def test_batchnorm_backward_sums_dgamma_a_row_block_at_a_time(shape, row_block, monkeypatch):
+    monkeypatch.setattr(nm, "ROW_BLOCK", row_block)
+    x = rand(shape, seed=42, dtype=np.float32, scale=2.0)
+    c = shape[1]
+    gamma = rand((c,), seed=43, dtype=np.float32) + 1.0
+    g = rand(shape, seed=44, dtype=np.float32)
+    _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, np.zeros(c, dtype=np.float32))
+    axes = (0,) if len(shape) == 2 else (0, 2, 3)
+    bshape = (1, c) + (1,) * (len(shape) - 2)
+    step = max(1, row_block // (g[0].size))
+    dgamma = np.zeros(c, dtype=np.float32)
+    for i in range(0, len(g), step):
+        dgamma += (g[i : i + step] * xhat[i : i + step]).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dx = g * np.float32(g.size // c) - dbeta.reshape(bshape) - xhat * dgamma.reshape(bshape)
+    dx *= (gamma * inv_std).reshape(bshape) / np.float32(g.size // c)
+    for got, want in zip(nm.batchnorm_backward(g, gamma, xhat, inv_std), (dx, dgamma, dbeta)):
+        assert _same_bytes(got, want)
+
+
 def test_batchnorm_eval_out_writes_over_its_input():
     x = rand((5, 3, 4, 4), seed=45, dtype=np.float32)
     gamma, beta = rand((3,), seed=46, dtype=np.float32), rand((3,), seed=47, dtype=np.float32)
@@ -715,6 +773,10 @@ _IN_PLACE_CALLS = {
     "std_per_feature_map_backward": lambda x, g, pos, mask: nm.std_per_feature_map_backward(
         x, g[:, :, 0, 0].copy(), std=nm.std_per_feature_map(x), out=x
     ),
+    # x stands in for xhat: the scratch depends on the shapes alone
+    "batchnorm_backward": lambda x, g, pos, mask: nm.batchnorm_backward(
+        g, np.ones(64, dtype=np.float32), x, np.ones(64, dtype=np.float32), out=g
+    ),
 }
 
 
@@ -724,12 +786,3 @@ def test_in_place_kernels_allocate_under_a_quarter_of_their_input(kernel):
     g = rand(x.shape, seed=100, dtype=np.float32)
     pos, mask = packed(x >= 0), packed(g >= -0.8)
     assert _transient_bytes(lambda: _IN_PLACE_CALLS[kernel](x, g, pos, mask)) < x.nbytes // 4
-
-
-def test_batchnorm_backward_in_place_takes_one_input_sized_scratch():
-    x = rand((16, 64, 32, 32), seed=101, dtype=np.float32)
-    g = rand(x.shape, seed=102, dtype=np.float32)
-    gamma = np.ones(64, dtype=np.float32)
-    _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, gamma)
-    extra = _transient_bytes(lambda: nm.batchnorm_backward(g, gamma, xhat, inv_std, out=g))
-    assert x.nbytes <= extra < 1.25 * x.nbytes

@@ -190,7 +190,7 @@ def test_local_grads_keyed_by_param_names():
     net = small_net("predsim", arch="fc8-fc", input_shape=(6, 1, 1), classes=3)
     x = rand((6, 6, 1, 1), seed=75, dtype=np.float32)
     y = one_hot(np.arange(6) % 3, 3, np.float32)
-    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
     block_grads = res.grads[0]
     assert set(block_grads) >= {"weight", "bias", "gamma", "beta", "cls_w", "sim_w"}
     assert set(res.grads[-1]) == {"weight", "bias"}
@@ -212,7 +212,8 @@ def test_step_contract_in_every_mode(mode):
     ]
     stats = [(b.run_mean.copy(), b.run_var.copy()) for b in net.blocks]
     logits = tr.forward_eval(net, x)
-    res, peak = peak_live_caches(lambda: tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False))
+    rngs = tr.dropout_rngs(0, 0, len(net.blocks))
+    res, peak = peak_live_caches(lambda: tr.train_step(net, x, y, 1e-3, rngs, apply=False))
     for o, saved in zip(owners, before):
         for name, (param, m, v, t) in saved.items():
             st = o.adam[name]
@@ -221,7 +222,7 @@ def test_step_contract_in_every_mode(mode):
     for b, (mean, var) in zip(net.blocks, stats):
         assert np.array_equal(b.run_mean, mean) and np.array_equal(b.run_var, var)
     assert np.array_equal(tr.forward_eval(net, x), logits)
-    tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert all(not np.array_equal(b.run_mean, mean) for b, (mean, _) in zip(net.blocks, stats))
 
     assert peak == (1 if mode in LOCAL_MODES else n_blocks)
@@ -244,7 +245,7 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
         return conv_backward(x, k, *args, **kwargs)
 
     monkeypatch.setattr(nm, "conv2d_backward", counting)
-    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
     monkeypatch.setattr(nm, "conv2d_backward", conv_backward)
 
     # every dx-producing conv backward is a sim head's, or in the global
@@ -261,12 +262,64 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
 
     monkeypatch.setattr(ly, "block_backward", always_dx)
     monkeypatch.setattr(tr, "block_backward", always_dx)
-    full = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    full = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
     assert len(full.grads) == len(res.grads)
     for want, got in zip(full.grads, res.grads):
         assert want.keys() == got.keys()
         for name in want:
             assert np.array_equal(want[name], got[name]), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_output_layer_computes_an_input_gradient_only_for_a_global_sweep(mode, monkeypatch):
+    net = small_net(mode, arch="fc16-fc8-fc", input_shape=(8, 1, 1), classes=3, dropout=0.2)
+    x = rand((6, 8, 1, 1), seed=79, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    outputs, calls = [], []
+    output_forward, matmul_backward = tr._output_forward, nm.matmul_backward
+    monkeypatch.setattr(tr, "_output_forward", lambda *a: outputs.append(output_forward(*a)) or outputs[-1])
+    monkeypatch.setattr(nm, "matmul_backward", lambda a, b, g: calls.append(b) or matmul_backward(a, b, g))
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
+    out_calls = [b for b in calls if b is net.out.weight]
+    assert len(out_calls) == (0 if MODE_TABLE[mode].local else 1)
+    # the output layer's weight gradient is matmul_backward's dw, bit for bit
+    (flat, logits), = outputs
+    _, dlogits = nm.cross_entropy_logits(logits, y)
+    _, dw = matmul_backward(flat, net.out.weight, dlogits)
+    got = res.grads[-1]["weight"]
+    assert got.dtype == dw.dtype and got.tobytes() == dw.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["predsim", "glob"])
+def test_a_blocks_dropout_masks_do_not_depend_on_another_blocks_width(mode, monkeypatch):
+    # block 0 draws the same masks in every step whatever block 1's width,
+    # because each hidden block has its own stream
+    ds = tiny_blobs()
+    masks = {}
+    block_forward = tr.block_forward
+
+    def recording(block, x, train, rng=None):
+        out, cache = block_forward(block, x, train, rng)
+        if train and block.spec.units == 16:
+            masks[width].append(cache.mask.copy())
+        return out, cache
+
+    monkeypatch.setattr(tr, "block_forward", recording)
+    for width in (8, 12):
+        masks[width] = []
+        cfg = tr.TrainConfig(arch=f"fc16-fc{width}-fc", epochs=1, lr=1e-3, batch_size=60, dropout=0.3, seed=4)
+        tr.train(cfg, LossConfig(mode), ds)
+    assert len(masks[8]) == len(masks[12]) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(masks[8], masks[12]))
+
+
+def test_step_takes_one_dropout_generator_per_block():
+    net = small_net("predsim", arch="fc16-fc8-fc", dropout=0.2)
+    x = rand((6, 8, 1, 1), seed=81, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    for count in (1, 3):
+        with pytest.raises(ConfigError, match="per hidden block"):
+            tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, count))
 
 
 @pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
@@ -289,7 +342,7 @@ def test_global_backward_frees_each_cache_above_the_block_it_runs(mode, monkeypa
 
     monkeypatch.setattr(tr, "block_forward", recording)
     monkeypatch.setattr(tr, "block_backward", checking)
-    tr.train_step(net, x, y, 1e-3, make_rng(0))
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert alive_above == [(2, []), (1, [False]), (0, [False, False])]
 
 
@@ -312,7 +365,7 @@ def test_pool_index_is_made_only_for_a_backward_that_reads_it(mode, monkeypatch)
 
     monkeypatch.setattr(nm, "maxpool2x2", recording_pool)
     monkeypatch.setattr(nm, "maxpool2x2_backward", recording_backward)
-    tr.train_step(net, x, y, 1e-3, make_rng(0), apply=False)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
     if MODE_TABLE[mode].local:
         assert made == [None, None] and read == []
     else:
@@ -342,7 +395,7 @@ def test_applied_step_drops_each_blocks_gradients_before_the_next_block(mode, mo
 
     monkeypatch.setattr(tr, "block_forward", watched_forward)
     monkeypatch.setattr(tr, "block_local_backward", watched_backward)
-    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert live_at_forward == [0, 0, 0]  # block k's dw and dh are dead before block k+1 runs
     assert len(refs) == 6 and res.grads == []
 
@@ -363,7 +416,7 @@ def test_global_sweep_drops_each_blocks_gradients_before_the_block_below(mode, m
         return grads, dx
 
     monkeypatch.setattr(tr, "block_backward", watched)
-    res = tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert live_at_backward == [0, 0, 0] and len(refs) == 3 and res.grads == []
     # each block above has been updated by the time the one below runs
     assert updated_at_backward == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
@@ -385,7 +438,7 @@ def test_pooled_block_output_is_dead_when_the_next_block_runs(mode, monkeypatch)
         return h, cache
 
     monkeypatch.setattr(tr, "block_forward", watched)
-    tr.train_step(net, x, y, 1e-3, make_rng(0), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert live_at_forward == [[], [False]]
 
 
@@ -404,7 +457,7 @@ def test_non_finite_gradient_names_its_layer(mode, backward, monkeypatch):
 
     monkeypatch.setattr(tr, backward, poisoned)
     with pytest.raises(NonFiniteError, match=rf"parameter 'gamma'\) at layer 1 \({mode}\)$"):
-        tr.train_step(net, x, y, 1e-3, make_rng(0))
+        tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     # the global sweep stops mid-way: the block above is updated, the one below is not
     t = [b.adam["weight"].t for b in net.blocks]
     assert (t[0], t[2]) == ((0, 1) if mode == "glob" else (1, 0))
@@ -414,7 +467,7 @@ def test_forward_eval_matches_the_reference_batchnorm_bitwise(monkeypatch):
     net = small_net("predsim", arch="conv3-pool-fc8-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
     x = rand((6, 2, 4, 4), seed=79, dtype=np.float32)
     y = one_hot(np.arange(6) % 3, 3, np.float32)
-    tr.train_step(net, x, y, 1e-3, make_rng(0))  # moves the running stats off their init
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))  # moves the running stats off their init
     logits = tr.forward_eval(net, x)
 
     def reference(x, gamma, beta, running_mean, running_var, eps=1e-5, out=None):
@@ -451,7 +504,7 @@ def test_non_finite_input_aborts_with_layer():
     x[0, 0] = np.nan
     y = one_hot(np.arange(4) % 3, 3, np.float32)
     with pytest.raises(NonFiniteError, match="layer 0"):
-        tr.train_step(net, x, y, 1e-3, make_rng(0))
+        tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +568,8 @@ def _recording_forward_eval(monkeypatch):
 def test_evaluate_slices_match_a_per_example_reference(batch_size, slices, monkeypatch):
     net = small_net("predsim", arch="conv8-pool-conv16-fc", input_shape=(3, 8, 8), classes=4, pred_target_dim=4)
     x = rand((16, 3, 8, 8), seed=82, dtype=np.float32)
-    tr.train_step(net, x, one_hot(np.arange(16) % 4, 4, np.float32), 1e-3, make_rng(0))  # moves the running stats
+    # moves the running stats
+    tr.train_step(net, x, one_hot(np.arange(16) % 4, 4, np.float32), 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     ds = Dataset(rand((37, 3, 8, 8), seed=83, dtype=np.float32), np.arange(37) % 4, 4, "probe")
     reference = np.concatenate([tr.forward_eval(net, ds.images[i : i + 1]) for i in range(len(ds))])
     # the widest activation, block 0's output, is 8*8*8 float32: 2 KiB, so 8 examples fill 16 KiB
@@ -695,7 +749,7 @@ def test_conv_step_peak_stays_near_the_first_block_output(mode):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        tr.train_step(net, x, y, 1e-3, make_rng(1))
+        tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(1, 0, len(net.blocks)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
