@@ -96,7 +96,9 @@ class LayerSpec:
     Frozen, so the spec a block runs with is the one __post_init__ checked.
     """
 
-    # every conv block is 3x3, stride 1, pad 1, so it keeps its input's extent
+    # every conv block is 3x3, stride 1, pad 1, so it keeps its input's
+    # extent; numerics.conv2d takes no stride or pad, and the benchmark's
+    # flop count (perfbench/perlayer.py) reads stride and pad from here
     kernel: ClassVar[int] = 3
     stride: ClassVar[int] = 1
     pad: ClassVar[int] = 1
@@ -290,7 +292,7 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         pre += block.bias
     else:
         x2 = x
-        pre = nm.conv2d(x, block.weight, spec.stride, spec.pad)
+        pre = nm.conv2d(x, block.weight)
         pre += block.bias[None, :, None, None]
 
     # nothing reads pre after batchnorm, nor bn_out after the leaky relu (its
@@ -337,9 +339,9 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
         db = g.sum(axis=0)
     else:
         if need_dx:
-            dx, dw = nm.conv2d_backward(cache.x, block.weight, g, spec.stride, spec.pad)
+            dx, dw = nm.conv2d_backward(cache.x, block.weight, g)
         else:
-            dw = nm.conv2d_weight_grad(cache.x, block.weight, g, spec.stride, spec.pad)
+            dw = nm.conv2d_weight_grad(cache.x, block.weight, g)
         db = g.sum(axis=(0, 2, 3))
     return {"weight": dw, "bias": db, "gamma": dgamma, "beta": dbeta}, dx
 

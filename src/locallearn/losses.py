@@ -189,9 +189,9 @@ def sim_loss(
     if h.ndim == 4:
         # nothing reads the head's feature map once its std is taken, so its
         # gradient is written over it; the head's dx gets a buffer of its own
-        feat = nm.conv2d(h, head_w, stride=1, pad=1)
+        feat = nm.conv2d(h, head_w)
         loss, dfeat = _sim_match(feat, target_sim, weight, out=feat)
-        dh, dw = nm.conv2d_backward(h, head_w, dfeat, stride=1, pad=1)
+        dh, dw = nm.conv2d_backward(h, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
 

@@ -29,20 +29,21 @@ Conventions:
     this module writes or reads them, a row block at a time, so no
     full-size bool array ever exists
 
-Convolutions are GEMMs over im2col buffers, a chunk of examples at a time.
-conv2d and the input gradient share one private lowering: a conv's dx is
-itself a forward conv (the transposed conv) of g spread stride apart, with
-the kernel flipped in space and its in and out channels swapped, so no
-gradient is scatter-added back into the input. The lowering zeroes one
-padded canvas per call and copies each chunk into it; no chunk is padded
-on its own. conv2d itself runs forward convs only. The weight gradient
-comes from the smaller of the two lowerings a backward could make, x's
-(ci*kh*kw rows of n*ho*wo columns) or g's (co*kh*kw rows of n*h*w), and when
-it is g's the input gradient's GEMM reads the same buffer: a same-channel,
-stride-1 conv such as the sim heads' lowers once per backward, a conv that
-widens its channels lowers x for dk and g for dx.
-std_per_feature_map_backward takes the forward's std rather than
-recomputing it, and writes the gradient into one buffer.
+Every convolution is a 3x3 same conv (stride 1, one pixel of zero padding,
+so the output keeps the input's extent), the only conv the networks build:
+a GEMM over im2col buffers, a chunk of examples at a time.
+conv2d and the input gradient share one private lowering: a conv's dx is the
+same conv of g, with the kernel flipped in space and its in and out channels
+swapped, so no gradient is scatter-added back into the input. The lowering
+zeroes one (h+2, w+2) canvas per call and copies each chunk into its
+interior; no chunk is padded on its own. The weight gradient comes from the
+smaller of the two lowerings a backward could make, x's (ci*9 rows) or g's
+(co*9 rows, both of n*h*w columns), and when it is g's the input gradient's
+GEMM reads the same buffer: a conv that keeps or narrows its channels, such
+as the sim heads', lowers once per backward, a conv that widens them lowers
+x for dk and g for dx.
+std_per_feature_map_backward takes the forward's std, and writes the
+gradient into one buffer.
 """
 
 from __future__ import annotations
@@ -105,13 +106,6 @@ def matmul_backward(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     return g @ b.T, a.T @ g
 
 
-def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
-    out = (size + 2 * pad - k) // stride + 1
-    if out < 1:
-        raise ShapeError(f"conv kernel {k} (stride {stride}, pad {pad}) does not fit extent {size}")
-    return out
-
-
 # Bytes one chunk's im2col buffer (and each product the chunk makes with it)
 # may take, or a quarter of the conv output's bytes when that is more; the
 # batch is lowered a few examples at a time to stay under it. Evaluation
@@ -124,136 +118,116 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
 COLS_BUDGET = 4 << 20
 
 
-def _placement(size: int, extent: int, offset: int, step: int):
-    """(source slice, canvas slice) that put element i of an axis of `size`
-    at offset + i*step of a canvas axis of `extent`, leaving out the
-    elements that land outside it."""
-    lo = max(0, -(offset // step))
-    hi = max(lo, min(size, -((offset - extent) // step)))
-    start = offset + lo * step
-    return slice(lo, hi), slice(start, start + (hi - lo) * step, step)
+def _im2col_chunks(x: np.ndarray, co: int):
+    """Yield (examples, cols) over the batch in chunks, for a conv of x to co
+    channels; cols[(c,u,v), (i,p,q)] is pixel (c, p+u-1, q+v-1) of example i
+    of the chunk, zero off the image, so that each product with cols is a
+    single 2-d GEMM.
 
-
-def _im2col_chunks(x: np.ndarray, kshape: tuple, stride: int, pad: tuple, ho: int, wo: int, dilate: int = 1):
-    """Yield (examples, cols) over the batch in chunks; cols[(c,u,v), (i,p,q)]
-    is canvas pixel (c, p*stride+u, q*stride+v) of example i of the chunk,
-    so that each product with cols is a single 2-d GEMM.
-
-    The canvas is the input spread `dilate` apart and shifted by pad = (top,
-    left), zeros elsewhere, and as large as the windows read. It is one
-    zeroed buffer per call: each chunk writes the same pixels of it, so its
-    zeros are never overwritten. cols, too, is one buffer per call, which
-    each chunk's windows are copied into, so a consumer must be done with
-    one chunk's cols before it asks for the next.
+    Each chunk is copied into the interior of one zeroed (h+2, w+2) canvas
+    per call, so the canvas border is never written. cols, too, is one
+    buffer per call, which each chunk's windows are copied into, so a
+    consumer must be done with one chunk's cols before it asks for the next.
     """
     n, ci, h, w = x.shape
-    co, _, kh, kw = kshape
-    per_example = x.itemsize * ho * wo * max(ci * kh * kw, co)
-    budget = max(COLS_BUDGET, x.itemsize * n * co * ho * wo // 4)
+    per_example = x.itemsize * h * w * max(ci * 9, co)
+    budget = max(COLS_BUDGET, x.itemsize * n * co * h * w // 4)
     m = max(1, budget // per_example)
-    ch, cw = (ho - 1) * stride + kh, (wo - 1) * stride + kw
-    src_h, dst_h = _placement(h, ch, pad[0], dilate)
-    src_w, dst_w = _placement(w, cw, pad[1], dilate)
-    canvas = np.zeros((min(m, n), ci, ch, cw), dtype=x.dtype)
-    buf = np.empty(ci * kh * kw * min(m, n) * ho * wo, dtype=x.dtype)
+    canvas = np.zeros((min(m, n), ci, h + 2, w + 2), dtype=x.dtype)
+    buf = np.empty(ci * 9 * min(m, n) * h * w, dtype=x.dtype)
     for i in range(0, n, m):
         rows = slice(i, i + m)
         chunk = canvas[: min(m, n - i)]
-        chunk[:, :, dst_h, dst_w] = x[rows, :, src_h, src_w]
-        win = sliding_window_view(chunk, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = buf[: ci * kh * kw * len(chunk) * ho * wo].reshape(ci, kh, kw, len(chunk), ho, wo)
-        np.copyto(cols, win.transpose(1, 4, 5, 0, 2, 3))
-        yield rows, cols.reshape(ci * kh * kw, -1)
+        chunk[:, :, 1:-1, 1:-1] = x[rows]
+        cols = buf[: ci * 9 * len(chunk) * h * w].reshape(ci, 3, 3, len(chunk), h, w)
+        np.copyto(cols, sliding_window_view(chunk, (3, 3), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3))
+        yield rows, cols.reshape(ci * 9, -1)
 
 
-def _lowered_conv(x: np.ndarray, k: np.ndarray, stride: int, pad: tuple, ho: int, wo: int, dilate: int = 1):
-    """The (n, co, ho, wo) cross-correlation of the canvas of x (see
-    _im2col_chunks) with k, one GEMM per chunk of examples."""
-    n, co = x.shape[0], k.shape[0]
-    out = np.empty((n, co, ho * wo), dtype=x.dtype)
+def _lowered_conv(x: np.ndarray, k: np.ndarray):
+    """The (n, co, h, w) conv of x with k, one GEMM per chunk of examples."""
+    n, _, h, w = x.shape
+    co = k.shape[0]
+    out = np.empty((n, co, h * w), dtype=x.dtype)
     k2 = k.reshape(co, -1)
-    for rows, cols in _im2col_chunks(x, k.shape, stride, pad, ho, wo, dilate):
-        out[rows] = (k2 @ cols).reshape(co, -1, ho * wo).transpose(1, 0, 2)
-    return out.reshape(n, co, ho, wo)
+    for rows, cols in _im2col_chunks(x, co):
+        out[rows] = (k2 @ cols).reshape(co, -1, h * w).transpose(1, 0, 2)
+    return out.reshape(n, co, h, w)
 
 
-def conv2d(x: np.ndarray, k: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
-    """Cross-correlation of an NCHW batch with OIHW kernels.
-
-    Lowered to one GEMM per chunk of examples: the kernel as a
-    (co, ci*kh*kw) matrix times that chunk's im2col buffer, sized as the
-    COLS_BUDGET note says. One BLAS call per chunk, not per example, keeps
-    the number of multithreaded calls (and their thread hand-offs) small.
-    """
-    x = _as_float(x, "x")
-    k = _as_float(k, "k")
+def _check_conv(x: np.ndarray, k: np.ndarray) -> None:
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and k, got {x.shape} and {k.shape}")
     if x.shape[1] != k.shape[1]:
         raise ShapeError(f"channel mismatch: input has {x.shape[1]}, kernel expects {k.shape[1]}")
-    if stride < 1 or pad < 0:
-        raise ConfigError(f"bad stride/pad: {stride}/{pad}")
-    _, _, h, w = x.shape
-    _, _, kh, kw = k.shape
-    ho = _conv_out_extent(h, kh, stride, pad)
-    wo = _conv_out_extent(w, kw, stride, pad)
-    return _lowered_conv(x, k, stride, (pad, pad), ho, wo)
+    if k.shape[2:] != (3, 3):
+        raise ShapeError(f"conv2d takes 3x3 kernels, got {k.shape[2]}x{k.shape[3]}")
 
 
-def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int, pad: int, need_dx: bool):
+def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """3x3 same cross-correlation of an NCHW batch with OIHW kernels.
+
+    Lowered to one GEMM per chunk of examples: the kernel as a (co, ci*9)
+    matrix times that chunk's im2col buffer, sized as the COLS_BUDGET note
+    says. One BLAS call per chunk, not per example, keeps the number of
+    multithreaded calls (and their thread hand-offs) small.
+    """
+    x = _as_float(x, "x")
+    k = _as_float(k, "k")
+    _check_conv(x, k)
+    return _lowered_conv(x, k)
+
+
+def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
     """(dx or None, dk) of sum(g * conv2d(x, k)).
 
-    dx is the transposed conv, a forward one: g spread `stride` apart,
-    correlated at stride 1 with the kernel flipped in space and swapped in
-    and out channels, with kh-1-pad rows of padding on top (a negative pad
-    crops) and as many at the bottom as the output needs to come out h high.
+    dx is the same conv of g with the kernel flipped in space and its in
+    and out channels swapped.
 
     dk comes from whichever lowering is smaller, chosen on the shapes alone,
-    so it is the same bytes with or without dx. x's im2col has ci*kh*kw rows
-    of n*ho*wo columns, g's (the one the transposed conv reads) co*kh*kw
-    rows of n*h*w. Over x's chunks dk adds up g @ colsᵀ, and dx, if wanted,
-    lowers g afterwards. Over g's chunks the same cols feed both GEMMs, one
-    lowering in all: dk adds up, an example at a time, cols @ x[i]ᵀ, a
-    (co, kh-1-u, kw-1-v) by ci product that the end un-flips to (co, ci, u, v).
+    so it is the same bytes with or without dx. x's im2col has ci*9 rows,
+    g's co*9, both of n*h*w columns. Over x's chunks dk adds up g @ colsᵀ,
+    and dx, if wanted, lowers g afterwards. Over g's chunks the same cols
+    feed both GEMMs, one lowering in all: dk adds up, an example at a time,
+    cols @ x[i]ᵀ, a (co, 2-u, 2-v) by ci product that the end un-flips to
+    (co, ci, u, v).
     """
+    _check_conv(x, k)
     n, ci, h, w = x.shape
-    co, _, kh, kw = k.shape
-    ho = _conv_out_extent(h, kh, stride, pad)
-    wo = _conv_out_extent(w, kw, stride, pad)
-    if g.shape != (n, co, ho, wo):
-        raise ShapeError(f"upstream grad shape {g.shape} does not match {(n, co, ho, wo)}")
+    co = k.shape[0]
+    if g.shape != (n, co, h, w):
+        raise ShapeError(f"upstream grad shape {g.shape} does not match {(n, co, h, w)}")
     flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    back_pad = (kh - 1 - pad, kw - 1 - pad)
-    if co * h * w > ci * ho * wo:
-        g3 = g.reshape(n, co, ho * wo)
+    if co > ci:
+        g3 = g.reshape(n, co, h * w)
         dk = np.zeros_like(k).reshape(co, -1)
-        for rows, cols in _im2col_chunks(x, k.shape, stride, (pad, pad), ho, wo):
+        for rows, cols in _im2col_chunks(x, co):
             dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
         cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
-        dx = _lowered_conv(g, flipped, 1, back_pad, h, w, dilate=stride) if need_dx else None
+        dx = _lowered_conv(g, flipped) if need_dx else None
         return dx, dk.reshape(k.shape)
     x3 = x.reshape(n, ci, h * w)
-    dkf = np.zeros((co * kh * kw, ci), dtype=k.dtype)
+    dkf = np.zeros((co * 9, ci), dtype=k.dtype)
     dx = np.empty((n, ci, h * w), dtype=x.dtype) if need_dx else None
     f2 = flipped.reshape(ci, -1)
-    for rows, cols in _im2col_chunks(g, flipped.shape, 1, back_pad, h, w, stride):
+    for rows, cols in _im2col_chunks(g, ci):
         for j, i in enumerate(range(n)[rows]):
             dkf += cols[:, j * h * w : (j + 1) * h * w] @ x3[i].T
         if need_dx:
             dx[rows] = (f2 @ cols).reshape(ci, -1, h * w).transpose(1, 0, 2)
-    dk = dkf.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    dk = dkf.reshape(co, 3, 3, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return (None if dx is None else dx.reshape(n, ci, h, w)), np.ascontiguousarray(dk)
 
 
-def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1):
+def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     """Gradients of sum(g * conv2d(x, k)) w.r.t. x and k."""
-    return _conv_grads(x, k, g, stride, pad, need_dx=True)
+    return _conv_grads(x, k, g, need_dx=True)
 
 
-def conv2d_weight_grad(x: np.ndarray, k: np.ndarray, g: np.ndarray, stride: int = 1, pad: int = 1) -> np.ndarray:
+def conv2d_weight_grad(x: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The dk of conv2d_backward alone, bit for bit, for a caller that never
     reads the input gradient."""
-    return _conv_grads(x, k, g, stride, pad, need_dx=False)[1]
+    return _conv_grads(x, k, g, need_dx=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +488,19 @@ def leaky_relu_backward(positive: np.ndarray, g: np.ndarray, slope: float = 0.0,
     return out
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool = True, out=None):
-    """Inverted dropout. Returns (y, mask); mask is None in eval mode.
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, out=None):
+    """Inverted dropout, for training. Returns (y, mask).
 
-    Keeping E[y] = x means surviving units are scaled by 1/(1-rate), so eval
-    mode is the identity and consumes no randomness. The mask is the packed
+    Keeping E[y] = x means surviving units are scaled by 1/(1-rate), so an
+    eval-mode network skips dropout altogether. The mask is the packed
     form (see the module docstring) of rng.random(x.shape) >= rate, drawn a
     block of rows at a time into one small float64 buffer: the same doubles,
     and the same generator state after, as one whole draw. y goes into out
-    in train mode (a new array by default; out=x overwrites x).
+    (a new array by default; out=x overwrites x).
     """
     x = _as_float(x, "x")
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train:
-        return x, None
     if out is None:
         out = np.empty_like(x)
     mask = np.empty(_packed_shape(x), dtype=np.uint8)  # depends on shape and rng only, never on values
@@ -574,18 +546,16 @@ def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return np.sqrt(var + x.dtype.type(eps))
 
 
-def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, eps: float = 1e-8, std=None, out=None) -> np.ndarray:
-    """Gradient of sum(g * std_per_feature_map(x)) w.r.t. x.
+def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, std: np.ndarray, out=None) -> np.ndarray:
+    """Gradient of sum(g * std_per_feature_map(x)) w.r.t. x, std the
+    forward's result.
 
-    std is the forward's result, recomputed from x when not given. The
-    gradient is written into one buffer, out (a new array by default; out=x
-    overwrites x).
+    The gradient is written into one buffer, out (a new array by default;
+    out=x overwrites x).
     """
     if g.shape != x.shape[:2]:
         raise ShapeError(f"grad shape {g.shape} does not match {x.shape[:2]}")
     n, c, h, w = x.shape
-    if std is None:
-        std = std_per_feature_map(x, eps)
     # d std/dx_i = (x_i - mu) / (HW * s); the mean term cancels because sum(x - mu) = 0
     dx = np.subtract(x, x.mean(axis=(2, 3), keepdims=True), out=out)
     dx *= g[:, :, None, None]

@@ -44,6 +44,13 @@ def test_corrupt_hook_flags_named_check(monkeypatch):
     assert by_name["conv2d_3x3"].ok
 
 
+def test_mode_checks_read_under_a_millionth(results):
+    # the extrapolated finite difference leaves no truncation error at the
+    # scale of the threshold
+    modes = {r.name: r.max_err for r in results if r.name.startswith("mode_")}
+    assert len(modes) == len(MODES) and max(modes.values()) < 1e-6, modes
+
+
 def test_every_loss_mode_is_covered(results):
     names = {r.name for r in results}
     for mode in MODES:
@@ -52,7 +59,7 @@ def test_every_loss_mode_is_covered(results):
 
 def test_every_backward_op_is_covered(results):
     names = {r.name for r in results}
-    for op in ("matmul", "conv2d_3x3", "conv2d_stride2", "conv2d_7x7", "maxpool2x2",
+    for op in ("matmul", "conv2d_3x3", "conv2d_same_channel", "conv2d_narrowing", "maxpool2x2",
                "avgpool", "batchnorm_dense", "batchnorm_conv", "leaky_relu", "dropout",
                "std_per_feature_map", "cross_entropy", "binary_cross_entropy",
                "similarity_matrix", "sim_loss_dense", "sim_loss_conv", "pred_loss_dense",
