@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
     # fail on a config the data cannot run before touching the filesystem
     cfg.validate_for(train_ds)
 
-    train_std, test_std = datamod.standardize(train_ds, test_ds)
+    datamod.standardize(datamod.channel_stats(train_ds), train_ds, test_ds)
     os.makedirs(args.out, exist_ok=True)
     write_manifest(
         os.path.join(args.out, "manifest.txt"),
@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
         },
     )
 
-    net, history = train(cfg, loss, train_std, test_std)
+    net, history = train(cfg, loss, train_ds, test_ds)
 
     with open(os.path.join(args.out, "metrics.csv"), "w") as f:
         f.write(metrics_csv(history))
@@ -192,13 +192,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_eval(args) -> int:
     train_ds, test_ds = _load_dataset(args.dataset, args.data_dir, args.seed)
     # the train split lends its channel statistics and is never standardized
-    test_std = datamod.standardized(test_ds, datamod.channel_stats(train_ds))
-    spec = parse_arch(args.arch, test_std.images.shape[1:], test_std.num_classes, args.width_mult)
+    datamod.standardize(datamod.channel_stats(train_ds), test_ds)
+    spec = parse_arch(args.arch, test_ds.images.shape[1:], test_ds.num_classes, args.width_mult)
     # heads never run at inference; a plain-backprop skeleton accepts any
     # mode's checkpoint and picks the trained slope up from it
     net = build_network(spec, LossConfig(mode="glob"))
     load_network_state(net, args.checkpoint)
-    err = evaluate(net, test_std, args.batch_size)
+    err = evaluate(net, test_ds, args.batch_size)
     print(f"test_error={err:.6f}")
     return 0
 

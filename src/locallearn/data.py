@@ -1,11 +1,10 @@
 """Dataset loading, augmentation, and the synthetic fixtures.
 
-Images are float32 NCHW in [0, 1] straight off disk; call standardize() once
-with the train split to get per-channel zero mean / unit variance for all
-splits, or standardized() with the train split's channel_stats() for one
-split alone. Augmentations operate on single images and are composed per
-batch in a fixed order (jitter, flip, cutout) so a seeded rng reproduces a
-run.
+Each split is decoded once into one float32 NCHW array in [0, 1];
+standardize() with the train split's channel_stats() then shifts and scales
+the splits it is given in place, so a run holds one float32 copy of each.
+Augmentations operate on single images and are composed per batch in a
+fixed order (jitter, flip, cutout) so a seeded rng reproduces a run.
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """A split: float32 images (n, c, h, w), int labels (n,), class count."""
+    """A split: float32 images (n, c, h, w), int labels (n,) in
+    0..num_classes-1, class count. Images are in [0, 1] as loaded and are
+    standardized in place."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -39,6 +40,12 @@ class Dataset:
             raise ShapeError(f"images must be (n, c, h, w), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ShapeError(f"{self.labels.shape[0]} labels for {self.images.shape[0]} images")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
+        if bad.size:
+            i = bad[0]
+            raise DataError(
+                f"{self.name or 'split'}: label {self.labels[i]} at index {i} is outside 0..{self.num_classes - 1}"
+            )
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -69,8 +76,9 @@ def load_idx_images(path) -> np.ndarray:
     need = 16 + n * rows * cols
     if len(buf) != need:
         raise DataError(f"{path}: expected {need} bytes, found {len(buf)}")
-    pixels = np.frombuffer(buf, dtype=np.uint8, offset=16)
-    return (pixels.reshape(n, 1, rows, cols).astype(np.float32)) / np.float32(255.0)
+    images = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols).astype(np.float32)
+    images /= np.float32(255.0)
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -155,28 +163,22 @@ def load_mnist_dir(data_dir, split: str, name: str = "mnist") -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_cifar_records(buf: bytes, path) -> tuple[np.ndarray, np.ndarray]:
-    if len(buf) % 3073:
-        raise DataError(f"{path}: size {len(buf)} is not a multiple of 3073")
-    rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, 3073)
-    labels = rec[:, 0].astype(np.int64)
-    images = rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / np.float32(255.0)
-    return images, labels
-
-
 def load_cifar10(data_dir, split: str) -> Dataset:
-    """CIFAR-10 from the standard binary batches."""
+    """CIFAR-10 from the standard binary batches, decoded in one pass."""
     names = [f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train" else ["test_batch.bin"]
-    images, labels = [], []
+    records = []
     for n in names:
         p = os.path.join(data_dir, n)
         if not os.path.exists(p):
             raise DataError(f"missing CIFAR batch {p}")
-        with open(p, "rb") as f:
-            im, lb = _parse_cifar_records(f.read(), p)
-        images.append(im)
-        labels.append(lb)
-    return Dataset(np.concatenate(images), np.concatenate(labels), 10, f"cifar10/{split}")
+        raw = np.fromfile(p, dtype=np.uint8)
+        if raw.size % 3073:
+            raise DataError(f"{p}: size {raw.size} is not a multiple of 3073")
+        records.append(raw)
+    rec = np.concatenate(records).reshape(-1, 3073)
+    images = rec[:, 1:].astype(np.float32).reshape(-1, 3, 32, 32)
+    images /= np.float32(255.0)
+    return Dataset(images, rec[:, 0].astype(np.int64), 10, f"cifar10/{split}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def channel_stats(train: Dataset):
     The population variance adds up the centered squares a block of images
     at a time (numerics.ROW_BLOCK elements), in float64, so no temporary as
     large as the split exists. A constant channel's std is guarded with an
-    epsilon rather than letting standardized() divide by zero.
+    epsilon rather than letting standardize() divide by zero.
     """
     x = train.images
     mean = x.mean(axis=(0, 2, 3))
@@ -281,23 +283,13 @@ def channel_stats(train: Dataset):
     return mean[None, :, None, None], std[None, :, None, None]
 
 
-def standardized(ds: Dataset, stats) -> Dataset:
-    """A new split: ds shifted and scaled by channel_stats() of a train split,
-    worked in the one new array: (x - m) / s."""
+def standardize(stats, *splits: Dataset) -> None:
+    """Shift and scale each split's images in place by a train split's
+    channel_stats(): x = (x - m) / s, per channel."""
     m, s = stats
-    out = np.subtract(ds.images, m)
-    out /= s
-    return Dataset(out, ds.labels, ds.num_classes, ds.name)
-
-
-def standardize(train: Dataset, *others: Dataset):
-    """Per-channel zero mean / unit std, statistics from the train split only.
-
-    Returns the transformed datasets in the order given.
-    """
-    stats = channel_stats(train)
-    out = [standardized(d, stats) for d in (train,) + others]
-    return out[0] if not others else tuple(out)
+    for ds in splits:
+        ds.images -= m
+        ds.images /= s
 
 
 def synthetic_blobs(

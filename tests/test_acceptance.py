@@ -198,9 +198,9 @@ def test_criterion_06_mnist_mlp_trend():
             "train/t10k ubyte files under tests/data/mnist); this criterion "
             "needs the real dataset and cannot be checked without it"
         )
-    train_raw = dt.load_mnist_dir(data_dir, "train")
-    test_raw = dt.load_mnist_dir(data_dir, "test")
-    train_ds, test_ds = dt.standardize(train_raw, test_raw)
+    train_ds = dt.load_mnist_dir(data_dir, "train")
+    test_ds = dt.load_mnist_dir(data_dir, "test")
+    dt.standardize(dt.channel_stats(train_ds), train_ds, test_ds)
 
     means = {}
     for mode in ("glob", "pred", "sim", "predsim"):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,31 @@ def _write_mnist_dir(path, n_train, n_test):
         datamod.write_idx_images(path / f"{prefix}-images-idx3-ubyte", gen.integers(0, 256, (n, 28, 28), dtype=np.uint8))
         datamod.write_idx_labels(path / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 10)
     return path
+
+
+def _write_cifar_dir(path, per_batch, n_test):
+    """A CIFAR-10 binary directory of random images, labels 0..9 in turn."""
+    path.mkdir()
+    gen = np.random.default_rng(0)
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+    for name in names:
+        n = n_test if name == "test_batch.bin" else per_batch
+        records = np.empty((n, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(n) % 10
+        records[:, 1:] = gen.integers(0, 256, (n, 3072), dtype=np.uint8)
+        (path / name).write_bytes(records.tobytes())
+    return path
+
+
+def _set_cifar_test_labels(data_dir, index, value):
+    records = np.fromfile(data_dir / "test_batch.bin", dtype=np.uint8).reshape(-1, 3073)
+    records[index, 0] = value
+    (data_dir / "test_batch.bin").write_bytes(records.tobytes())
+
+
+def _cifar_train_argv(data_dir, out):
+    return ["train", "--dataset", "cifar10", "--data-dir", str(data_dir), "--arch", "fc16-fc",
+            "--epochs", "1", "--batch-size", "8", "--out", str(out)]
 
 
 def _mnist_train_argv(data_dir, out):
@@ -179,6 +205,38 @@ def test_empty_test_split_is_rejected_before_training(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_label_outside_the_classes_is_rejected_before_training(tmp_path, capsys):
+    data_dir = _write_cifar_dir(tmp_path / "cifar", per_batch=8, n_test=40)
+    _set_cifar_test_labels(data_dir, [3, 11, 20, 27, 39], 200)
+    assert main(_cifar_train_argv(data_dir, tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cifar10/test: label 200 at index 3 is outside 0..9")
+    assert not (tmp_path / "x").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_train_holds_one_float32_copy_of_each_split(tmp_path, monkeypatch):
+    data_dir = _write_cifar_dir(tmp_path / "cifar", per_batch=400, n_test=500)
+    live = []
+
+    def stop(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise _Stop
+
+    monkeypatch.setattr(cli, "train", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            main(_cifar_train_argv(data_dir, tmp_path / "run"))
+    finally:
+        tracemalloc.stop()
+    one_copy = (2000 + 500) * 3 * 32 * 32 * 4  # float32 bytes of both splits
+    assert live[0] <= 1.1 * one_copy, live[0] / one_copy
+
+
 def test_beta_for_a_mode_that_never_reads_it_writes_nothing(tmp_path, capsys):
     assert main(_train_argv(tmp_path / "x", **{"--loss": "pred", "--beta": "0.3"})) == 1
     err = capsys.readouterr().err
@@ -279,18 +337,32 @@ def test_eval_on_an_empty_split_is_an_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_eval_rejects_a_label_outside_the_classes(tmp_path, capsys):
+    data_dir = _write_cifar_dir(tmp_path / "cifar", per_batch=8, n_test=40)
+    out = tmp_path / "run"
+    assert main(_cifar_train_argv(data_dir, out)) == 0
+    capsys.readouterr()
+    _set_cifar_test_labels(data_dir, [3, 11, 20, 27, 39], 200)
+    code = main(["eval", "--checkpoint", str(out / "final.ckpt"), "--dataset", "cifar10",
+                 "--data-dir", str(data_dir), "--arch", "fc16-fc"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cifar10/test: label 200 at index 3 is outside 0..9")
+    assert captured.out == ""
+
+
 def test_eval_standardizes_the_test_split_alone(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(_train_argv(out, **{"--epochs": "1"})) == 0
     train_line = capsys.readouterr().out.strip()
     sizes = []
-    standardized = datamod.standardized
+    standardize = datamod.standardize
 
-    def recording(ds, stats):
-        sizes.append(len(ds))
-        return standardized(ds, stats)
+    def recording(stats, *splits):
+        sizes.extend(len(ds) for ds in splits)
+        standardize(stats, *splits)
 
-    monkeypatch.setattr(datamod, "standardized", recording)
+    monkeypatch.setattr(datamod, "standardize", recording)
     code = main(["eval", "--checkpoint", str(out / "final.ckpt"),
                  "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
     assert code == 0
@@ -309,12 +381,15 @@ def test_eval_missing_flag_exits_2(capsys):
 # gradcheck
 # ---------------------------------------------------------------------------
 
-def test_gradcheck_passes_and_reports_every_mode(capsys):
+def test_gradcheck_passes_and_reports_every_mode(capsys, monkeypatch, gradcheck_run):
+    results, _ = gradcheck_run  # the session's one run of the suite, printed by the CLI
+    monkeypatch.setattr(gc, "run_all", lambda corrupt=None: results)
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     for mode in ("pred", "sim", "predsim", "pred-bpf", "sim-bpf", "predsim-bpf", "glob"):
         assert f"mode_{mode} " in out or f"mode_{mode}" in out, mode
     assert "FAIL" not in out
+    assert f"gradcheck passed: {len(results)} checks" in out
 
 
 def test_gradcheck_corrupt_exits_1_naming_op(capsys, monkeypatch):

@@ -98,8 +98,33 @@ def test_cifar_loader_record_format(tmp_path):
                 f.write(bytes([labels[i]]) + pixels[i].tobytes())
     ds = dt.load_cifar10(tmp_path, "train")
     assert ds.images.shape == (5 * n, 3, 32, 32)
-    assert np.array_equal(ds.labels[:n], labels)
+    assert np.array_equal(ds.labels, np.tile(labels, 5))
     assert ds.images.max() <= 1.0 and ds.images.min() >= 0.0
+    want = np.tile(pixels, (5, 1)).reshape(-1, 3, 32, 32).astype(np.float32) / np.float32(255)
+    assert ds.images.tobytes() == want.tobytes()
+
+
+def test_idx_images_decode_bytes(tmp_path):
+    pixels = make_rng(90).integers(0, 256, (6, 5, 7), dtype=np.uint8)
+    p = tmp_path / "img.idx"
+    dt.write_idx_images(p, pixels)
+    images = dt.load_idx_images(p)
+    assert images.dtype == np.float32 and images.shape == (6, 1, 5, 7)
+    assert images.tobytes() == (pixels[:, None].astype(np.float32) / np.float32(255)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [10, -1])
+def test_label_outside_the_classes_names_split_index_and_value(bad):
+    labels = np.array([0, 9, bad, 3, bad], dtype=np.int64)
+    with pytest.raises(DataError, match=rf"cifar10/test: label {bad} at index 2 is outside 0\.\.9"):
+        dt.Dataset(np.zeros((5, 3, 2, 2), np.float32), labels, 10, "cifar10/test")
+
+
+def test_idx_labels_file_holding_a_ten_is_rejected(tmp_path):
+    dt.write_idx_images(tmp_path / "train-images-idx3-ubyte", _fixture_images(n=3))
+    dt.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([1, 10, 2]))
+    with pytest.raises(DataError, match=r"mnist/train: label 10 at index 1"):
+        dt.load_mnist_dir(tmp_path, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +226,16 @@ def test_standardize_train_stats():
                        np.zeros(50, dtype=np.int64), 10, "train")
     test = dt.Dataset(make_rng(88).random((20, 3, 4, 4)).astype(np.float32),
                       np.zeros(20, dtype=np.int64), 10, "test")
-    raw_test = test.images.copy()
-    strain, stest = dt.standardize(train, test)
-    m = strain.images.mean(axis=(0, 2, 3))
-    s = strain.images.std(axis=(0, 2, 3))
+    raw_train, raw_test = train.images.copy(), test.images.copy()
+    dt.standardize(dt.channel_stats(train), train, test)
+    m = train.images.mean(axis=(0, 2, 3))
+    s = train.images.std(axis=(0, 2, 3))
     assert np.max(np.abs(m)) < 1e-4
     assert np.max(np.abs(s - 1.0)) < 1e-4
     # the test split is shifted by the train statistics, not its own
-    mu = train.images.mean(axis=(0, 2, 3), keepdims=False)
-    assert not np.allclose(stest.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-3)
-    assert np.allclose(stest.images[:, 0], (raw_test[:, 0] - mu[0]) / train.images[:, 0].std(), atol=1e-2)
+    mu = raw_train.mean(axis=(0, 2, 3), keepdims=False)
+    assert not np.allclose(test.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-3)
+    assert np.allclose(test.images[:, 0], (raw_test[:, 0] - mu[0]) / raw_train[:, 0].std(), atol=1e-2)
 
 
 def test_standardized_split_matches_standardize_bitwise():
@@ -219,11 +244,16 @@ def test_standardized_split_matches_standardize_bitwise():
     test = dt.Dataset(make_rng(88).random((20, 3, 4, 4)).astype(np.float32),
                       np.zeros(20, dtype=np.int64), 10, "test")
     m, s = dt.channel_stats(train)
-    alone = dt.standardized(test, (m, s))
-    assert alone.images.dtype == np.float32
-    assert alone.images.tobytes() == ((test.images - m) / s).tobytes()
-    assert np.array_equal(alone.images, dt.standardize(train, test)[1].images)
-    assert alone.name == "test" and np.array_equal(alone.labels, test.labels)
+    raw = test.images.copy()
+    together = dt.Dataset(raw.copy(), test.labels.copy(), 10, "together")
+    images = test.images
+    dt.standardize((m, s), test)
+    assert test.images is images  # worked in place, no second array
+    assert test.images.dtype == np.float32
+    assert test.images.tobytes() == ((raw - m) / s).tobytes()
+    dt.standardize((m, s), train, together)
+    assert np.array_equal(test.images, together.images)
+    assert test.name == "test" and np.array_equal(test.labels, np.zeros(20, dtype=np.int64))
 
 
 def test_channel_stats_hold_no_split_sized_temporary():
@@ -246,8 +276,8 @@ def test_channel_stats_hold_no_split_sized_temporary():
 def test_standardize_constant_channel_finite():
     train = dt.Dataset(np.full((10, 1, 2, 2), 0.5, dtype=np.float32),
                        np.zeros(10, dtype=np.int64), 2, "train")
-    out = dt.standardize(train)
-    assert np.all(np.isfinite(out.images))
+    dt.standardize(dt.channel_stats(train), train)
+    assert np.all(np.isfinite(train.images))
 
 
 def test_blobs_deterministic_and_balanced():
