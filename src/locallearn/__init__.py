@@ -7,7 +7,7 @@ gradients with fixed random projections. Global backprop is included as a
 baseline, sharing every kernel.
 """
 
-from .data import AugmentConfig, Dataset, load_idx, standardize, synthetic_blobs
+from .data import AugmentConfig, Dataset, load_idx, synthetic_blobs
 from .errors import (
     ConfigError,
     DataError,
@@ -16,7 +16,7 @@ from .errors import (
     NonFiniteError,
     ShapeError,
 )
-from .losses import MODES, LossConfig, combine, pred_loss, sim_loss, similarity_matrix
+from .losses import MODES, LossConfig, pred_loss, sim_loss, similarity_matrix
 from .trainer import (
     ARCH_PRESETS,
     Network,
@@ -48,7 +48,6 @@ __all__ = [
     "ShapeError",
     "TrainConfig",
     "build_network",
-    "combine",
     "evaluate",
     "load_idx",
     "load_network_state",
@@ -58,7 +57,6 @@ __all__ = [
     "save_network",
     "sim_loss",
     "similarity_matrix",
-    "standardize",
     "synthetic_blobs",
     "train",
     "train_step",

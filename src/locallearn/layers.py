@@ -107,6 +107,7 @@ class LayerSpec:
     in_shape: tuple  # (d,) for dense, (c, h, w) for conv
     units: int = 0  # dense output width
     channels: int = 0  # conv output channels
+    pool: bool = False  # a 2x2 max pool, which the trainer runs, follows the block (conv only)
     slope: float = 0.0
     dropout: float = 0.0
     # heads; zeros/False mean "absent"
@@ -122,6 +123,8 @@ class LayerSpec:
             raise ConfigError(f"unknown block kind {self.kind!r}")
         if self.kind == "dense" and self.units < 1:
             raise ConfigError("dense block needs units >= 1")
+        if self.kind == "dense" and self.pool:
+            raise ConfigError("a 2x2 pool follows only a conv block")
         if self.kind == "conv":
             if self.channels < 1:
                 raise ConfigError("conv block needs channels >= 1")

@@ -2,11 +2,13 @@
 sweep, the epoch loop, and checkpoint/metrics plumbing.
 
 The point of the local modes is the shape of the step: activations flow
-forward once, and every hidden block computes its own loss, backpropagates
-one layer deep, updates immediately, and drops its cache before the next
-block runs. Global backprop is the same forward sweep, except that each
-block's cache goes onto a trace for one backward pass at the end. In a local
-mode, holding more than one block's cache at a time would be a bug.
+forward once through the blocks (a conv block may end in a 2x2 pool), and
+every hidden block computes its own loss, backpropagates one layer deep,
+updates immediately, and drops its cache before the next block runs. Global
+backprop is the same forward sweep, except that each block's cache goes onto
+a trace for one backward pass at the end. Both sweeps run a block's backward
+through one helper. In a local mode, holding more than one block's cache at
+a time would be a bug.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .data import AugmentConfig, Dataset, augment_batch
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .layers import (
     AdamState,
-    LayerBlock,
     LayerSpec,
     block_backward,
     block_forward,
@@ -65,16 +66,12 @@ class NetworkSpec:
     input_shape: tuple  # (c, h, w)
     classes: int
     width_mult: int
-    elements: list  # ("conv", in_c, out_c, h, w) | ("pool",) | ("fc", in_dim, units)
+    elements: list  # ("conv", in_c, out_c, h, w, pool) | ("fc", in_dim, units)
     out_in_dim: int
 
     @property
     def n_weight_layers(self) -> int:
-        return sum(1 for e in self.elements if e[0] != "pool") + 1
-
-    @property
-    def n_hidden_blocks(self) -> int:
-        return self.n_weight_layers - 1
+        return len(self.elements) + 1
 
 
 def _int_suffix(token: str, prefix: str) -> int:
@@ -90,10 +87,11 @@ def _int_suffix(token: str, prefix: str) -> int:
 def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> NetworkSpec:
     """Turn an architecture string (or preset name) into a NetworkSpec.
 
-    Tokens: convN (3x3, stride 1, pad 1), pool (2x2 max), fcN (hidden dense),
-    and a final fc or fcN output layer. Shapes are tracked through the string
-    so impossible networks fail here, not mid-epoch: pooling an odd extent,
-    conv after flatten, pool first, or a non-fc final token all raise.
+    Tokens: convN (3x3, stride 1, pad 1), pool (2x2 max, which joins the
+    conv block before it), fcN (hidden dense), and a final fc or fcN output
+    layer. Shapes are tracked through the string so impossible networks fail
+    here, not mid-epoch: pooling an odd extent, conv after flatten, pool
+    first or after pool, or a non-fc final token all raise.
     """
     if width_mult < 1:
         raise ConfigError(f"width multiplier must be >= 1, got {width_mult}")
@@ -116,10 +114,13 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
                 raise ConfigError("the final token must be a fc output layer")
             if flattened:
                 raise ConfigError("pool after a dense layer")
+            *conv, pooled = elements[-1]
+            if pooled:
+                raise ConfigError("pool after a pool")
             c, h, w = shape
             if h % 2 or w % 2:
                 raise ShapeError(f"pool needs even extents, got {h}x{w} (arch {resolved!r})")
-            elements.append(("pool",))
+            elements[-1] = (*conv, True)
             shape = (c, h // 2, w // 2)
         elif tok.startswith("conv"):
             if last:
@@ -128,7 +129,7 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
                 raise ConfigError("conv after a dense layer")
             ch = _int_suffix(tok, "conv") * width_mult
             c, h, w = shape
-            elements.append(("conv", c, ch, h, w))
+            elements.append(("conv", c, ch, h, w, False))
             shape = (ch, h, w)  # 3x3 stride 1 pad 1 keeps the extent
         elif tok == "fc" or tok.startswith("fc"):
             units = classes if tok == "fc" else _int_suffix(tok, "fc")
@@ -239,12 +240,8 @@ class Network:
     spec: NetworkSpec
     mode: str
     beta: float
-    elements: list  # LayerBlock | "pool", forward order
+    blocks: list  # LayerBlock, forward order
     out: OutputLayer
-
-    @property
-    def blocks(self):
-        return [e for e in self.elements if isinstance(e, LayerBlock)]
 
 
 def build_network(
@@ -271,27 +268,22 @@ def build_network(
         projection=loss.projection_dim if "bpf" in (row.pred, row.sim) else 0,
     )
 
-    elements: list = []
-    index = 0
-    for e in spec.elements:
-        if e[0] == "pool":
-            elements.append("pool")
-            continue
+    blocks: list = []
+    for index, e in enumerate(spec.elements):
         if e[0] == "conv":
-            _, c_in, c_out, h, w = e
-            lspec = LayerSpec(kind="conv", in_shape=(c_in, h, w), channels=c_out, **shared)
+            _, c_in, c_out, h, w, pool = e
+            lspec = LayerSpec(kind="conv", in_shape=(c_in, h, w), channels=c_out, pool=pool, **shared)
         else:
             _, in_dim, units = e
             lspec = LayerSpec(kind="dense", in_shape=(in_dim,), units=units, **shared)
-        elements.append(init_params(lspec, rngmod.make_rng(seed, rngmod.INIT, index), dtype))
-        index += 1
+        blocks.append(init_params(lspec, rngmod.make_rng(seed, rngmod.INIT, index), dtype))
 
-    orng = rngmod.make_rng(seed, rngmod.INIT, index)
+    orng = rngmod.make_rng(seed, rngmod.INIT, len(blocks))
     bound = float(np.sqrt(1.0 / spec.out_in_dim))
     weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, spec.classes)).astype(dtype)
     bias = np.zeros(spec.classes, dtype=dtype)
     out = OutputLayer(weight, bias, {"weight": AdamState.for_param(weight), "bias": AdamState.for_param(bias)})
-    return Network(spec, loss.mode, loss.resolved_beta, elements, out)
+    return Network(spec, loss.mode, loss.resolved_beta, blocks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +328,39 @@ def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
     return [rngmod.make_rng(seed, rngmod.DROPOUT, epoch, k) for k in range(blocks)]
 
 
+def _block_backward(net: Network, trace: list, lr: float, kept: Optional[list]):
+    """Backward and update of the block on top of the trace, in either sweep;
+    returns the gradient the block below reads, None in a local mode.
+
+    Pops the block's entry, whose output gradient is None in a local mode
+    (the local dh stands in), and so holds the only reference to the cache
+    and the gradients, which die as soon as nothing reads them: the cache
+    before the update. A dry step (kept not None) keeps the gradients at
+    the block's index instead of updating."""
+    k, cache, res, idx, d = trace.pop()
+    block = net.blocks[k]
+    if idx is not None:
+        d = nm.maxpool2x2_backward(d, idx)
+        idx = None  # dies here, before the block's backward
+    if d is None:
+        d = res.dh
+    elif res is not None:
+        d += res.dh
+    if MODE_TABLE[net.mode].local:
+        grads, d = block_local_backward(block, cache, d), None
+    else:
+        grads, d = block_backward(block, cache, d, need_dx=k > 0)
+    if res is not None:
+        grads.update(res.grads)
+    stats, cache, res = cache.stats, None, None  # the cache and dh die before the update
+    if kept is None:
+        _update(block, grads, lr, f"layer {k} ({net.mode})")
+        block.fold_stats(*stats)
+    else:
+        kept[k] = grads
+    return d
+
+
 def train_step(
     net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, apply: bool = True
 ) -> StepResult:
@@ -343,56 +368,45 @@ def train_step(
 
     After each hidden block the sweep either trains it at once (local modes:
     local loss, one-block backward, update, and the cache dies before the
-    next block runs) or pushes (block, cache, sim result) onto a trace
-    (glob, glob+sim). The output layer's cross-entropy then starts one
-    reverse loop over the trace, the global backward, where glob+sim adds
-    each block's sim gradient with unit weight. Every owner of parameters
-    updates as soon as its gradients exist, the output layer first in the
-    global modes and each global block right after its backward; blocks
-    update independently, so the order leaves the bytes as they are. A
-    block's batch statistics are folded into its running batchnorm stats
-    when it is updated, so with apply=False the gradients are computed and
-    returned, in forward order, but nothing moves, which the gradient
-    checks build on; with apply=True no gradient outlives its update, and
-    no cache or block output outlives its last reader. No layer computes an
-    input gradient that nothing reads: not a local block, not the first
-    block, and not the output layer of a local mode. Hidden block k draws
-    its dropout masks from rngs[k] (see dropout_rngs).
+    next block runs) or pushes its cache and sim result onto a trace (glob,
+    glob+sim); then its 2x2 pool runs, if it has one. The output layer's
+    cross-entropy then starts one reverse loop over the trace, the global
+    backward, where glob+sim adds each block's sim gradient with unit
+    weight. Both sweeps run a block's backward in _block_backward. Every
+    owner of parameters updates as soon as its gradients exist, the output
+    layer first in the global modes and each global block right after its
+    backward; blocks update independently, so the order leaves the bytes as
+    they are. A block's batch statistics are folded into its running
+    batchnorm stats when it is updated, so with apply=False the gradients
+    are computed and returned, by layer index, but nothing moves, which the
+    gradient checks build on; with apply=True no gradient outlives its
+    update, and no cache or block output outlives its last reader. No layer
+    computes an input gradient that nothing reads: not a local block, not
+    the first block, and not the output layer of a local mode. Hidden block
+    k draws its dropout masks from rngs[k] (see dropout_rngs).
     """
     if len(rngs) != len(net.blocks):
         raise ConfigError(f"train_step takes a dropout generator per hidden block, {len(net.blocks)}, got {len(rngs)}")
     row = MODE_TABLE[net.mode]
     a = x
     losses: list = []
-    grads_list: list = []
-    trace: list = []  # (element, cache or pool indices, sim result or None)
-    for e in net.elements:
-        if e == "pool":
-            # local modes make no pool index: nothing backpropagates through the pool
-            a, idx = nm.maxpool2x2(a, need_index=not row.local)
-            if idx is not None:
-                trace.append((e, idx, None))
-            continue
-        # a is rebound here, so a pooled block's output dies with the pool
-        a, cache = block_forward(e, a, train=True, rng=rngs[len(losses)])
-        what = f"layer {len(losses)} ({net.mode})"
+    kept = None if apply else [None] * (len(net.blocks) + 1)  # a dry step's gradients
+    trace: list = []  # [block index, cache, sim result, pool index, output gradient]
+    for k, block in enumerate(net.blocks):
+        a, cache = block_forward(block, a, train=True, rng=rngs[k])
         res = None
         if row.pred or row.sim:
-            res = local_block_loss(net.mode, net.beta, a, targets_onehot, **e.heads())
-            _check_finite(res.loss, what)
+            res = local_block_loss(net.mode, net.beta, a, targets_onehot, **block.heads())
+            _check_finite(res.loss, f"layer {k} ({net.mode})")
         losses.append(0.0 if res is None else res.loss)
-        if row.local:
-            grads = block_local_backward(e, cache, res.dh)
-            grads.update(res.grads)
-            stats, cache = cache.stats, None  # the cache dies here, before the next block runs
-            if apply:
-                _update(e, grads, lr, what)
-                e.fold_stats(*stats)
-            else:
-                grads_list.append(grads)
-            grads = res = None  # the gradients and dh die with the update, too
-        else:
-            trace.append((e, cache, res))
+        trace.append([k, cache, res, None, None])
+        cache = res = None  # the trace holds the only references
+        if row.local:  # pushed and popped at once
+            _block_backward(net, trace, lr, kept)
+        if block.spec.pool:  # a is rebound, so the block's output dies with the pool
+            a, idx = nm.maxpool2x2(a, need_index=not row.local)
+            if idx is not None:  # only a global backward reads it
+                trace[-1][3] = idx
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
@@ -405,32 +419,14 @@ def train_step(
     ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
     if apply:
         _update(net.out, ograds, lr, "output layer")
-
-    backward: list = []
-    k = len(losses)
+    else:
+        kept[-1] = ograds
     while trace:
-        # popped, so each cache dies once its block's backward has run
-        e, cache, res = trace.pop()
-        if e == "pool":
-            d = nm.maxpool2x2_backward(d, cache)
-            continue
-        k -= 1
-        if res is not None:
-            d += res.dh
-        grads, d = block_backward(e, cache, d, need_dx=e is not net.elements[0])
-        if res is not None:
-            grads.update(res.grads)
-        if apply:
-            _update(e, grads, lr, f"layer {k} ({net.mode})")
-            e.fold_stats(*cache.stats)
-        else:
-            backward.append(grads)
-        grads = None  # dead before the block below runs its backward
+        trace[-1][4], d = d, None  # handed over with the entry, which the backward pops
+        d = _block_backward(net, trace, lr, kept)
 
     losses.append(out_loss)
-    if not apply:
-        grads_list += backward[::-1] + [ograds]
-    return StepResult(losses, grads_list, logits.argmax(axis=1))
+    return StepResult(losses, kept or [], logits.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +496,10 @@ def _fold_singletons(batches: list, labels: np.ndarray) -> list:
 def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
     """Inference logits: eval-mode blocks, no dropout, running batchnorm stats."""
     a = x
-    for e in net.elements:
-        if e == "pool":
+    for block in net.blocks:
+        a, _ = block_forward(block, a, train=False)
+        if block.spec.pool:
             a, _ = nm.maxpool2x2(a, need_index=False)
-        else:
-            a, _ = block_forward(e, a, train=False)
     _, logits = _output_forward(net, a)
     return logits
 

@@ -172,6 +172,8 @@ def test_init_rejects_bad_spec():
         ly.LayerSpec("what", (4,), units=3)
     with pytest.raises(ConfigError):
         ly.LayerSpec("dense", (4,), units=3, feedback=True)  # feedback needs a classifier
+    with pytest.raises(ConfigError):
+        ly.LayerSpec("dense", (4,), units=3, pool=True)  # a pool follows only a conv block
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,8 @@ def test_parse_vgg11b_has_11_weight_layers():
 
 def test_parse_shape_bookkeeping():
     spec = tr.parse_arch("conv128-pool-fc10", (1, 28, 28), 10)
-    conv = spec.elements[0]
-    assert conv == ("conv", 1, 128, 28, 28)
-    assert spec.elements[1] == ("pool",)
+    # the conv element records the pool that follows it; the pool is no element
+    assert spec.elements == [("conv", 1, 128, 28, 28, True)]
     # the trailing fc10 is the output layer: 128 channels at 14x14 flattened
     assert spec.out_in_dim == 128 * 14 * 14
 
@@ -65,7 +64,9 @@ def test_parse_errors():
     with pytest.raises(ConfigError):
         tr.parse_arch("conv8-fc16-pool-fc", (1, 8, 8), 3)     # pool after flatten
     with pytest.raises(ShapeError):
-        tr.parse_arch("conv8-pool-pool-pool-fc", (1, 28, 28), 3)  # 7 is odd
+        tr.parse_arch("conv8-pool-conv8-pool-conv8-pool-fc", (1, 28, 28), 3)  # 7 is odd
+    with pytest.raises(ConfigError):
+        tr.parse_arch("conv8-pool-pool-fc", (1, 8, 8), 3)     # pool after pool
     with pytest.raises(ConfigError):
         tr.parse_arch("conv8-fc16-conv8-fc", (1, 8, 8), 3)    # conv after flatten
     with pytest.raises(ConfigError):
@@ -400,6 +401,33 @@ def test_applied_step_drops_each_blocks_gradients_before_the_next_block(mode, mo
     assert len(refs) == 6 and res.grads == []
 
 
+@pytest.mark.parametrize("mode", LOCAL_MODES)
+def test_local_blocks_cache_is_dead_when_its_update_starts(mode, monkeypatch):
+    # Adam's scratch buffers come on top of whatever the step still holds,
+    # so a cache that lives into its block's update raises the step's peak
+    net = small_net(mode, arch="conv3-pool-conv4-fc8-fc", input_shape=(2, 4, 4), classes=3,
+                    dropout=0.2, pred_target_dim=4)
+    x = rand((6, 2, 4, 4), seed=85, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    caches, live_at_update = {}, []  # id(block) -> weakref to its cache
+    forward, update = tr.block_forward, tr.update_params
+
+    def recording(block, *args, **kwargs):
+        h, cache = forward(block, *args, **kwargs)
+        caches[id(block)] = weakref.ref(cache)
+        return h, cache
+
+    def checking(owner, grads, lr):
+        if owner is not net.out:
+            live_at_update.append(caches[id(owner)]() is not None)
+        return update(owner, grads, lr)
+
+    monkeypatch.setattr(tr, "block_forward", recording)
+    monkeypatch.setattr(tr, "update_params", checking)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    assert live_at_update == [False, False, False]
+
+
 @pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
 def test_global_sweep_drops_each_blocks_gradients_before_the_block_below(mode, monkeypatch):
     net = small_net(mode, arch="conv3-pool-conv4-fc8-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
@@ -421,6 +449,39 @@ def test_global_sweep_drops_each_blocks_gradients_before_the_block_below(mode, m
     # each block above has been updated by the time the one below runs
     assert updated_at_backward == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
     assert net.out.adam["weight"].t == 1 and [b.adam["weight"].t for b in net.blocks] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
+def test_global_sweep_frees_each_output_gradient_once_read(mode, monkeypatch):
+    # a pooled output's gradient dies once the pool backward has read it, and
+    # a block's output gradient once its backward has: neither lives into
+    # the block's backward or update
+    net = small_net(mode, arch="conv3-pool-conv4-pool-fc", input_shape=(2, 8, 8), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 8, 8), seed=86, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    refs, live = [], []
+    pool_backward, backward, update = nm.maxpool2x2_backward, tr.block_backward, tr.update_params
+
+    def unpooling(g, idx):
+        refs.append(weakref.ref(g))
+        return pool_backward(g, idx)
+
+    def checking(block, cache, d_out, need_dx=True):
+        live.append(sum(ref() is not None for ref in refs))
+        result = backward(block, cache, d_out, need_dx=need_dx)
+        refs.append(weakref.ref(d_out))
+        return result
+
+    def updating(owner, grads, lr):
+        if owner is not net.out:
+            live.append(sum(ref() is not None for ref in refs))
+        return update(owner, grads, lr)
+
+    monkeypatch.setattr(nm, "maxpool2x2_backward", unpooling)
+    monkeypatch.setattr(tr, "block_backward", checking)
+    monkeypatch.setattr(tr, "update_params", updating)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    assert len(refs) == 4 and live == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("mode", MODES)
