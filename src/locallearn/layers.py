@@ -267,13 +267,15 @@ def _classifier_input_dim(spec: LayerSpec, block: LayerBlock) -> int:
 
 @dataclass
 class BlockCache:
-    """Everything the paired backward pass needs from one forward."""
+    """Everything the paired backward pass needs from one forward.
+    block_backward sets xhat and the two masks to None once it has read
+    them."""
 
     x: np.ndarray  # affine input (dense: already flattened)
     x_shape: tuple  # original input shape, for reshaping dx
-    xhat: np.ndarray
+    xhat: Optional[np.ndarray]
     inv_std: np.ndarray
-    positive: np.ndarray  # packed sign of the leaky relu input (numerics.leaky_relu)
+    positive: Optional[np.ndarray]  # packed sign of the leaky relu input (numerics.leaky_relu)
     mask: Optional[np.ndarray]  # packed dropout mask, None without dropout
     stats: tuple  # the batch (mean, var), for LayerBlock.fold_stats
 
@@ -321,17 +323,23 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
 
     The block takes over d_out: the dropout, leaky relu and batchnorm
     backwards write their gradients into it, so a caller that reads d_out
-    afterwards must pass a copy. dx comes back in the shape the block was
-    fed, so it can cross a flatten boundary on the way down in the global
-    modes. With need_dx=False it is not computed and comes back None: the
-    weight gradients are the same bytes either way.
+    afterwards must pass a copy. It takes over the cache too: the dropout
+    mask, the sign mask and xhat are set to None right after the kernel
+    that reads each, so none of them lives through the weight gradient's
+    GEMM, and a cache goes through one backward only. dx comes back in the
+    shape the block was fed, so it can cross a flatten boundary on the way
+    down in the global modes. With need_dx=False it is not computed and
+    comes back None: the weight gradients are the same bytes either way.
     """
     spec = block.spec
     g = d_out
     if cache.mask is not None:
         g = nm.dropout_backward(g, cache.mask, spec.dropout, out=g)
+        cache.mask = None
     g = nm.leaky_relu_backward(cache.positive, g, spec.slope, out=g)
+    cache.positive = None
     g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std, out=g)
+    cache.xhat = None
     dx = None
     if spec.kind == "dense":
         if need_dx:
@@ -352,7 +360,7 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
 def block_local_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray) -> dict:
     """Backward for locally trained blocks: the weight gradients alone,
     because nothing upstream ever reads the input gradient. Takes over d_out
-    as block_backward does."""
+    and the cache as block_backward does."""
     return block_backward(block, cache, d_out, need_dx=False)[0]
 
 

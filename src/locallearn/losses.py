@@ -211,20 +211,27 @@ def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray, weight: float = 1.0) -
 # ---------------------------------------------------------------------------
 
 
+def _add_into(d: np.ndarray, add_to):
+    """d, or add_to with d added into it when the caller hands one over."""
+    return d if add_to is None else np.add(add_to, d, out=add_to)
+
+
 def _pool_flatten(h: np.ndarray, pool_k: int):
     """Average-pool conv activations and flatten; dense activations pass
-    through. Returns (flat, unflatten) where unflatten maps the flat gradient
-    back to h's shape."""
+    through. Returns (flat, unflatten) where unflatten(d, add_to=None) maps
+    the flat gradient back to h's shape: into a new array, or, given add_to
+    (an array of h's shape its caller hands over), added into it, bit for bit
+    add_to + unflatten(d)."""
     if h.ndim == 2:
-        return h, lambda d: d
+        return h, _add_into
     if h.ndim == 4:
         pooled = nm.avgpool(h, pool_k) if pool_k > 1 else h
         shape = pooled.shape
         flat = pooled.reshape(h.shape[0], -1)
 
-        def unflatten(d):
+        def unflatten(d, add_to=None):
             d = d.reshape(shape)
-            return nm.avgpool_backward(d, pool_k) if pool_k > 1 else d
+            return nm.avgpool_backward(d, pool_k, add_to) if pool_k > 1 else _add_into(d, add_to)
 
         return flat, unflatten
     raise ShapeError(f"expected 2-d or 4-d activations, got {h.shape}")
@@ -243,17 +250,25 @@ def choose_pool_kernel(channels: int, spatial: int, target_dim: int) -> int:
 
 
 def pred_loss(
-    h: np.ndarray, targets_onehot: np.ndarray, w: np.ndarray, b: np.ndarray, pool_k: int = 1, weight: float = 1.0
+    h: np.ndarray,
+    targets_onehot: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    pool_k: int = 1,
+    weight: float = 1.0,
+    add_to=None,
 ) -> LocalLossResult:
     """Cross-entropy of a single local linear classifier on this layer's
     (pooled, flattened) activations. The gradients are those of
-    weight * loss: the weight scales dlogits, the smallest gradient."""
+    weight * loss: the weight scales dlogits, the smallest gradient. Given
+    add_to, an array of h's shape that the caller hands over, dh is added
+    into it (see _pool_flatten) and the result's dh is add_to."""
     flat, unflatten = _pool_flatten(h, pool_k)
     logits = nm.matmul(flat, w) + b
     loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
     dlogits *= dlogits.dtype.type(weight)
     dflat, dw = nm.matmul_backward(flat, w, dlogits)
-    return LocalLossResult(loss, unflatten(dflat), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
+    return LocalLossResult(loss, unflatten(dflat, add_to), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 
 
 def binarized_targets(proj: np.ndarray, targets_onehot: np.ndarray, dtype) -> np.ndarray:
@@ -269,6 +284,7 @@ def pred_bpf_loss(
     feedback: np.ndarray,
     pool_k: int = 1,
     weight: float = 1.0,
+    add_to=None,
 ) -> LocalLossResult:
     """Backprop-free pred loss: binary cross-entropy against binarised
     projected labels, with the activation gradient routed through a fixed
@@ -276,7 +292,7 @@ def pred_bpf_loss(
 
     dh is therefore deliberately *not* the gradient of the loss; the
     classifier's own w/b gradients are, of weight * loss (the weight scales
-    dlogits, as in pred_loss).
+    dlogits, as in pred_loss). add_to is pred_loss's.
     """
     if feedback.shape != w.shape:
         raise ShapeError(f"feedback shape {feedback.shape} must match classifier {w.shape}")
@@ -286,7 +302,7 @@ def pred_bpf_loss(
     dlogits *= dlogits.dtype.type(weight)
     dw = flat.T @ dlogits  # matmul_backward's dw; its dx, through w, is not this loss's
     dflat = dlogits @ feedback.T  # feedback alignment: B replaces w^T on the way down
-    return LocalLossResult(loss, unflatten(dflat), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
+    return LocalLossResult(loss, unflatten(dflat, add_to), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +317,16 @@ def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) ->
 
     The result is exactly the gradient of the combined scalar. The two heads
     stay independent: neither receives a contribution from the other's loss,
-    so their gradients are merged as they are. The pred dh is added into
-    sim_res.dh in place, which the result takes over; pred_res is left as it
-    is.
+    so their gradients are merged as they are. The result takes over
+    sim_res.dh. local_block_loss has the pred part add its dh into it
+    (add_to=), which leaves nothing to add here; a pred part with a dh of
+    its own is added into sim_res.dh in place, and pred_res is left as it is.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must be in [0, 1], got {beta}")
     dh = sim_res.dh
-    dh += pred_res.dh
+    if pred_res.dh is not dh:
+        dh += pred_res.dh
     loss = (1.0 - beta) * pred_res.loss + beta * sim_res.loss
     return LocalLossResult(loss, dh, {**pred_res.grads, **sim_res.grads})
 
@@ -332,8 +350,9 @@ def local_block_loss(
 
     Each part takes its weight, 1 - beta and beta, into its own smallest
     gradient; a mode without both parts weighs its one part by 1. The sim
-    part runs first: its gradient, which combine adds the pred one into, is
-    then what lives through the lighter pred part, not the other way round.
+    part runs first, and the pred part adds its gradient into the sim one
+    (add_to=): no full-size pred gradient is made only to be added, and the
+    sim gradient, not a pred one, lives through the lighter pred part.
     """
     row = MODE_TABLE.get(mode)
     if row is None or not (row.pred or row.sim):
@@ -344,11 +363,12 @@ def local_block_loss(
         sim = sim_loss(h, targets_onehot, sim_w, sim_b, weight=ws)
     elif row.sim == "bpf":
         sim = sim_bpf_loss(h, proj @ targets_onehot.T, weight=ws)
+    add_to = None if sim is None else sim.dh
     if row.pred == "ce":
-        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k, weight=wp)
+        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k, weight=wp, add_to=add_to)
     elif row.pred == "bpf":
         t = binarized_targets(proj, targets_onehot, h.dtype)
-        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k, weight=wp)
+        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k, weight=wp, add_to=add_to)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

@@ -17,8 +17,10 @@ Conventions:
     output), leaky_relu and dropout (the batchnorm output, then the relu's),
     dropout_backward, leaky_relu_backward and batchnorm_backward (the
     gradient block_backward takes over), and std_per_feature_map_backward
-    (sim_loss passes the sim head's feature map); every other kernel returns
-    new arrays
+    (sim_loss passes the sim head's feature map). avgpool_backward takes
+    add_to=, an array its result is added into, bit for bit the sum with a
+    new array (a pred head's caller passes the sim part's gradient). Every
+    other kernel returns new arrays
   * leaky_relu, dropout, their backwards, the feature-map variance and
     batchnorm_backward work a block of leading rows at a time (see
     _row_blocks), so their scratch stays small
@@ -35,13 +37,14 @@ a GEMM over im2col buffers, a chunk of examples at a time.
 conv2d and the input gradient share one private lowering: a conv's dx is the
 same conv of g, with the kernel flipped in space and its in and out channels
 swapped, so no gradient is scatter-added back into the input. The lowering
-zeroes one (h+2, w+2) canvas per call and copies each chunk into its
-interior; no chunk is padded on its own. The weight gradient comes from the
-smaller of the two lowerings a backward could make, x's (ci*9 rows) or g's
-(co*9 rows, both of n*h*w columns), and when it is g's the input gradient's
-GEMM reads the same buffer: a conv that keeps or narrows its channels, such
-as the sim heads', lowers once per backward, a conv that widens them lowers
-x for dk and g for dx.
+zeroes one canvas per call, with a zero row above and below each plane, and
+copies each chunk's image rows into it; no chunk is padded on its own, and
+each tap of a plane is copied out of it as one run of h*w elements. The
+weight gradient comes from the smaller of the two lowerings a backward could
+make, x's (ci*9 rows) or g's (co*9 rows, both of n*h*w columns), and when it
+is g's the input gradient's GEMM reads the same buffer: a conv that keeps or
+narrows its channels, such as the sim heads', lowers once per backward, a
+conv that widens them lowers x for dk and g for dx.
 std_per_feature_map_backward takes the forward's std, and writes the
 gradient into one buffer.
 """
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, InputError, ShapeError
 
@@ -124,23 +127,34 @@ def _im2col_chunks(x: np.ndarray, co: int):
     of the chunk, zero off the image, so that each product with cols is a
     single 2-d GEMM.
 
-    Each chunk is copied into the interior of one zeroed (h+2, w+2) canvas
-    per call, so the canvas border is never written. cols, too, is one
-    buffer per call, which each chunk's windows are copied into, so a
+    Each chunk is copied into one zeroed canvas per call, whose (example,
+    channel) planes are padded by a zero row above and below, not at the
+    sides, and the canvas by one guard element at each end; only the image
+    rows are ever written. On it, tap (u, v) of a plane is the run of h*w
+    elements from offset u*w + v - 1, so cols takes each tap of every plane
+    as one contiguous copy. Only the first column of a v = 0 tap and the
+    last of a v = 2 tap read across a row's edge (the guards included), so
+    they are zeroed after the copy. cols, too, is one buffer per call, so a
     consumer must be done with one chunk's cols before it asks for the next.
     """
     n, ci, h, w = x.shape
     per_example = x.itemsize * h * w * max(ci * 9, co)
     budget = max(COLS_BUDGET, x.itemsize * n * co * h * w // 4)
     m = max(1, budget // per_example)
-    canvas = np.zeros((min(m, n), ci, h + 2, w + 2), dtype=x.dtype)
+    plane = (h + 2) * w
+    canvas = np.zeros(min(m, n) * ci * plane + 2, dtype=x.dtype)
     buf = np.empty(ci * 9 * min(m, n) * h * w, dtype=x.dtype)
+    s = x.itemsize
     for i in range(0, n, m):
         rows = slice(i, i + m)
-        chunk = canvas[: min(m, n - i)]
-        chunk[:, :, 1:-1, 1:-1] = x[rows]
-        cols = buf[: ci * 9 * len(chunk) * h * w].reshape(ci, 3, 3, len(chunk), h, w)
-        np.copyto(cols, sliding_window_view(chunk, (3, 3), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3))
+        size = min(m, n - i)
+        canvas[1 : 1 + size * ci * plane].reshape(size, ci, h + 2, w)[:, :, 1:-1] = x[rows]
+        # taps[c, u, v, i] is the run of tap (u, v) of example i's plane c
+        taps = as_strided(canvas, (ci, 3, 3, size, h * w), (plane * s, w * s, s, ci * plane * s, s), writeable=False)
+        cols = buf[: ci * 9 * size * h * w].reshape(ci, 3, 3, size, h, w)
+        np.copyto(cols.reshape(taps.shape), taps)
+        cols[:, :, 0, :, :, 0] = 0
+        cols[:, :, 2, :, :, -1] = 0
         yield rows, cols.reshape(ci * 9, -1)
 
 
@@ -316,17 +330,29 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def avgpool_backward(g: np.ndarray, k: int) -> np.ndarray:
+def avgpool_backward(g: np.ndarray, k: int, add_to=None) -> np.ndarray:
     """Spread each pooled gradient uniformly over its k*k window: each
     scaled value repeated k times along a row, then each such row written k
-    times, both as broadcast writes."""
+    times, both as broadcast writes.
+
+    With add_to, a C-ordered (n, c, ho*k, wo*k) array its caller hands over,
+    the rows are added into it instead of written into a new array, and
+    add_to comes back: bit for bit add_to + avgpool_backward(g, k).
+    """
     if g.ndim != 4:
         raise ShapeError(f"avgpool_backward expects NCHW grad, got {g.shape}")
     n, c, ho, wo = g.shape
+    if add_to is not None and (add_to.shape != (n, c, ho * k, wo * k) or not add_to.flags.c_contiguous):
+        raise ShapeError(f"avgpool_backward adds into a C-ordered {(n, c, ho * k, wo * k)} array, got {add_to.shape}")
     row = np.empty((n, c, ho, 1, wo, k), dtype=g.dtype)
     row[...] = (g / (k * k))[:, :, :, None, :, None]
+    row = row.reshape(n, c, ho, 1, wo * k)
+    if add_to is not None:
+        dst = add_to.reshape(n, c, ho, k, wo * k)
+        np.add(dst, row, out=dst)
+        return add_to
     dx = np.empty((n, c, ho, k, wo * k), dtype=g.dtype)
-    dx[...] = row.reshape(n, c, ho, 1, wo * k)
+    dx[...] = row
     return dx.reshape(n, c, ho * k, wo * k)
 
 

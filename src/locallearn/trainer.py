@@ -334,30 +334,31 @@ def _block_backward(net: Network, trace: list, lr: float, kept: Optional[list]):
 
     Pops the block's entry, whose output gradient is None in a local mode
     (the local dh stands in), and so holds the only reference to the cache
-    and the gradients, which die as soon as nothing reads them: the cache
-    before the update. A dry step (kept not None) keeps the gradients at
-    the block's index instead of updating."""
-    k, cache, res, idx, d = trace.pop()
+    and the gradients, which die as soon as nothing reads them: the local
+    dh once it is added in or taken over, the cache's masks and xhat inside
+    the block's backward, the rest of the cache before the update. A dry
+    step (kept not None) keeps the gradients at the block's index instead of
+    updating, ahead of the head gradients the local loss left there."""
+    k, cache, dh, idx, d = trace.pop()
     block = net.blocks[k]
     if idx is not None:
         d = nm.maxpool2x2_backward(d, idx)
         idx = None  # dies here, before the block's backward
     if d is None:
-        d = res.dh
-    elif res is not None:
-        d += res.dh
+        d = dh
+    elif dh is not None:
+        d += dh
+    dh = None  # added into d, or d itself
     if MODE_TABLE[net.mode].local:
         grads, d = block_local_backward(block, cache, d), None
     else:
         grads, d = block_backward(block, cache, d, need_dx=k > 0)
-    if res is not None:
-        grads.update(res.grads)
-    stats, cache, res = cache.stats, None, None  # the cache and dh die before the update
+    stats, cache = cache.stats, None  # the cache dies before the update
     if kept is None:
         _update(block, grads, lr, f"layer {k} ({net.mode})")
         block.fold_stats(*stats)
     else:
-        kept[k] = grads
+        kept[k] = {**grads, **kept[k]}
     return d
 
 
@@ -366,47 +367,56 @@ def train_step(
 ) -> StepResult:
     """One optimisation step: a single forward sweep over the blocks.
 
-    After each hidden block the sweep either trains it at once (local modes:
-    local loss, one-block backward, update, and the cache dies before the
-    next block runs) or pushes its cache and sim result onto a trace (glob,
-    glob+sim); then its 2x2 pool runs, if it has one. The output layer's
-    cross-entropy then starts one reverse loop over the trace, the global
-    backward, where glob+sim adds each block's sim gradient with unit
-    weight. Both sweeps run a block's backward in _block_backward. Every
-    owner of parameters updates as soon as its gradients exist, the output
-    layer first in the global modes and each global block right after its
-    backward; blocks update independently, so the order leaves the bytes as
-    they are. A block's batch statistics are folded into its running
-    batchnorm stats when it is updated, so with apply=False the gradients
-    are computed and returned, by layer index, but nothing moves, which the
-    gradient checks build on; with apply=True no gradient outlives its
-    update, and no cache or block output outlives its last reader. No layer
-    computes an input gradient that nothing reads: not a local block, not
-    the first block, and not the output layer of a local mode. Hidden block
-    k draws its dropout masks from rngs[k] (see dropout_rngs).
+    After each hidden block the local loss, if the mode has one, runs, and
+    its head gradients are applied (or, in a dry step, kept) at once, so
+    none of them lives through a backward. Then the sweep either trains the
+    block at once (local modes: one-block backward, update, and the cache
+    dies before the next block runs) or pushes its cache and local dh onto
+    a trace (glob, glob+sim); then its 2x2 pool runs, if it has one. The
+    output layer's cross-entropy then starts one reverse loop over the
+    trace, the global backward, where glob+sim adds each block's sim
+    gradient with unit weight. Both sweeps run a block's backward in
+    _block_backward. Every owner of parameters updates as soon as its
+    gradients exist: a block's heads right after its local loss, the output
+    layer first in the global modes, and each block's trunk right after its
+    backward; each parameter updates on its own, so the order leaves the
+    bytes as they are. A block's batch statistics are folded into its
+    running batchnorm stats when its trunk is updated, so with apply=False
+    the gradients are computed and returned, by layer index, but nothing
+    moves, which the gradient checks build on; with apply=True no gradient
+    outlives its update, and no cache, block output or pool index outlives
+    its last reader. No layer computes an input gradient that nothing reads:
+    not a local block, not the first block, and not the output layer of a
+    local mode. Hidden block k draws its dropout masks from rngs[k] (see
+    dropout_rngs).
     """
     if len(rngs) != len(net.blocks):
         raise ConfigError(f"train_step takes a dropout generator per hidden block, {len(net.blocks)}, got {len(rngs)}")
     row = MODE_TABLE[net.mode]
     a = x
     losses: list = []
-    kept = None if apply else [None] * (len(net.blocks) + 1)  # a dry step's gradients
-    trace: list = []  # [block index, cache, sim result, pool index, output gradient]
+    kept = None if apply else [{} for _ in range(len(net.blocks) + 1)]  # a dry step's gradients
+    trace: list = []  # [block index, cache, local dh, pool index, output gradient]
     for k, block in enumerate(net.blocks):
         a, cache = block_forward(block, a, train=True, rng=rngs[k])
-        res = None
+        loss, dh = 0.0, None
         if row.pred or row.sim:
             res = local_block_loss(net.mode, net.beta, a, targets_onehot, **block.heads())
             _check_finite(res.loss, f"layer {k} ({net.mode})")
-        losses.append(0.0 if res is None else res.loss)
-        trace.append([k, cache, res, None, None])
-        cache = res = None  # the trace holds the only references
+            if kept is not None:
+                kept[k] = res.grads
+            elif res.grads:
+                _update(block, res.grads, lr, f"layer {k} ({net.mode})")
+            loss, dh, res = res.loss, res.dh, None  # the head gradients die here
+        losses.append(loss)
+        trace.append([k, cache, dh, None, None])
+        cache = dh = None  # the trace holds the only references
         if row.local:  # pushed and popped at once
             _block_backward(net, trace, lr, kept)
         if block.spec.pool:  # a is rebound, so the block's output dies with the pool
             a, idx = nm.maxpool2x2(a, need_index=not row.local)
             if idx is not None:  # only a global backward reads it
-                trace[-1][3] = idx
+                trace[-1][3], idx = idx, None
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)

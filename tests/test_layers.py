@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -286,8 +287,10 @@ def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
         x = rand((4, 2, 5, 7), seed=68, dtype=np.float32)
     h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
     d_out = rand(h.shape, seed=69, dtype=np.float32)
-    # block_backward takes over d_out, so each call gets a copy of its own
+    # block_backward takes over d_out and the cache, so each call gets a
+    # copy of d_out and a cache of its own, from the same forward
     full, dx = ly.block_backward(block, cache, d_out.copy())
+    _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
     weights_only, no_dx = ly.block_backward(block, cache, d_out.copy(), need_dx=False)
     assert dx.shape == x.shape and no_dx is None
     assert full.keys() == weights_only.keys()
@@ -308,11 +311,48 @@ def test_block_backward_takes_over_d_out(kind):
     d_out = rand(h.shape, seed=72, dtype=np.float32)
     saved = d_out.copy()
     want, want_dx = ly.block_backward(block, cache, saved.copy())
+    _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))  # the first call took the cache over
     got, dx = ly.block_backward(block, cache, d_out)
     assert not np.array_equal(d_out, saved)  # written over, not copied
     assert dx.tobytes() == want_dx.tobytes()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_backward_releases_each_cache_field_after_its_reader(kind, need_dx, monkeypatch):
+    # the dropout mask dies before the leaky relu backward runs, the sign
+    # mask before the batchnorm backward, and xhat before the weight
+    # gradient's GEMM; each such field of the cache is None afterwards
+    if kind == "dense":
+        block = ly.init_params(ly.LayerSpec("dense", (6,), units=5, dropout=0.3), make_rng(7))
+        x = rand((7, 6), seed=73, dtype=np.float32)
+        gemms = ("matmul_backward",) if need_dx else ()
+    else:
+        block = ly.init_params(ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=0.3), make_rng(8))
+        x = rand((4, 2, 5, 7), seed=74, dtype=np.float32)
+        gemms = ("conv2d_backward",) if need_dx else ("conv2d_weight_grad",)
+    h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
+    fields = ("mask", "positive", "xhat")
+    refs = {name: weakref.ref(getattr(cache, name)) for name in fields}
+    live = {}
+
+    def watching(name, kernel):
+        def watched(*args, **kwargs):
+            live[name] = [f for f in fields if refs[f]() is not None]
+            return kernel(*args, **kwargs)
+
+        return watched
+
+    for name in ("leaky_relu_backward", "batchnorm_backward") + gemms:
+        monkeypatch.setattr(nm, name, watching(name, getattr(nm, name)))
+    ly.block_backward(block, cache, rand(h.shape, seed=75, dtype=np.float32), need_dx=need_dx)
+    assert live.pop("leaky_relu_backward") == ["positive", "xhat"]
+    assert live.pop("batchnorm_backward") == ["xhat"]
+    assert all(v == [] for v in live.values()) and len(live) == len(gemms)
+    assert [getattr(cache, f) for f in fields] == [None, None, None]
+    assert cache.x is not None and cache.stats is not None
 
 
 def test_one_step_decreases_local_loss_statistically():

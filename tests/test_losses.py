@@ -251,6 +251,31 @@ def test_combine_adds_the_same_products_and_leaves_its_inputs(shape):
     assert out.dh is b.dh and a.dh.tobytes() == p.tobytes()
 
 
+@pytest.mark.parametrize("bpf", [False, True])
+@pytest.mark.parametrize("shape, pool_k", [((6, 12), 1), ((4, 3, 8, 8), 1), ((4, 3, 8, 8), 2), ((4, 3, 8, 8), 4)])
+def test_pred_part_adds_its_dh_into_a_given_buffer_bitwise(shape, pool_k, bpf):
+    # local_block_loss hands the sim part's dh over as add_to: each element
+    # is the sum combine made of the two parts' arrays, and no pred-sized
+    # array is left
+    h = rand(shape, seed=62, dtype=np.float32)
+    y = one_hot(np.arange(shape[0]) % 3, 3, np.float32)
+    dim = shape[1] if len(shape) == 2 else shape[1] * (shape[2] // pool_k) ** 2
+    w, feedback = (rand((dim, 3), seed=seed, dtype=np.float32) for seed in (63, 64))
+    b = np.zeros(3, np.float32)
+
+    def part(**kw):
+        if bpf:
+            return ls.pred_bpf_loss(h, (y > 0).astype(np.float32), w, b, feedback, pool_k, weight=0.3, **kw)
+        return ls.pred_loss(h, y, w, b, pool_k, weight=0.3, **kw)
+
+    sim = rand(shape, seed=65, dtype=np.float32)
+    want = part()
+    buf = sim.copy()
+    got = part(add_to=buf)
+    assert got.dh is buf and buf.tobytes() == (sim + want.dh).tobytes()
+    assert got.loss == want.loss and all(got.grads[n].tobytes() == want.grads[n].tobytes() for n in want.grads)
+
+
 def test_combine_beta_out_of_range():
     a = ls.LocalLossResult(1.0, np.ones(2))
     with pytest.raises(ConfigError):

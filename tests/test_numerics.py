@@ -8,6 +8,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
 import locallearn.numerics as nm
@@ -220,6 +221,38 @@ def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
     assert np.allclose(got, dk, rtol=1e-12, atol=1e-12) and passes == weight_grad
 
 
+def _windowed_im2col_chunks(x, co):
+    """The lowering as it was before it copied whole rows: each chunk in the
+    interior of an (h+2, w+2) canvas, its 3x3 windows copied into cols a
+    row of w at a time. An oracle for nm._im2col_chunks."""
+    n, ci, h, w = x.shape
+    per_example = x.itemsize * h * w * max(ci * 9, co)
+    budget = max(nm.COLS_BUDGET, x.itemsize * n * co * h * w // 4)
+    m = max(1, budget // per_example)
+    canvas = np.zeros((min(m, n), ci, h + 2, w + 2), dtype=x.dtype)
+    for i in range(0, n, m):
+        chunk = canvas[: min(m, n - i)]
+        chunk[:, :, 1:-1, 1:-1] = x[i : i + m]
+        cols = sliding_window_view(chunk, (3, 3), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+        yield slice(i, i + m), cols.reshape(ci * 9, -1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("xs", [(5, 2, 5, 7), (3, 2, 1, 1), (2, 1, 1, 7), (4, 3, 6, 1), (7, 4, 8, 8), (3, 16, 4, 4)])
+def test_lowering_copies_the_windowed_oracles_bytes(xs, dtype, monkeypatch):
+    # whole-row copies out of a canvas padded only above and below give the
+    # bytes of the windowed copy, chunk for chunk, the wrapped columns and
+    # the guards included; a budget of two examples' buffer makes uneven chunks
+    x = rand(xs, seed=41, dtype=dtype)
+    monkeypatch.setattr(nm, "COLS_BUDGET", 2 * x.itemsize * xs[1] * 9 * xs[2] * xs[3])
+    for co in (1, xs[1], 4 * xs[1]):
+        want = [(rows, cols.copy()) for rows, cols in _windowed_im2col_chunks(x, co)]
+        got = [(rows, cols.copy()) for rows, cols in nm._im2col_chunks(x, co)]
+        assert [rows for rows, _ in got] == [rows for rows, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("case", CONV_CASES)
 def test_conv_weight_grad_is_conv_backward_dk_bitwise(case):
     x, k, g = _conv_case(*CONV_CASES[case], seed=50, dtype=np.float32)
@@ -301,6 +334,23 @@ def test_avgpool_backward_matches_the_repeat_formula_bitwise(k, dtype):
     want = np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=3)
     got = nm.avgpool_backward(g, k)
     assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpool_backward_adds_into_a_given_buffer_bitwise(k, dtype):
+    g = rand((3, 4, 2, 5), seed=23, dtype=dtype)
+    buf = rand((3, 4, 2 * k, 5 * k), seed=24, dtype=dtype)
+    want = buf + nm.avgpool_backward(g, k)
+    got = nm.avgpool_backward(g, k, add_to=buf)
+    assert got is buf and got.tobytes() == want.tobytes()
+
+
+def test_avgpool_backward_rejects_a_buffer_it_cannot_add_into():
+    g = rand((2, 3, 2, 2), seed=25)
+    for buf in (np.zeros((2, 3, 4, 6)), np.zeros((2, 3, 4, 8))[..., ::2]):
+        with pytest.raises(ShapeError, match="adds into"):
+            nm.avgpool_backward(g, 2, add_to=buf)
 
 
 # ---------------------------------------------------------------------------

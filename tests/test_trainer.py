@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import locallearn.layers as ly
+import locallearn.losses as ls
 import locallearn.numerics as nm
 import locallearn.trainer as tr
 from locallearn.data import Dataset, synthetic_blobs
@@ -404,28 +405,44 @@ def test_applied_step_drops_each_blocks_gradients_before_the_next_block(mode, mo
 @pytest.mark.parametrize("mode", LOCAL_MODES)
 def test_local_blocks_cache_is_dead_when_its_update_starts(mode, monkeypatch):
     # Adam's scratch buffers come on top of whatever the step still holds,
-    # so a cache that lives into its block's update raises the step's peak
+    # so a cache that lives into its block's update raises the step's peak;
+    # the head gradients are applied as soon as the local loss returns, so
+    # none of them lives through the block's backward either
     net = small_net(mode, arch="conv3-pool-conv4-fc8-fc", input_shape=(2, 4, 4), classes=3,
                     dropout=0.2, pred_target_dim=4)
     x = rand((6, 2, 4, 4), seed=85, dtype=np.float32)
     y = one_hot(np.arange(6) % 3, 3, np.float32)
     caches, live_at_update = {}, []  # id(block) -> weakref to its cache
-    forward, update = tr.block_forward, tr.update_params
+    heads, live_at_backward = [], []  # weakrefs to every head gradient
+    forward, loss, backward, update = tr.block_forward, tr.local_block_loss, tr.block_local_backward, tr.update_params
 
     def recording(block, *args, **kwargs):
         h, cache = forward(block, *args, **kwargs)
         caches[id(block)] = weakref.ref(cache)
         return h, cache
 
+    def local_loss(*args, **kwargs):
+        res = loss(*args, **kwargs)
+        heads.extend(weakref.ref(g) for g in res.grads.values())
+        return res
+
+    def watched_backward(block, cache, d_out):
+        live_at_backward.append(sum(ref() is not None for ref in heads))
+        return backward(block, cache, d_out)
+
     def checking(owner, grads, lr):
-        if owner is not net.out:
+        if owner is not net.out and "weight" in grads:  # the update carrying the trunk's gradients
             live_at_update.append(caches[id(owner)]() is not None)
         return update(owner, grads, lr)
 
     monkeypatch.setattr(tr, "block_forward", recording)
+    monkeypatch.setattr(tr, "local_block_loss", local_loss)
+    monkeypatch.setattr(tr, "block_local_backward", watched_backward)
     monkeypatch.setattr(tr, "update_params", checking)
     tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert live_at_update == [False, False, False]
+    assert len(heads) == sum(len(b.param_names()) - 4 for b in net.blocks)
+    assert live_at_backward == [0, 0, 0]
 
 
 @pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
@@ -473,7 +490,9 @@ def test_global_sweep_frees_each_output_gradient_once_read(mode, monkeypatch):
         return result
 
     def updating(owner, grads, lr):
-        if owner is not net.out:
+        # glob+sim's sim heads update in the forward sweep, before any of
+        # these gradients exists; each block's trunk updates after its backward
+        if owner is not net.out and "weight" in grads:
             live.append(sum(ref() is not None for ref in refs))
         return update(owner, grads, lr)
 
@@ -482,6 +501,31 @@ def test_global_sweep_frees_each_output_gradient_once_read(mode, monkeypatch):
     monkeypatch.setattr(tr, "update_params", updating)
     tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
     assert len(refs) == 4 and live == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
+def test_pool_index_dies_once_its_backward_has_read_it(mode, monkeypatch):
+    # the trace holds the only reference to a pool index, so each index is
+    # dead by the time its block's backward starts, the last block's too
+    net = small_net(mode, arch="conv3-pool-conv4-pool-fc", input_shape=(2, 8, 8), classes=3, pred_target_dim=4)
+    x = rand((6, 2, 8, 8), seed=87, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    refs, live = [], []
+    pool, backward = nm.maxpool2x2, tr.block_backward
+
+    def pooling(*args, **kwargs):
+        out, idx = pool(*args, **kwargs)
+        refs.append(weakref.ref(idx))
+        return out, idx
+
+    def checking(block, cache, d_out, need_dx=True):
+        live.append([ref() is not None for ref in refs])
+        return backward(block, cache, d_out, need_dx=need_dx)
+
+    monkeypatch.setattr(nm, "maxpool2x2", pooling)
+    monkeypatch.setattr(tr, "block_backward", checking)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    assert live == [[True, False], [False, False]]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -800,6 +844,17 @@ def test_load_network_rejects_out_of_range_slope(tmp_path):
     assert net.blocks[0].spec.slope == 0.0
 
 
+def _step_peak(net, x, y) -> int:
+    """Traced bytes one applied step peaks at above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(1, 0, len(net.blocks)))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("mode", ["predsim", "glob"])
 def test_conv_step_peak_stays_near_the_first_block_output(mode):
     # the benchmark's conv net and batch, with its dropout and pooling target
@@ -807,15 +862,98 @@ def test_conv_step_peak_stays_near_the_first_block_output(mode):
     net = tr.build_network(spec, LossConfig(mode), dropout=0.2, pred_target_dim=2048, seed=0)
     x = rand((32, 3, 32, 32), seed=110, dtype=np.float32)
     y = one_hot(np.arange(32) % 10, 10, np.float32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(1, 0, len(net.blocks)))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _step_peak(net, x, y)
     block0_out = 32 * 64 * 32 * 32 * 4
     # the block-0 cache (xhat and the two bit masks) and its output hold
-    # 2.25x of it; glob's peak is block 1's conv backward, predsim's the
-    # sim head's backward at block 0
-    assert peak < {"glob": 3.5, "predsim": 4.6}[mode] * block0_out
+    # 2.25x of it; glob's peak (3.20x) is block 2's backward, whose GEMM
+    # makes its 8 MiB weight gradient on top of the caches of blocks 0 and
+    # 1, and predsim's (4.45x) the sim head's conv backward at block 0,
+    # into whose dh the pred head then adds its own
+    assert peak < {"glob": 3.3, "predsim": 4.5}[mode] * block0_out
+
+
+def test_dense_bpf_step_peak_holds_no_gradient_past_its_reader():
+    # the benchmark's mlp-bpf net, batch and dropout: a block's head
+    # gradients are applied before its backward, and its xhat and masks die
+    # inside it, so the step peaks at 5.53 MiB (6.56 when the heads and the
+    # cache lived through the backward)
+    spec = tr.parse_arch("mlp3x1024", (1, 28, 28), 10)
+    net = tr.build_network(spec, LossConfig("predsim-bpf"), dropout=0.1, seed=0)
+    x = rand((128, 1, 28, 28), seed=111, dtype=np.float32)
+    y = one_hot(np.arange(128) % 10, 10, np.float32)
+    assert _step_peak(net, x, y) < 5.75 * (1 << 20)
+
+
+def _reference_local_loss(net, block, h, y):
+    """local_block_loss with each part's dh in an array of its own, summed
+    by combine."""
+    row = MODE_TABLE[net.mode]
+    wp, ws = (1.0 - net.beta, net.beta) if row.pred and row.sim else (1.0, 1.0)
+    parts = []
+    if row.sim == "head":
+        parts.append(ls.sim_loss(h, y, block.sim_w, block.sim_b, weight=ws))
+    elif row.sim == "bpf":
+        parts.append(ls.sim_bpf_loss(h, block.proj @ y.T, weight=ws))
+    if row.pred == "ce":
+        parts.append(ls.pred_loss(h, y, block.cls_w, block.cls_b, block.pool_k, weight=wp))
+    elif row.pred == "bpf":
+        t = ls.binarized_targets(block.proj, y, h.dtype)
+        parts.append(ls.pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, block.pool_k, weight=wp))
+    return parts[0] if len(parts) == 1 else ls.combine(parts[1], parts[0], net.beta)
+
+
+def _reference_step(net, x, y, lr, rngs):
+    """A step in the order of the arithmetic, holding everything to the
+    end: each block's head gradients join its trunk's in one update after
+    its backward. Returns the losses and the predictions."""
+    row = MODE_TABLE[net.mode]
+    a, losses, trace = x, [], []
+    for k, block in enumerate(net.blocks):
+        a, cache = ly.block_forward(block, a, train=True, rng=rngs[k])
+        res = _reference_local_loss(net, block, a, y) if row.pred or row.sim else None
+        losses.append(0.0 if res is None else res.loss)
+        trace.append([k, cache, res, None])
+        if block.spec.pool:
+            a, trace[-1][3] = nm.maxpool2x2(a)
+    flat = a.reshape(len(a), -1)
+    logits = flat @ net.out.weight + net.out.bias
+    out_loss, dlogits = nm.cross_entropy_logits(logits, y)
+    d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
+    ly.update_params(net.out, {"weight": dw, "bias": dlogits.sum(axis=0)}, lr)
+    d = None if row.local else d.reshape(a.shape)
+    for k, cache, res, idx in reversed(trace):
+        if row.local:
+            grads = ly.block_backward(net.blocks[k], cache, res.dh, need_dx=False)[0]
+        else:
+            if idx is not None:
+                d = nm.maxpool2x2_backward(d, idx)
+            if res is not None:
+                d = d + res.dh
+            grads, d = ly.block_backward(net.blocks[k], cache, d, need_dx=k > 0)
+        ly.update_params(net.blocks[k], {**grads, **(res.grads if res else {})}, lr)
+        net.blocks[k].fold_stats(*cache.stats)
+    return losses + [out_loss], logits.argmax(axis=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_trains_the_bytes_of_the_reference_order(mode):
+    # a conv net with dropout whose pred heads pool by 2, then not at all,
+    # and a dense block: 3 steps of train_step leave every parameter, Adam
+    # moment and running stat, and report every loss and prediction, bit
+    # for bit as the reference does
+    nets = [small_net(mode, arch="conv8-pool-conv12-pool-fc16-fc", input_shape=(3, 8, 8), classes=4,
+                      dropout=0.2, pred_target_dim=100, seed=12) for _ in range(2)]
+    assert [b.pool_k for b in nets[0].blocks] == ([2, 1, 1] if MODE_TABLE[mode].pred else [1, 1, 1])
+    x = rand((10, 3, 8, 8), seed=112, dtype=np.float32)
+    y = one_hot(np.arange(10) % 4, 4, np.float32)
+    for step in range(3):
+        res = tr.train_step(nets[0], x, y, 1e-3, tr.dropout_rngs(2, step, 3))
+        losses, predictions = _reference_step(nets[1], x, y, 1e-3, tr.dropout_rngs(2, step, 3))
+        assert res.losses == losses and np.array_equal(res.predictions, predictions)
+    got, want = (tr.state_tensors(net) for net in nets)
+    for name in want:
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+    for mine, theirs in zip(nets[0].blocks + [nets[0].out], nets[1].blocks + [nets[1].out]):
+        for name, state in theirs.adam.items():
+            other = mine.adam[name]
+            assert (other.t, other.m.tobytes(), other.v.tobytes()) == (state.t, state.m.tobytes(), state.v.tobytes())
