@@ -139,34 +139,35 @@ def cmd_train(args) -> int:
     cfg.validate_for(train_ds)
 
     datamod.standardize(datamod.channel_stats(train_ds), train_ds, test_ds)
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(
-        os.path.join(args.out, "manifest.txt"),
-        {
-            "dataset": args.dataset,
-            "data_dir": args.data_dir or "",
-            "arch": cfg.arch,
-            "arch_resolved": resolved_arch,
-            "loss": loss.mode,
-            "beta": repr(loss.resolved_beta),
-            "projection_dim": loss.projection_dim,
-            "epochs": cfg.epochs,
-            "lr": repr(cfg.lr),
-            "batch_size": cfg.batch_size,
-            "dropout": repr(cfg.dropout),
-            "slope": repr(resolved_slope(cfg.slope, loss.mode)),
-            "seed": cfg.seed,
-            "classes_per_batch": cfg.classes_per_batch,
-            "width_mult": cfg.width_mult,
-            "pred_target_dim": cfg.pred_target_dim,
-            "jitter": cfg.augment.jitter,
-            "hflip": str(cfg.augment.hflip).lower(),
-            "cutout": cfg.augment.cutout,
-            "out": args.out,
-            "contract": CONTRACT,
-            **blas_entries(),
-        },
-    )
+    manifest = {
+        "dataset": args.dataset,
+        "data_dir": args.data_dir or "",
+        "arch": cfg.arch,
+        "arch_resolved": resolved_arch,
+        "loss": loss.mode,
+        "beta": repr(loss.resolved_beta),
+        "projection_dim": loss.projection_dim,
+        "epochs": cfg.epochs,
+        "lr": repr(cfg.lr),
+        "batch_size": cfg.batch_size,
+        "dropout": repr(cfg.dropout),
+        "slope": repr(resolved_slope(cfg.slope, loss.mode)),
+        "seed": cfg.seed,
+        "classes_per_batch": cfg.classes_per_batch,
+        "width_mult": cfg.width_mult,
+        "pred_target_dim": cfg.pred_target_dim,
+        "jitter": cfg.augment.jitter,
+        "hflip": str(cfg.augment.hflip).lower(),
+        "cutout": cfg.augment.cutout,
+        "out": args.out,
+        "contract": CONTRACT,
+        **blas_entries(),
+    }
+    try:  # an --out that cannot be written fails before training, as one error line
+        os.makedirs(args.out, exist_ok=True)
+        write_manifest(os.path.join(args.out, "manifest.txt"), manifest)
+    except OSError as e:
+        raise LocalLearnError(f"cannot write the run directory {args.out!r}: {e.strerror or e}") from None
 
     net, history = train(cfg, loss, train_ds, test_ds)
 

@@ -73,6 +73,8 @@ def load_idx_images(path) -> np.ndarray:
     magic, n, rows, cols = struct.unpack(">IIII", buf[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_IMAGES_MAGIC:08x}")
+    if not rows or not cols:
+        raise DataError(f"{path}: {rows}x{cols} images have no pixels")
     need = 16 + n * rows * cols
     if len(buf) != need:
         raise DataError(f"{path}: expected {need} bytes, found {len(buf)}")

@@ -1,6 +1,10 @@
 """The training engine: architecture parsing, the training step's one
 sweep, the epoch loop, and checkpoint/metrics plumbing.
 
+A network is described once: parse_arch reads an architecture string into
+its hidden blocks' LayerSpecs (shapes only), and build_network completes
+each with the fields the loss mode and the run set, then initialises it.
+
 The point of the local modes is the shape of the step: activations flow
 forward once through the blocks (a conv block may end in a 2x2 pool), and
 every hidden block computes its own loss, backpropagates one layer deep,
@@ -60,27 +64,22 @@ CONTRACT = 2
 
 @dataclass
 class NetworkSpec:
-    """Parsed architecture: hidden elements plus the output layer's fan-in."""
+    """A parsed architecture: each hidden block's LayerSpec in forward order,
+    with only its shape fields set (build_network adds the rest), and the
+    output layer's fan-in and width."""
 
-    arch: str  # resolved token string
-    input_shape: tuple  # (c, h, w)
-    classes: int
-    width_mult: int
-    elements: list  # ("conv", in_c, out_c, h, w, pool) | ("fc", in_dim, units)
+    blocks: list  # LayerSpec
     out_in_dim: int
-
-    @property
-    def n_weight_layers(self) -> int:
-        return len(self.elements) + 1
+    classes: int
 
 
 def _int_suffix(token: str, prefix: str) -> int:
     try:
         value = int(token[len(prefix) :])
     except ValueError:
-        raise ConfigError(f"malformed architecture token {token!r}") from None
+        raise ConfigError("malformed width") from None
     if value < 1:
-        raise ConfigError(f"token {token!r} must carry a positive width")
+        raise ConfigError("the width must be positive")
     return value
 
 
@@ -89,66 +88,54 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
 
     Tokens: convN (3x3, stride 1, pad 1), pool (2x2 max, which joins the
     conv block before it), fcN (hidden dense), and a final fc or fcN output
-    layer. Shapes are tracked through the string so impossible networks fail
-    here, not mid-epoch: pooling an odd extent, conv after flatten, pool
-    first or after pool, or a non-fc final token all raise.
+    layer. A convN or fcN token appends its block's LayerSpec, whose input
+    shape is the one the tokens before it leave; a pool token marks the
+    block before it. So impossible networks fail here, not mid-epoch:
+    LayerSpec rejects conv after a dense block and pool after one, and
+    pooling an odd extent, pool first or after pool, or a non-fc final
+    token raise too. A token's error names the token.
     """
     if width_mult < 1:
         raise ConfigError(f"width multiplier must be >= 1, got {width_mult}")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
-    if len(input_shape) != 3:
-        raise ConfigError(f"input shape must be (c, h, w), got {input_shape}")
+    if len(input_shape) != 3 or min(input_shape) < 1:
+        raise ConfigError(f"input shape must be (c, h, w) with positive extents, got {tuple(input_shape)}")
     resolved = ARCH_PRESETS.get(arch, arch)
     tokens = resolved.split("-")
-    shape: tuple = tuple(input_shape)
-    elements: list = []
-    flattened = False
-    out_in_dim = 0
+    shape = tuple(input_shape)
+    blocks: list = []
     for i, tok in enumerate(tokens):
-        last = i == len(tokens) - 1
-        if tok == "pool":
-            if i == 0:
-                raise ConfigError("pool cannot be the first layer")
-            if last:
-                raise ConfigError("the final token must be a fc output layer")
-            if flattened:
-                raise ConfigError("pool after a dense layer")
-            *conv, pooled = elements[-1]
-            if pooled:
-                raise ConfigError("pool after a pool")
-            c, h, w = shape
-            if h % 2 or w % 2:
-                raise ShapeError(f"pool needs even extents, got {h}x{w} (arch {resolved!r})")
-            elements[-1] = (*conv, True)
-            shape = (c, h // 2, w // 2)
-        elif tok.startswith("conv"):
-            if last:
-                raise ConfigError("the final token must be a fc output layer")
-            if flattened:
-                raise ConfigError("conv after a dense layer")
-            ch = _int_suffix(tok, "conv") * width_mult
-            c, h, w = shape
-            elements.append(("conv", c, ch, h, w, False))
-            shape = (ch, h, w)  # 3x3 stride 1 pad 1 keeps the extent
-        elif tok == "fc" or tok.startswith("fc"):
-            units = classes if tok == "fc" else _int_suffix(tok, "fc")
-            in_dim = int(np.prod(shape))
-            if last:
+        try:
+            if i == len(tokens) - 1:  # the output layer, whose fan-in is the last shape
+                if not tok.startswith("fc"):
+                    raise ConfigError("the final token must be a fc output layer")
+                units = classes if tok == "fc" else _int_suffix(tok, "fc")
                 if units != classes:
                     raise ConfigError(f"output width {units} does not match {classes} classes")
-                out_in_dim = in_dim
+            elif tok == "pool":
+                if not blocks:
+                    raise ConfigError("pool cannot be the first layer")
+                if blocks[-1].pool:
+                    raise ConfigError("pool after a pool")
+                blocks[-1] = replace(blocks[-1], pool=True)
+                c, h, w = shape
+                if h % 2 or w % 2:
+                    raise ShapeError(f"pool needs even extents, got {h}x{w}")
+                shape = (c, h // 2, w // 2)
+            elif tok.startswith("conv"):
+                blocks.append(LayerSpec("conv", shape, channels=_int_suffix(tok, "conv") * width_mult))
+                shape = blocks[-1].out_shape  # 3x3 stride 1 pad 1 keeps the extent
+            elif tok == "fc":
+                raise ConfigError("bare fc denotes the output layer and must be last")
+            elif tok.startswith("fc"):
+                blocks.append(LayerSpec("dense", (int(np.prod(shape)),), units=_int_suffix(tok, "fc")))
+                shape = blocks[-1].out_shape
             else:
-                if tok == "fc":
-                    raise ConfigError("bare fc denotes the output layer and must be last")
-                elements.append(("fc", in_dim, units))
-                shape = (units,)
-                flattened = True
-        else:
-            raise ConfigError(f"unknown architecture token {tok!r}")
-    if not out_in_dim:
-        raise ConfigError(f"architecture {resolved!r} has no output layer")
-    return NetworkSpec(resolved, tuple(input_shape), classes, width_mult, elements, out_in_dim)
+                raise ConfigError("unknown architecture token")
+        except (ConfigError, ShapeError) as e:
+            raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
+    return NetworkSpec(blocks, int(np.prod(shape)), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +224,6 @@ class OutputLayer:
 
 @dataclass
 class Network:
-    spec: NetworkSpec
     mode: str
     beta: float
     blocks: list  # LayerBlock, forward order
@@ -253,9 +239,11 @@ def build_network(
     seed: int = 0,
     dtype=np.float32,
 ) -> Network:
-    """Materialise blocks (with the heads the mode needs) and the output
-    layer. Each weight layer draws from its own seeded stream, so nets with
-    equal seeds match bit for bit regardless of mode-dependent head counts."""
+    """Materialise each parsed block, its LayerSpec completed with the
+    heads the mode needs, the slope, the dropout and the pooling target, and
+    then the output layer. Each weight layer draws from its own seeded
+    stream, so nets with equal seeds match bit for bit regardless of
+    mode-dependent head counts."""
     row = MODE_TABLE[loss.mode]
     shared = dict(  # every field of a block's spec but its shape
         slope=resolved_slope(slope, loss.mode),
@@ -268,22 +256,17 @@ def build_network(
         projection=loss.projection_dim if "bpf" in (row.pred, row.sim) else 0,
     )
 
-    blocks: list = []
-    for index, e in enumerate(spec.elements):
-        if e[0] == "conv":
-            _, c_in, c_out, h, w, pool = e
-            lspec = LayerSpec(kind="conv", in_shape=(c_in, h, w), channels=c_out, pool=pool, **shared)
-        else:
-            _, in_dim, units = e
-            lspec = LayerSpec(kind="dense", in_shape=(in_dim,), units=units, **shared)
-        blocks.append(init_params(lspec, rngmod.make_rng(seed, rngmod.INIT, index), dtype))
+    blocks = [
+        init_params(replace(lspec, **shared), rngmod.make_rng(seed, rngmod.INIT, k), dtype)
+        for k, lspec in enumerate(spec.blocks)
+    ]
 
     orng = rngmod.make_rng(seed, rngmod.INIT, len(blocks))
     bound = float(np.sqrt(1.0 / spec.out_in_dim))
     weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, spec.classes)).astype(dtype)
     bias = np.zeros(spec.classes, dtype=dtype)
     out = OutputLayer(weight, bias, {"weight": AdamState.for_param(weight), "bias": AdamState.for_param(bias)})
-    return Network(spec, loss.mode, loss.resolved_beta, blocks, out)
+    return Network(loss.mode, loss.resolved_beta, blocks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +566,7 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
 
         correct = 0
         seen = 0
-        loss_sums = np.zeros(net.spec.n_weight_layers)
+        loss_sums = np.zeros(len(net.blocks) + 1)
         steps = 0
         for idx in sample_batches(train_ds.labels, cfg.batch_size, sampler_rng, limit):
             xb = augment_batch(train_ds.images[idx], cfg.augment, augment_rng)

@@ -3,9 +3,11 @@
 perfbench wraps library functions by module attribute, so a rename in the
 library breaks it without an error of its own. These tests install the
 benchmark's wrappers, without training anything, and check that every name
-it reads resolves and that every original is back afterwards.
+it reads resolves and that every original is back afterwards. The last
+test runs the harness's own self-test, a shrunk run of every workload.
 """
 
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -17,7 +19,8 @@ from locallearn import cli, data, gradcheck, layers, losses, numerics, trainer
 
 from conftest import rand, small_net
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import perlayer  # noqa: E402
 import tracing  # noqa: E402
@@ -100,3 +103,10 @@ def test_traced_conv_step_runs_and_counts_flops(mode):
     backward = {"predsim": heads, "glob": trunk[1:]}[mode]
     assert [s.attrs["flop"] for s in spans["numerics.conv2d_backward"]] == [2 * f for f in backward]
     assert len(spans["layers.block_backward"]) == 2
+
+
+def test_harness_selftest_passes():
+    # the harness imports the library from this checkout's src/ itself
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, (done.stdout + done.stderr)[-2000:]
+    assert "selftest: ok" in done.stdout

@@ -196,6 +196,18 @@ def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, fla
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_unwritable_out_is_an_error_line_before_training(tmp_path, capsys, monkeypatch, out):
+    """An --out that names a file, or a directory under one, cannot be made."""
+    (tmp_path / "taken").write_text("keep")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+    assert main(_train_argv(tmp_path / out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the run directory {str(tmp_path / out)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
 def test_empty_test_split_is_rejected_before_training(tmp_path, capsys):
     data_dir = _write_mnist_dir(tmp_path / "mnist", n_train=40, n_test=0)
     code = main(_mnist_train_argv(data_dir, tmp_path / "x"))

@@ -1,6 +1,7 @@
 """IDX and CIFAR loaders, augmentations, standardization, synthetic data."""
 
 import gzip
+import struct
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,14 @@ def test_idx_truncation_rejected(tmp_path):
     dt.write_idx_images(p, _fixture_images())
     p.write_bytes(p.read_bytes()[:-7])
     with pytest.raises(DataError):
+        dt.load_idx_images(p)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (4, 0)])
+def test_idx_zero_extent_images_rejected(tmp_path, rows, cols):
+    p = tmp_path / "img.idx"
+    p.write_bytes(struct.pack(">IIII", dt.IDX_IMAGES_MAGIC, 3, rows, cols))
+    with pytest.raises(DataError, match=f"img.idx: {rows}x{cols} images have no pixels"):
         dt.load_idx_images(p)
 
 

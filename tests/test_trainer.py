@@ -34,56 +34,83 @@ from tracing import MemoryProbe  # noqa: E402
 
 def test_parse_vgg8b_has_8_weight_layers():
     spec = tr.parse_arch(tr.ARCH_PRESETS["vgg8b"], (3, 32, 32), 10)
-    assert spec.n_weight_layers == 8
-    kinds = [e[0] for e in spec.elements]
-    assert kinds.count("conv") == 6 and kinds.count("fc") == 1  # + the output layer
+    assert len(spec.blocks) + 1 == 8
+    kinds = [b.kind for b in spec.blocks]
+    assert kinds.count("conv") == 6 and kinds.count("dense") == 1  # + the output layer
 
 
 def test_parse_vgg11b_has_11_weight_layers():
     spec = tr.parse_arch(tr.ARCH_PRESETS["vgg11b"], (3, 32, 32), 10)
-    assert spec.n_weight_layers == 11
+    assert len(spec.blocks) + 1 == 11
 
 
 def test_parse_shape_bookkeeping():
     spec = tr.parse_arch("conv128-pool-fc10", (1, 28, 28), 10)
-    # the conv element records the pool that follows it; the pool is no element
-    assert spec.elements == [("conv", 1, 128, 28, 28, True)]
+    # the conv block records the pool that follows it; the pool is no block
+    assert spec.blocks == [ly.LayerSpec("conv", (1, 28, 28), channels=128, pool=True)]
     # the trailing fc10 is the output layer: 128 channels at 14x14 flattened
     assert spec.out_in_dim == 128 * 14 * 14
 
 
 def test_parse_width_mult_scales_conv_only():
     spec = tr.parse_arch("conv128-pool-fc1024-fc", (3, 32, 32), 10, width_mult=2)
-    assert spec.elements[0][2] == 256
-    fc = [e for e in spec.elements if e[0] == "fc"][0]
-    assert fc[2] == 1024
+    assert spec.blocks[0].channels == 256
+    fc = [b for b in spec.blocks if b.kind == "dense"][0]
+    assert fc.units == 1024
+    assert fc.in_shape == (256 * 16 * 16,)
 
 
 def test_parse_errors():
-    with pytest.raises(ConfigError):
-        tr.parse_arch("pool-conv8-fc", (1, 8, 8), 3)          # pool first
-    with pytest.raises(ConfigError):
-        tr.parse_arch("conv8-fc16-pool-fc", (1, 8, 8), 3)     # pool after flatten
-    with pytest.raises(ShapeError):
-        tr.parse_arch("conv8-pool-conv8-pool-conv8-pool-fc", (1, 28, 28), 3)  # 7 is odd
-    with pytest.raises(ConfigError):
-        tr.parse_arch("conv8-pool-pool-fc", (1, 8, 8), 3)     # pool after pool
-    with pytest.raises(ConfigError):
-        tr.parse_arch("conv8-fc16-conv8-fc", (1, 8, 8), 3)    # conv after flatten
-    with pytest.raises(ConfigError):
-        tr.parse_arch("conv8-fc7", (1, 8, 8), 3)              # output width != classes
-    with pytest.raises(ConfigError):
-        tr.parse_arch("fc-fc16-fc", (8, 1, 1), 3)             # bare fc not last
-    with pytest.raises(ConfigError):
-        tr.parse_arch("conv8-dense16-fc", (1, 8, 8), 3)       # unknown token
-    with pytest.raises(ConfigError):
-        tr.parse_arch("", (8, 1, 1), 3)
+    """Each error is the type its check raises, and names the token and the
+    architecture it came from."""
+    cases = [
+        ("pool-conv8-fc", (1, 8, 8), ConfigError, "token 1 'pool'"),          # pool first
+        ("conv8-fc16-pool-fc", (1, 8, 8), ConfigError, "token 3 'pool'"),     # pool after flatten
+        ("conv8-pool-conv8-pool-conv8-pool-fc", (1, 28, 28), ShapeError, "token 6 'pool'"),  # 7 is odd
+        ("conv8-pool-pool-fc", (1, 8, 8), ConfigError, "token 3 'pool'"),     # pool after pool
+        ("conv8-fc16-conv8-fc", (1, 8, 8), ConfigError, "token 3 'conv8'"),   # conv after flatten
+        ("conv8-fc7", (1, 8, 8), ConfigError, "token 2 'fc7'"),               # output width != classes
+        ("fc-fc16-fc", (8, 1, 1), ConfigError, "token 1 'fc'"),               # bare fc not last
+        ("conv8-dense16-fc", (1, 8, 8), ConfigError, "token 2 'dense16'"),    # unknown token
+        ("conv8-fcx-fc", (1, 8, 8), ConfigError, "token 2 'fcx'"),            # malformed width
+        ("conv0-fc", (1, 8, 8), ConfigError, "token 1 'conv0'"),              # zero width
+        ("conv8-pool", (1, 8, 8), ConfigError, "token 2 'pool'"),             # no output layer
+        ("", (8, 1, 1), ConfigError, "token 1 ''"),
+        ("vgg8b", (3, 28, 28), ShapeError, "token 8 'pool'"),                 # a preset names its tokens
+    ]
+    for arch, shape, error, token in cases:
+        with pytest.raises(error) as info:
+            tr.parse_arch(arch, shape, 3)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{token} of {tr.ARCH_PRESETS.get(arch, arch)!r}: ")
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 8, 0), (0, 8, 8), (8, 1), (1, 2, 3, 4)])
+def test_parse_rejects_an_input_shape_without_three_positive_extents(shape):
+    for arch in ("fc8-fc", "conv4-fc"):
+        with pytest.raises(ConfigError, match=r"input shape must be \(c, h, w\) with positive extents"):
+            tr.parse_arch(arch, shape, 3)
 
 
 def test_parse_trailing_fc_n_as_output():
     spec = tr.parse_arch("fc32-fc10", (16, 1, 1), 10)
-    assert spec.n_weight_layers == 2
+    assert len(spec.blocks) + 1 == 2
     assert spec.out_in_dim == 32
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arch, shape", [
+    ("conv8-pool-conv16-fc24-fc", (3, 8, 8)),
+    ("fc32-fc16-fc", (12, 1, 1)),
+])
+def test_build_network_keeps_the_parsed_shapes(mode, arch, shape):
+    """Every built block has the kind and shape fields its parsed LayerSpec
+    has: build_network adds the mode's fields and changes none of these."""
+    spec = tr.parse_arch(arch, shape, 4)
+    net = tr.build_network(spec, LossConfig(mode), pred_target_dim=8)
+    fields = ("kind", "in_shape", "units", "channels", "pool")
+    assert [[getattr(b.spec, f) for f in fields] for b in net.blocks] == \
+        [[getattr(b, f) for f in fields] for b in spec.blocks]
 
 
 # ---------------------------------------------------------------------------
