@@ -1,10 +1,12 @@
 """Trainable blocks, their optimizer state, and checkpoint serialization.
 
 A hidden block is affine (dense or conv) -> batchnorm -> leaky relu ->
-dropout, plus whatever local-loss heads its training mode needs: a linear
-classifier (cls), a similarity head (sim), a fixed random feedback matrix B
-for feedback alignment, and a fixed random label projection P. B and P are
-drawn once at init and never updated; everything else has Adam state.
+dropout, plus the heads of the local-loss parts its spec names, its loss
+mode's row (losses.MODE_TABLE): a pred part's linear classifier (cls), a
+sim "head" part's similarity head (sim), a "bpf" pred part's fixed random
+feedback matrix B for feedback alignment, and any "bpf" part's fixed random
+label projection P. B and P are drawn once at init and never updated;
+everything else has Adam state.
 """
 
 from __future__ import annotations
@@ -91,9 +93,12 @@ def adam_step(
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Static description of one hidden block and its local-loss heads.
+    """Static description of one hidden block and its local-loss parts.
 
-    Frozen, so the spec a block runs with is the one __post_init__ checked.
+    pred and sim are the parts of the mode's row (losses.MODE_TABLE), None
+    for an absent one; init_params draws the heads they name, and
+    losses.local_block_loss runs them. Frozen, so the spec a block runs with
+    is the one __post_init__ checked.
     """
 
     # every conv block is 3x3, stride 1, pad 1, so it keeps its input's
@@ -110,12 +115,10 @@ class LayerSpec:
     pool: bool = False  # a 2x2 max pool, which the trainer runs, follows the block (conv only)
     slope: float = 0.0
     dropout: float = 0.0
-    # heads; zeros/False mean "absent"
-    cls_targets: int = 0  # width of the local classifier (classes, or projection_dim)
-    sim_head: bool = False
-    feedback: bool = False  # fixed random B paired with the classifier
-    projection: int = 0  # rows of the fixed random label projection P
-    classes: int = 0  # columns of P
+    pred: Optional[str] = None  # "ce": classifier on the labels; "bpf": on P's binarised labels, through B
+    sim: Optional[str] = None  # "head": similarity through a trainable head; "bpf": against P's labels
+    projection: int = 0  # rows of the fixed random label projection P, which a bpf part reads
+    classes: int = 0  # columns of P, and the width of a ce classifier
     pred_target_dim: int = 1024  # pooled size the conv classifier input aims for
 
     def __post_init__(self):
@@ -134,8 +137,10 @@ class LayerSpec:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.slope <= 1.0:
             raise ConfigError(f"leaky relu slope must be in [0, 1], got {self.slope}")
-        if self.feedback and not self.cls_targets:
-            raise ConfigError("feedback matrix is only meaningful with a classifier head")
+        if self.pred not in (None, "ce", "bpf") or self.sim not in (None, "head", "bpf"):
+            raise ConfigError(f"unknown local-loss part: pred {self.pred!r}, sim {self.sim!r}")
+        if "bpf" in (self.pred, self.sim) and self.projection < 1:
+            raise ConfigError(f"a bpf part needs projection >= 1, got {self.projection}")
 
     @property
     def fan_in(self) -> int:
@@ -175,18 +180,6 @@ class LayerBlock:
     pool_k: int = 1
     adam: dict = field(default_factory=dict)
 
-    def heads(self) -> dict:
-        """The local-loss head tensors, as local_block_loss takes them."""
-        return dict(
-            cls_w=self.cls_w,
-            cls_b=self.cls_b,
-            sim_w=self.sim_w,
-            sim_b=self.sim_b,
-            feedback=self.feedback,
-            proj=self.proj,
-            pool_k=self.pool_k,
-        )
-
     def fold_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's mean and population variance into the running
         batchnorm stats (momentum 0.1)."""
@@ -210,8 +203,8 @@ def _uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.n
 
 def init_params(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> LayerBlock:
     """Materialise a block: fan-in uniform weights, zero biases, unit
-    batchnorm scale; heads per the spec's flags. Draw order is fixed so equal
-    seeds give bit-identical blocks."""
+    batchnorm scale; the heads of the spec's pred and sim parts. Draw order
+    is fixed so equal seeds give bit-identical blocks."""
     if spec.kind == "dense":
         w = _uniform_fan_in(rng, (spec.fan_in, spec.units), spec.fan_in, dtype)
     else:
@@ -228,21 +221,22 @@ def init_params(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> 
         run_var=np.ones(width, dtype=dtype),
     )
 
-    if spec.cls_targets:
+    if spec.pred:
+        targets = spec.classes if spec.pred == "ce" else spec.projection
         cls_in = _classifier_input_dim(spec, block)
-        block.cls_w = _uniform_fan_in(rng, (cls_in, spec.cls_targets), cls_in, dtype)
-        block.cls_b = np.zeros(spec.cls_targets, dtype=dtype)
-    if spec.sim_head:
+        block.cls_w = _uniform_fan_in(rng, (cls_in, targets), cls_in, dtype)
+        block.cls_b = np.zeros(targets, dtype=dtype)
+    if spec.sim == "head":
         if spec.kind == "dense":
             block.sim_w = _uniform_fan_in(rng, (spec.units, spec.units), spec.units, dtype)
             block.sim_b = np.zeros(spec.units, dtype=dtype)
         else:
             c = spec.channels
             block.sim_w = _uniform_fan_in(rng, (c, c, 3, 3), c * 9, dtype)
-    if spec.feedback:
-        sd = 1.0 / np.sqrt(spec.cls_targets)
+    if spec.pred == "bpf":
+        sd = 1.0 / np.sqrt(spec.projection)
         block.feedback = (rng.normal(0.0, 1.0, size=block.cls_w.shape) * sd).astype(dtype)
-    if spec.projection:
+    if "bpf" in (spec.pred, spec.sim):
         sd = 1.0 / np.sqrt(spec.classes)
         block.proj = (rng.normal(0.0, 1.0, size=(spec.projection, spec.classes)) * sd).astype(dtype)
 
@@ -406,8 +400,8 @@ def save_checkpoint(path, tensors: dict, block_count: int) -> None:
 def load_checkpoint(path):
     """Read a checkpoint back; returns (tensors dict, block_count).
 
-    Bad magic, truncation mid-record, or absurd field values raise DataError
-    with the failing offset.
+    Bad magic, truncation mid-record, absurd field values, a name that is
+    not utf-8 or one that repeats raise DataError with the failing offset.
     """
     try:
         with open(path, "rb") as f:
@@ -434,7 +428,13 @@ def load_checkpoint(path):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         if name_len > 4096:
             raise DataError(f"implausible name length {name_len} at byte {off - 4}")
-        name = take(name_len, "name").decode("utf-8")
+        name_at = off
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"tensor name at byte {name_at} is not utf-8") from None
+        if name in tensors:
+            raise DataError(f"tensor {name!r} at byte {name_at} repeats an earlier name")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         if rank > 8:
             raise DataError(f"implausible rank {rank} for {name!r}")

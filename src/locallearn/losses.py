@@ -331,44 +331,32 @@ def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) ->
     return LocalLossResult(loss, dh, {**pred_res.grads, **sim_res.grads})
 
 
-def local_block_loss(
-    mode: str,
-    beta: float,
-    h: np.ndarray,
-    targets_onehot: np.ndarray,
-    *,
-    cls_w=None,
-    cls_b=None,
-    sim_w=None,
-    sim_b=None,
-    feedback=None,
-    proj=None,
-    pool_k: int = 1,
-) -> LocalLossResult:
-    """The local error signal of one hidden block: the mode's pred part and
-    sim part (see MODE_TABLE), mixed by beta when the mode has both.
+def local_block_loss(block, h: np.ndarray, targets_onehot: np.ndarray, beta: float) -> LocalLossResult:
+    """The local error signal of one hidden block, whose output is h: the
+    pred and sim parts its spec names, run on its head tensors and mixed by
+    beta when it has both.
 
     Each part takes its weight, 1 - beta and beta, into its own smallest
-    gradient; a mode without both parts weighs its one part by 1. The sim
-    part runs first, and the pred part adds its gradient into the sim one
-    (add_to=): no full-size pred gradient is made only to be added, and the
-    sim gradient, not a pred one, lives through the lighter pred part.
+    gradient; a block with one part weighs it by 1. The sim part runs
+    first, and the pred part adds its gradient into the sim one (add_to=):
+    no full-size pred gradient is made only to be added, and the sim
+    gradient, not a pred one, lives through the lighter pred part.
     """
-    row = MODE_TABLE.get(mode)
-    if row is None or not (row.pred or row.sim):
-        raise ConfigError(f"mode {mode!r} has no local loss")
-    wp, ws = (1.0 - beta, beta) if row.pred and row.sim else (1.0, 1.0)
+    spec = block.spec
+    if not (spec.pred or spec.sim):
+        raise ConfigError("the block has no local-loss part")
+    wp, ws = (1.0 - beta, beta) if spec.pred and spec.sim else (1.0, 1.0)
     pred = sim = None
-    if row.sim == "head":
-        sim = sim_loss(h, targets_onehot, sim_w, sim_b, weight=ws)
-    elif row.sim == "bpf":
-        sim = sim_bpf_loss(h, proj @ targets_onehot.T, weight=ws)
+    if spec.sim == "head":
+        sim = sim_loss(h, targets_onehot, block.sim_w, block.sim_b, weight=ws)
+    elif spec.sim == "bpf":
+        sim = sim_bpf_loss(h, block.proj @ targets_onehot.T, weight=ws)
     add_to = None if sim is None else sim.dh
-    if row.pred == "ce":
-        pred = pred_loss(h, targets_onehot, cls_w, cls_b, pool_k, weight=wp, add_to=add_to)
-    elif row.pred == "bpf":
-        t = binarized_targets(proj, targets_onehot, h.dtype)
-        pred = pred_bpf_loss(h, t, cls_w, cls_b, feedback, pool_k, weight=wp, add_to=add_to)
+    if spec.pred == "ce":
+        pred = pred_loss(h, targets_onehot, block.cls_w, block.cls_b, block.pool_k, weight=wp, add_to=add_to)
+    elif spec.pred == "bpf":
+        t = binarized_targets(block.proj, targets_onehot, h.dtype)
+        pred = pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, block.pool_k, weight=wp, add_to=add_to)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

@@ -74,13 +74,12 @@ class NetworkSpec:
 
 
 def _int_suffix(token: str, prefix: str) -> int:
-    try:
-        value = int(token[len(prefix) :])
-    except ValueError:
-        raise ConfigError("malformed width") from None
-    if value < 1:
-        raise ConfigError("the width must be positive")
-    return value
+    # int() alone also takes a sign, spaces, underscores and non-ASCII
+    # digits, which would give one network many spellings
+    digits = token[len(prefix) :]
+    if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        raise ConfigError("the width must be a positive number in digits 0-9 with no leading zero")
+    return int(digits)
 
 
 def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> NetworkSpec:
@@ -240,8 +239,9 @@ def build_network(
     dtype=np.float32,
 ) -> Network:
     """Materialise each parsed block, its LayerSpec completed with the
-    heads the mode needs, the slope, the dropout and the pooling target, and
-    then the output layer. Each weight layer draws from its own seeded
+    mode row's pred and sim parts (and the projection width a bpf part
+    reads), the slope, the dropout and the pooling target, and then the
+    output layer. Each weight layer draws from its own seeded
     stream, so nets with equal seeds match bit for bit regardless of
     mode-dependent head counts."""
     row = MODE_TABLE[loss.mode]
@@ -250,9 +250,8 @@ def build_network(
         dropout=dropout,
         pred_target_dim=pred_target_dim,
         classes=spec.classes,
-        cls_targets={"ce": spec.classes, "bpf": loss.projection_dim}.get(row.pred, 0),
-        feedback=row.pred == "bpf",
-        sim_head=row.sim == "head",
+        pred=row.pred,
+        sim=row.sim,
         projection=loss.projection_dim if "bpf" in (row.pred, row.sim) else 0,
     )
 
@@ -384,7 +383,7 @@ def train_step(
         a, cache = block_forward(block, a, train=True, rng=rngs[k])
         loss, dh = 0.0, None
         if row.pred or row.sim:
-            res = local_block_loss(net.mode, net.beta, a, targets_onehot, **block.heads())
+            res = local_block_loss(block, a, targets_onehot, net.beta)
             _check_finite(res.loss, f"layer {k} ({net.mode})")
             if kept is not None:
                 kept[k] = res.grads

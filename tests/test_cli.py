@@ -321,6 +321,22 @@ def test_eval_truncated_checkpoint(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_name_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_argv(out)) == 0
+    capsys.readouterr()
+    ckpt = out / "final.ckpt"
+    raw = ckpt.read_bytes()
+    assert raw[16:29] == b"block0.weight"  # the first name, after the header and its length
+    ckpt.write_bytes(raw[:16] + b"block0.\xffeight" + raw[29:])
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tensor name at byte 16 is not utf-8\n"
+    assert captured.out == ""
+
+
 def test_eval_batch_size_below_one_is_an_error_line(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_train_argv(out, **{"--epochs": "1"})) == 0

@@ -133,7 +133,7 @@ def test_init_dense_bounds_and_zero_bias():
 
 
 def test_init_is_seed_deterministic():
-    spec = ly.LayerSpec("dense", (32,), units=16, cls_targets=10, sim_head=True, classes=10)
+    spec = ly.LayerSpec("dense", (32,), units=16, pred="ce", sim="head", classes=10)
     b1 = ly.init_params(spec, make_rng(7))
     b2 = ly.init_params(spec, make_rng(7))
     for name in ("weight", "cls_w", "cls_b", "sim_w", "sim_b"):
@@ -141,8 +141,8 @@ def test_init_is_seed_deterministic():
 
 
 def test_init_conv_shapes_and_heads():
-    spec = ly.LayerSpec("conv", (3, 8, 8), channels=5, cls_targets=4, sim_head=True,
-                        feedback=True, projection=6, classes=4, pred_target_dim=16)
+    spec = ly.LayerSpec("conv", (3, 8, 8), channels=5, pred="bpf", sim="head",
+                        projection=6, classes=4, pred_target_dim=16)
     block = ly.init_params(spec, make_rng(2))
     assert block.weight.shape == (5, 3, 3, 3)
     assert block.sim_w.shape == (5, 5, 3, 3)    # same-channel head, no bias
@@ -171,8 +171,12 @@ def test_init_rejects_bad_spec():
         ly.LayerSpec("dense", (4,), units=0)
     with pytest.raises(ConfigError):
         ly.LayerSpec("what", (4,), units=3)
-    with pytest.raises(ConfigError):
-        ly.LayerSpec("dense", (4,), units=3, feedback=True)  # feedback needs a classifier
+    for parts in (dict(pred="xx"), dict(sim="xx"), dict(pred="head"), dict(sim="ce")):
+        with pytest.raises(ConfigError, match="unknown local-loss part"):
+            ly.LayerSpec("dense", (4,), units=3, classes=3, projection=2, **parts)
+    for parts in (dict(pred="bpf"), dict(sim="bpf"), dict(pred="ce", sim="bpf")):
+        with pytest.raises(ConfigError, match="projection >= 1"):
+            ly.LayerSpec("dense", (4,), units=3, classes=3, projection=0, **parts)
     with pytest.raises(ConfigError):
         ly.LayerSpec("dense", (4,), units=3, pool=True)  # a pool follows only a conv block
 
@@ -360,14 +364,13 @@ def test_one_step_decreases_local_loss_statistically():
     y = one_hot(np.arange(8) % 4, 4, np.float64)
     wins = 0
     for seed in range(20):
-        spec = ly.LayerSpec("dense", (6,), units=16, cls_targets=4, sim_head=True, classes=4)
+        spec = ly.LayerSpec("dense", (6,), units=16, pred="ce", sim="head", classes=4)
         block = ly.init_params(spec, make_rng(1000 + seed), dtype=np.float64)
         x = make_rng(2000 + seed).standard_normal((8, 6))
 
         def batch_loss(apply):
             h, cache = ly.block_forward(block, x, train=True)
-            res = local_block_loss("predsim", 0.99, h, y, cls_w=block.cls_w,
-                                   cls_b=block.cls_b, sim_w=block.sim_w, sim_b=block.sim_b)
+            res = local_block_loss(block, h, y, 0.99)
             if apply:
                 grads = ly.block_local_backward(block, cache, res.dh)
                 grads.update(res.grads)
@@ -433,4 +436,26 @@ def test_checkpoint_absurd_extents_name_offset(tmp_path):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(raw)
     with pytest.raises(DataError, match=f"at byte {len(raw) - 16}"):
+        ly.load_checkpoint(path)
+
+
+def _checkpoint_bytes(*names):
+    """A checkpoint holding one rank-0 tensor per raw name."""
+    raw = b"LLRN" + struct.pack("<II", ly.CKPT_VERSION, 1)
+    for name in names:
+        raw += struct.pack("<I", len(name)) + name + struct.pack("<I", 0) + bytes(4)
+    return raw
+
+
+def test_checkpoint_name_that_is_not_utf8_names_offset(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_checkpoint_bytes(b"a", b"block0.\xff"))
+    with pytest.raises(DataError, match="tensor name at byte 29 is not utf-8"):
+        ly.load_checkpoint(path)
+
+
+def test_checkpoint_repeated_name_names_offset(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(_checkpoint_bytes(b"a", b"b", b"a"))
+    with pytest.raises(DataError, match="tensor 'a' at byte 42 repeats an earlier name"):
         ly.load_checkpoint(path)

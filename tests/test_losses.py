@@ -3,6 +3,7 @@ backprop-free variants, and their combination."""
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import locallearn.losses as ls
 import locallearn.numerics as nm
 from locallearn.errors import ConfigError, InputError, ShapeError
+from locallearn.layers import LayerSpec
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 
@@ -318,23 +320,38 @@ def test_loss_config_beta_only_where_it_mixes(mode):
 def test_local_block_loss_dispatch():
     h = rand((4, 5), seed=57)
     y = one_hot(np.array([0, 1, 2, 0]), 3, np.float64)
-    kw = dict(cls_w=rand((5, 3), seed=58), cls_b=np.zeros(3),
-              sim_w=rand((5, 5), seed=59), sim_b=np.zeros(5),
+    kw = dict(cls_b=np.zeros(3), sim_w=rand((5, 5), seed=59), sim_b=np.zeros(5),
               feedback=rand((5, 6), seed=60), proj=rand((6, 3), seed=61))
-    pred = ls.local_block_loss("pred", 1.0, h, y, **kw)
-    sim = ls.local_block_loss("sim", 1.0, h, y, **kw)
-    both = ls.local_block_loss("predsim", 0.99, h, y, **kw)
+    ce_w, bpf_w, bpf_b = rand((5, 3), seed=58), rand((5, 6), seed=62), np.zeros(6)
+
+    def block(pred, sim):
+        # a block's spec names its parts, and the loss reads the block's tensors
+        spec = LayerSpec("dense", (5,), units=5, pred=pred, sim=sim, projection=6, classes=3)
+        heads = {**kw, "cls_w": bpf_w, "cls_b": bpf_b} if pred == "bpf" else {**kw, "cls_w": ce_w}
+        return SimpleNamespace(spec=spec, pool_k=1, **heads)
+
+    pred = ls.local_block_loss(block("ce", None), h, y, 1.0)
+    sim = ls.local_block_loss(block(None, "head"), h, y, 1.0)
+    both = ls.local_block_loss(block("ce", "head"), h, y, 0.99)
     assert both.loss == pytest.approx(0.01 * pred.loss + 0.99 * sim.loss)
-    # each part carries its weight into its gradients; a one-part mode weighs 1
+    # each part carries its weight into its gradients; a one-part block weighs 1
     assert np.allclose(both.dh, 0.01 * pred.dh + 0.99 * sim.dh, rtol=1e-12, atol=0)
     assert np.allclose(both.grads["cls_w"], 0.01 * pred.grads["cls_w"], rtol=1e-12, atol=0)
     assert np.allclose(both.grads["sim_w"], 0.99 * sim.grads["sim_w"], rtol=1e-12, atol=0)
-    assert pred.dh.tobytes() == ls.pred_loss(h, y, kw["cls_w"], kw["cls_b"]).dh.tobytes()
+    assert pred.dh.tobytes() == ls.pred_loss(h, y, ce_w, kw["cls_b"]).dh.tobytes()
     assert sim.dh.tobytes() == ls.sim_loss(h, y, kw["sim_w"], kw["sim_b"]).dh.tobytes()
+    t = ls.binarized_targets(kw["proj"], y, h.dtype)
+    pred_bpf = ls.local_block_loss(block("bpf", None), h, y, 1.0)
+    assert pred_bpf.dh.tobytes() == ls.pred_bpf_loss(h, t, bpf_w, bpf_b, kw["feedback"]).dh.tobytes()
+    sim_bpf = ls.local_block_loss(block(None, "bpf"), h, y, 1.0)
+    assert sim_bpf.dh.tobytes() == ls.sim_bpf_loss(h, kw["proj"] @ y.T).dh.tobytes()
+    both_bpf = ls.local_block_loss(block("bpf", "bpf"), h, y, 0.01)
+    assert both_bpf.loss == pytest.approx(0.99 * pred_bpf.loss + 0.01 * sim_bpf.loss)
+    assert set(both_bpf.grads) == {"cls_w", "cls_b"}
+    with pytest.raises(ConfigError, match="no local-loss part"):
+        ls.local_block_loss(block(None, None), h, y, 1.0)
     with pytest.raises(ConfigError):
-        ls.local_block_loss("glob", 1.0, h, y, **kw)
-    with pytest.raises(ConfigError):
-        ls.local_block_loss("nonsense", 1.0, h, y, **kw)
+        block("nonsense", None)
 
 
 def test_sim_head_feature_map_is_dead_when_its_backward_starts(monkeypatch):
