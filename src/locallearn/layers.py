@@ -141,6 +141,8 @@ class LayerSpec:
             raise ConfigError(f"unknown local-loss part: pred {self.pred!r}, sim {self.sim!r}")
         if "bpf" in (self.pred, self.sim) and self.projection < 1:
             raise ConfigError(f"a bpf part needs projection >= 1, got {self.projection}")
+        if (self.pred or self.sim == "bpf") and self.classes < 2:  # the parts that read the labels' width
+            raise ConfigError(f"a {self.pred or self.sim} part needs at least 2 classes, got {self.classes}")
 
     @property
     def fan_in(self) -> int:
@@ -310,6 +312,19 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
             raise ConfigError("dropout needs an rng in train mode")
         act, mask = nm.dropout(act, spec.dropout, rng, out=act)
     return act, BlockCache(x2, x_shape, xhat, inv_std, positive, mask, (mean, var))
+
+
+def block_output(block: LayerBlock, cache: BlockCache) -> np.ndarray:
+    """block_forward's train-mode output for cache, bit for bit, by its own
+    ops from xhat and the masks: call it before block_backward takes them
+    over and before an update moves gamma and beta."""
+    shape = (1, block.spec.width) + (1,) * (cache.xhat.ndim - 2)
+    out = np.multiply(block.gamma.reshape(shape), cache.xhat)
+    out += block.beta.reshape(shape)
+    out = nm.leaky_relu(out, block.spec.slope, out=out)
+    if cache.mask is not None:  # the dropout backward scales by the mask as dropout does
+        out = nm.dropout_backward(out, cache.mask, block.spec.dropout, out=out)
+    return out
 
 
 def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need_dx: bool = True):

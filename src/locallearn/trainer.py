@@ -8,11 +8,11 @@ each with the fields the loss mode and the run set, then initialises it.
 The point of the local modes is the shape of the step: activations flow
 forward once through the blocks (a conv block may end in a 2x2 pool), and
 every hidden block computes its own loss, backpropagates one layer deep,
-updates immediately, and drops its cache before the next block runs. Global
-backprop is the same forward sweep, except that each block's cache goes onto
-a trace for one backward pass at the end. Both sweeps run a block's backward
-through one helper. In a local mode, holding more than one block's cache at
-a time would be a bug.
+updates immediately, and drops its cache before the next block runs (more
+than one live cache would be a bug). Global backprop is the same forward
+sweep, except that each block's cache goes onto a trace for one backward
+pass at the end. In every mode one body runs a block's local loss, head
+update, backward and update.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .layers import (
     block_backward,
     block_forward,
     block_local_backward,
+    block_output,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -310,19 +311,29 @@ def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
     return [rngmod.make_rng(seed, rngmod.DROPOUT, epoch, k) for k in range(blocks)]
 
 
-def _block_backward(net: Network, trace: list, lr: float, kept: Optional[list]):
-    """Backward and update of the block on top of the trace, in either sweep;
-    returns the gradient the block below reads, None in a local mode.
-
-    Pops the block's entry, whose output gradient is None in a local mode
-    (the local dh stands in), and so holds the only reference to the cache
-    and the gradients, which die as soon as nothing reads them: the local
-    dh once it is added in or taken over, the cache's masks and xhat inside
-    the block's backward, the rest of the cache before the update. A dry
-    step (kept not None) keeps the gradients at the block's index instead of
-    updating, ahead of the head gradients the local loss left there."""
-    k, cache, dh, idx, d = trace.pop()
+def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: float, kept: Optional[list]):
+    """Local loss, head update, backward and update of the block on top of
+    the trace, in every mode; returns (local loss, the gradient the block
+    below reads, None in a local mode). It pops the block's entry, the only
+    reference to its cache; the loss reads the entry's live output in a
+    local mode and one recomputed from the cache in a global one. Each
+    buffer dies at its last reader: the head gradients at their update,
+    before the pool backward; the local dh once added into d; the masks and
+    xhat inside the block's backward; the rest of the cache before the
+    update. A dry step (kept not None) keeps the gradients at the block's
+    index instead of updating."""
+    k, cache, h, idx, d = trace.pop()
     block = net.blocks[k]
+    what = f"layer {k} ({net.mode})"
+    loss, dh = 0.0, None
+    if block.spec.pred or block.spec.sim:
+        res = local_block_loss(block, block_output(block, cache) if h is None else h, targets_onehot, net.beta)
+        _check_finite(res.loss, what)
+        if kept is not None:
+            kept[k] |= res.grads
+        elif res.grads:
+            _update(block, res.grads, lr, what)
+        loss, dh, res = res.loss, res.dh, None  # the head gradients die here
     if idx is not None:
         d = nm.maxpool2x2_backward(d, idx)
         idx = None  # dies here, before the block's backward
@@ -337,73 +348,55 @@ def _block_backward(net: Network, trace: list, lr: float, kept: Optional[list]):
         grads, d = block_backward(block, cache, d, need_dx=k > 0)
     stats, cache = cache.stats, None  # the cache dies before the update
     if kept is None:
-        _update(block, grads, lr, f"layer {k} ({net.mode})")
+        _update(block, grads, lr, what)
         block.fold_stats(*stats)
     else:
-        kept[k] = {**grads, **kept[k]}
-    return d
+        kept[k] |= grads
+    return loss, d
 
 
 def train_step(
     net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, apply: bool = True
 ) -> StepResult:
-    """One optimisation step: a single forward sweep over the blocks.
-
-    After each hidden block the local loss, if the mode has one, runs, and
-    its head gradients are applied (or, in a dry step, kept) at once, so
-    none of them lives through a backward. Then the sweep either trains the
-    block at once (local modes: one-block backward, update, and the cache
-    dies before the next block runs) or pushes its cache and local dh onto
-    a trace (glob, glob+sim); then its 2x2 pool runs, if it has one. The
-    output layer's cross-entropy then starts one reverse loop over the
-    trace, the global backward, where glob+sim adds each block's sim
-    gradient with unit weight. Both sweeps run a block's backward in
-    _block_backward. Every owner of parameters updates as soon as its
-    gradients exist: a block's heads right after its local loss, the output
-    layer first in the global modes, and each block's trunk right after its
-    backward; each parameter updates on its own, so the order leaves the
-    bytes as they are. A block's batch statistics are folded into its
-    running batchnorm stats when its trunk is updated, so with apply=False
-    the gradients are computed and returned, by layer index, but nothing
+    """One optimisation step: a single forward sweep in which each block
+    runs, pushes its cache onto a trace and runs its 2x2 pool, if it has
+    one. Each block trains in _train_block: in a local mode at once, so its
+    cache dies before the next block runs; in glob and glob+sim in the
+    global backward, one reverse loop over the trace that the output
+    layer's cross-entropy starts, where glob+sim adds each block's sim
+    gradient with unit weight. Each owner of parameters updates as soon as
+    its gradients exist, the output layer first in the global modes, and
+    each parameter on its own, so the order leaves the bytes as they are.
+    With apply=False the gradients are returned, by layer index, and nothing
     moves, which the gradient checks build on; with apply=True no gradient
     outlives its update, and no cache, block output or pool index outlives
-    its last reader. No layer computes an input gradient that nothing reads:
-    not a local block, not the first block, and not the output layer of a
-    local mode. Hidden block k draws its dropout masks from rngs[k] (see
-    dropout_rngs).
+    its last reader. No layer computes an input gradient that nothing
+    reads: not a local block, not the first block, and not the output
+    layer of a local mode. Block k draws its dropout masks from rngs[k]
+    (see dropout_rngs).
     """
     if len(rngs) != len(net.blocks):
         raise ConfigError(f"train_step takes a dropout generator per hidden block, {len(net.blocks)}, got {len(rngs)}")
-    row = MODE_TABLE[net.mode]
+    local = MODE_TABLE[net.mode].local
     a = x
-    losses: list = []
+    losses = [0.0] * len(net.blocks)
     kept = None if apply else [{} for _ in range(len(net.blocks) + 1)]  # a dry step's gradients
-    trace: list = []  # [block index, cache, local dh, pool index, output gradient]
+    trace: list = []  # [block index, cache, live output (local modes), pool index, output gradient]
     for k, block in enumerate(net.blocks):
         a, cache = block_forward(block, a, train=True, rng=rngs[k])
-        loss, dh = 0.0, None
-        if row.pred or row.sim:
-            res = local_block_loss(block, a, targets_onehot, net.beta)
-            _check_finite(res.loss, f"layer {k} ({net.mode})")
-            if kept is not None:
-                kept[k] = res.grads
-            elif res.grads:
-                _update(block, res.grads, lr, f"layer {k} ({net.mode})")
-            loss, dh, res = res.loss, res.dh, None  # the head gradients die here
-        losses.append(loss)
-        trace.append([k, cache, dh, None, None])
-        cache = dh = None  # the trace holds the only references
-        if row.local:  # pushed and popped at once
-            _block_backward(net, trace, lr, kept)
+        trace.append([k, cache, a if local else None, None, None])
+        cache = None  # the trace holds the only reference
+        if local:  # pushed and popped at once
+            losses[k], _ = _train_block(net, trace, targets_onehot, lr, kept)
         if block.spec.pool:  # a is rebound, so the block's output dies with the pool
-            a, idx = nm.maxpool2x2(a, need_index=not row.local)
+            a, idx = nm.maxpool2x2(a, need_index=not local)
             if idx is not None:  # only a global backward reads it
                 trace[-1][3], idx = idx, None
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
     _check_finite(out_loss, "output layer")
-    if row.local:  # nothing reads the output layer's input gradient
+    if local:  # nothing reads the output layer's input gradient
         d, dw = None, flat.T @ dlogits  # matmul_backward's dw
     else:
         d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
@@ -413,9 +406,9 @@ def train_step(
         _update(net.out, ograds, lr, "output layer")
     else:
         kept[-1] = ograds
-    while trace:
-        trace[-1][4], d = d, None  # handed over with the entry, which the backward pops
-        d = _block_backward(net, trace, lr, kept)
+    for k in range(len(trace) - 1, -1, -1):  # empty in a local mode
+        trace[-1][4], d = d, None  # handed over with the entry, which _train_block pops
+        losses[k], d = _train_block(net, trace, targets_onehot, lr, kept)
 
     losses.append(out_loss)
     return StepResult(losses, kept or [], logits.argmax(axis=1))
@@ -566,21 +559,23 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
         correct = 0
         seen = 0
         loss_sums = np.zeros(len(net.blocks) + 1)
-        steps = 0
-        for idx in sample_batches(train_ds.labels, cfg.batch_size, sampler_rng, limit):
+        batches = sample_batches(train_ds.labels, cfg.batch_size, sampler_rng, limit)
+        for step, idx in enumerate(batches):
             xb = augment_batch(train_ds.images[idx], cfg.augment, augment_rng)
             yb = nm.one_hot(train_ds.labels[idx], train_ds.num_classes, xb.dtype)
-            result = train_step(net, xb, yb, lr, rngs, apply=True)
+            try:
+                result = train_step(net, xb, yb, lr, rngs, apply=True)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"{e}, epoch {epoch}, step {step}") from None
             correct += int((result.predictions == train_ds.labels[idx]).sum())
             seen += len(idx)
             loss_sums += result.losses
-            steps += 1
 
         train_error = 1.0 - correct / seen
         if cfg.clean_train_error:
             train_error = evaluate(net, train_ds)
         test_error = evaluate(net, test_ds) if test_ds is not None else float("nan")
-        history.append(EpochStats(epoch, lr, train_error, test_error, list(loss_sums / steps)))
+        history.append(EpochStats(epoch, lr, train_error, test_error, list(loss_sums / len(batches))))
     return history
 
 
@@ -633,8 +628,9 @@ def load_network_state(net: Network, path) -> None:
 
     Every tensor the net owns must be present with the right shape; tensors
     in the file the net does not own (another mode's heads) are ignored, so
-    an inference net can consume any mode's checkpoint. Slope scalars are
-    applied to the blocks.
+    an inference net can consume any mode's checkpoint. A non-finite value
+    or a negative running variance is a DataError naming the tensor. Slope
+    scalars are applied to the blocks.
     """
     tensors, block_count = load_checkpoint(path)
     if block_count != len(net.blocks) + 1:
@@ -648,6 +644,10 @@ def load_network_state(net: Network, path) -> None:
         src = tensors[name]
         if src.shape != param.shape:
             raise DataError(f"tensor {name!r} has shape {src.shape}, net expects {param.shape}")
+        if not np.isfinite(src).all():
+            raise DataError(f"tensor {name!r} holds a non-finite value")
+        if name.endswith(".run_var") and (src < 0).any():
+            raise DataError(f"tensor {name!r} holds a negative variance")
         param[...] = src.astype(param.dtype)
     for i, b in enumerate(net.blocks):
         key = f"block{i}.slope"

@@ -9,6 +9,7 @@ import pytest
 import locallearn.cli as cli
 import locallearn.data as datamod
 import locallearn.gradcheck as gc
+import locallearn.layers as ly
 from locallearn.cli import main
 from locallearn.rng import make_rng
 
@@ -334,6 +335,27 @@ def test_eval_checkpoint_name_that_is_not_utf8_is_an_error_line(tmp_path, capsys
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "error: tensor name at byte 16 is not utf-8\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, index, value, why", [
+    ("block0.weight", (0, 0), np.nan, "holds a non-finite value"),
+    ("out.bias", (1,), -np.inf, "holds a non-finite value"),
+    ("block0.run_var", (0,), -1.0, "holds a negative variance"),
+], ids=["nan-weight", "inf-bias", "negative-run-var"])
+def test_eval_checkpoint_with_an_impossible_value_is_an_error_line(tmp_path, capsys, name, index, value, why):
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    capsys.readouterr()
+    ckpt = out / "final.ckpt"
+    tensors, block_count = ly.load_checkpoint(ckpt)
+    tensors[name][index] = value
+    ly.save_checkpoint(ckpt, tensors, block_count)
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tensor {name!r} {why}\n"
     assert captured.out == ""
 
 

@@ -177,6 +177,12 @@ def test_init_rejects_bad_spec():
     for parts in (dict(pred="bpf"), dict(sim="bpf"), dict(pred="ce", sim="bpf")):
         with pytest.raises(ConfigError, match="projection >= 1"):
             ly.LayerSpec("dense", (4,), units=3, classes=3, projection=0, **parts)
+    # the parts that read the labels' width need two classes, as parse_arch does
+    for parts in (dict(pred="ce"), dict(pred="bpf"), dict(sim="bpf"), dict(pred="ce", sim="head")):
+        for classes in (0, 1):
+            with pytest.raises(ConfigError, match=f"needs at least 2 classes, got {classes}"):
+                ly.LayerSpec("dense", (4,), units=3, classes=classes, projection=2, **parts)
+    ly.LayerSpec("dense", (4,), units=3, sim="head")  # a sim head never reads the labels' width
     with pytest.raises(ConfigError):
         ly.LayerSpec("dense", (4,), units=3, pool=True)  # a pool follows only a conv block
 
@@ -301,6 +307,27 @@ def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
     # with dx, the weight gradient comes from matmul_backward / conv2d_backward
     for name in full:
         assert np.array_equal(full[name], weights_only[name]), name
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_output_is_the_train_forwards_output_bytes(kind, dropout, slope):
+    # recomputed from the cache by the forward's own ops, signed zeros and
+    # all, with gamma and beta moved off their init so both take part
+    if kind == "dense":
+        spec = ly.LayerSpec("dense", (6,), units=5, dropout=dropout, slope=slope)
+        x = rand((7, 6), seed=75, dtype=np.float32)
+    else:
+        spec = ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=dropout, slope=slope)
+        x = rand((4, 2, 5, 7), seed=76, dtype=np.float32)
+    block = ly.init_params(spec, make_rng(9))
+    block.gamma[...] = rand(block.gamma.shape, seed=77, dtype=np.float32)
+    block.beta[...] = rand(block.beta.shape, seed=78, dtype=np.float32)
+    h, cache = ly.block_forward(block, x, train=True, rng=make_rng(1))
+    got = ly.block_output(block, cache)
+    assert got.dtype == h.dtype and got.shape == h.shape and got.tobytes() == h.tobytes()
+    assert (cache.mask is None) == (dropout == 0.0) and cache.xhat is not None  # the cache is left as it was
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv"])
