@@ -294,14 +294,7 @@ def standardize(stats, *splits: Dataset) -> None:
         ds.images /= s
 
 
-def synthetic_blobs(
-    classes: int,
-    per_class: int,
-    dim: int = 16,
-    separation: float = 6.0,
-    seed: int = 0,
-    name: str = "blobs",
-) -> Dataset:
+def synthetic_blobs(classes: int, per_class: int, dim: int = 16, separation: float = 6.0, seed: int = 0) -> Dataset:
     """Gaussian blobs around random unit directions scaled by `separation`,
     unit noise, balanced labels. Images come out as (n, dim, 1, 1) so the
     rest of the pipeline can stay NCHW."""
@@ -314,15 +307,7 @@ def synthetic_blobs(
     labels = np.repeat(np.arange(classes), per_class)
     noise = gen.normal(size=(labels.size, dim))
     x = (centers[labels] + noise).astype(np.float32)
-    return Dataset(x.reshape(-1, dim, 1, 1), labels.astype(np.int64), classes, name)
-
-
-def nearest_centroid_error(ds: Dataset) -> float:
-    """Sanity oracle for blob-style data: classify by nearest class mean."""
-    flat = ds.images.reshape(len(ds), -1)
-    cents = np.stack([flat[ds.labels == c].mean(axis=0) for c in range(ds.num_classes)])
-    d2 = ((flat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.argmin(axis=1) != ds.labels).mean())
+    return Dataset(x.reshape(-1, dim, 1, 1), labels.astype(np.int64), classes, "blobs")
 
 
 def class_balanced_split(ds: Dataset, per_class: int, seed: int = 0):

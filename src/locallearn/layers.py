@@ -20,12 +20,13 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
-from .losses import choose_pool_kernel
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults, which every run trains with
 
 
 @dataclass
@@ -41,16 +42,9 @@ class AdamState:
         return cls(np.zeros_like(p), np.zeros_like(p))
 
 
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update, in place on both param and state.
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update, in place on both param and state, with
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS.
 
     m += (1-beta1)(g-m); v += (1-beta2)(g*g-v);
     param -= alpha * m / (sqrt(v) + eps_hat), with the bias corrections
@@ -68,16 +62,16 @@ def adam_step(
     if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # a NaN reaches both, an inf one
         raise NonFiniteError("non-finite gradient reached the optimizer")
     state.t += 1
-    root = math.sqrt(1.0 - beta2**state.t)
-    alpha, eps_hat = lr * root / (1.0 - beta1**state.t), eps * root
+    root = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    alpha, eps_hat = lr * root / (1.0 - ADAM_BETA1**state.t), ADAM_EPS * root
     for rows, s, d in nm._row_blocks(param, param.dtype, param.dtype):
         p, g, m, v = (a[rows] for a in (param, grad, state.m, state.v))
         np.subtract(g, m, out=s)
-        s *= 1.0 - beta1
+        s *= 1.0 - ADAM_BETA1
         m += s
         np.multiply(g, g, out=s)
         s -= v
-        s *= 1.0 - beta2
+        s *= 1.0 - ADAM_BETA2
         v += s
         np.sqrt(v, out=d)
         d += eps_hat
@@ -133,6 +127,12 @@ class LayerSpec:
                 raise ConfigError("conv block needs channels >= 1")
             if len(self.in_shape) != 3:
                 raise ConfigError(f"conv block needs a (c, h, w) input shape, got {self.in_shape}")
+            if self.pred:  # the classifier's average pool (pool_k)
+                _, h, w = self.in_shape
+                if h != w:
+                    raise ConfigError(f"conv classifier head needs square activations, got {h}x{w}")
+                if self.pred_target_dim < 1:
+                    raise ConfigError(f"pred_target_dim must be >= 1, got {self.pred_target_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.slope <= 1.0:
@@ -161,6 +161,24 @@ class LayerSpec:
         """Feature count the batchnorm/bias act on."""
         return self.units if self.kind == "dense" else self.channels
 
+    @property
+    def pool_k(self) -> int:
+        """Kernel of the average pool in front of a conv block's classifier:
+        the largest k dividing the output's extent that leaves at least
+        pred_target_dim inputs, 1 when none does, and for a dense block or
+        one with no pred part."""
+        if self.kind == "dense" or not self.pred:
+            return 1
+        c, side, _ = self.out_shape
+        fits = (k for k in range(2, side + 1) if side % k == 0 and c * (side // k) ** 2 >= self.pred_target_dim)
+        return max(fits, default=1)
+
+    @property
+    def cls_in(self) -> int:
+        """Input width of the pred part's classifier: the block's output,
+        pooled by pool_k and flattened."""
+        return math.prod(self.out_shape) // self.pool_k**2
+
 
 @dataclass
 class LayerBlock:
@@ -179,7 +197,6 @@ class LayerBlock:
     sim_b: Optional[np.ndarray] = None
     feedback: Optional[np.ndarray] = None  # fixed, no Adam state
     proj: Optional[np.ndarray] = None  # fixed, no Adam state
-    pool_k: int = 1
     adam: dict = field(default_factory=dict)
 
     def fold_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
@@ -225,8 +242,7 @@ def init_params(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> 
 
     if spec.pred:
         targets = spec.classes if spec.pred == "ce" else spec.projection
-        cls_in = _classifier_input_dim(spec, block)
-        block.cls_w = _uniform_fan_in(rng, (cls_in, targets), cls_in, dtype)
+        block.cls_w = _uniform_fan_in(rng, (spec.cls_in, targets), spec.cls_in, dtype)
         block.cls_b = np.zeros(targets, dtype=dtype)
     if spec.sim == "head":
         if spec.kind == "dense":
@@ -244,16 +260,6 @@ def init_params(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> 
 
     block.adam = {name: AdamState.for_param(getattr(block, name)) for name in block.param_names()}
     return block
-
-
-def _classifier_input_dim(spec: LayerSpec, block: LayerBlock) -> int:
-    if spec.kind == "dense":
-        return spec.units
-    c, ho, wo = spec.out_shape
-    if ho != wo:
-        raise ConfigError(f"conv classifier head needs square activations, got {ho}x{wo}")
-    block.pool_k = choose_pool_kernel(c, ho, spec.pred_target_dim)
-    return c * (ho // block.pool_k) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -237,18 +237,6 @@ def _pool_flatten(h: np.ndarray, pool_k: int):
     raise ShapeError(f"expected 2-d or 4-d activations, got {h.shape}")
 
 
-def choose_pool_kernel(channels: int, spatial: int, target_dim: int) -> int:
-    """Largest pooling kernel k dividing `spatial` with
-    channels*(spatial/k)^2 >= target_dim; 1 when even that is too small."""
-    if channels < 1 or spatial < 1 or target_dim < 1:
-        raise ConfigError("channels, spatial and target_dim must be positive")
-    best = 1
-    for k in range(1, spatial + 1):
-        if spatial % k == 0 and channels * (spatial // k) ** 2 >= target_dim:
-            best = k
-    return best
-
-
 def pred_loss(
     h: np.ndarray,
     targets_onehot: np.ndarray,
@@ -353,10 +341,10 @@ def local_block_loss(block, h: np.ndarray, targets_onehot: np.ndarray, beta: flo
         sim = sim_bpf_loss(h, block.proj @ targets_onehot.T, weight=ws)
     add_to = None if sim is None else sim.dh
     if spec.pred == "ce":
-        pred = pred_loss(h, targets_onehot, block.cls_w, block.cls_b, block.pool_k, weight=wp, add_to=add_to)
+        pred = pred_loss(h, targets_onehot, block.cls_w, block.cls_b, spec.pool_k, weight=wp, add_to=add_to)
     elif spec.pred == "bpf":
         t = binarized_targets(block.proj, targets_onehot, h.dtype)
-        pred = pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, block.pool_k, weight=wp, add_to=add_to)
+        pred = pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, spec.pool_k, weight=wp, add_to=add_to)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

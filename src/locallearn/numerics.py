@@ -360,6 +360,9 @@ def avgpool_backward(g: np.ndarray, k: int, add_to=None) -> np.ndarray:
 # normalization / activation / regularization
 # ---------------------------------------------------------------------------
 
+BN_EPS = 1e-5  # batchnorm's variance floor, one for train and eval mode so a net scores as it trained
+STD_EPS = 1e-8  # std_per_feature_map's variance floor
+
 
 def _bn_axes(x: np.ndarray):
     if x.ndim == 2:
@@ -376,7 +379,7 @@ def _bn_shape(x: np.ndarray, p: np.ndarray):
     return p.reshape((1, c) + (1,) * (x.ndim - 2))
 
 
-def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5, out=None):
+def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None):
     """Train-mode batch normalization over the feature axis.
 
     Uses population (1/N) variance. Returns (y, xhat, inv_std, mean, var);
@@ -395,14 +398,14 @@ def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     xhat = x - mean.reshape(shape)
     y = np.square(xhat, out=out)
     var = y.mean(axis=axes)  # population variance, matches the running-stat update
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std.reshape(shape)
     np.multiply(_bn_shape(x, gamma), xhat, out=y)
     y += _bn_shape(x, beta)
     return y, xhat, inv_std, mean, var
 
 
-def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5, out=None):
+def batchnorm_eval(x, gamma, beta, running_mean, running_var, out=None):
     """Eval-mode batch normalization using stored running statistics.
 
     Works in one buffer, out (a new array by default; out=x overwrites x):
@@ -412,7 +415,7 @@ def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps: float = 1e-5,
     x = _as_float(x, "x")
     _bn_axes(x)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     y = np.subtract(x, running_mean.reshape(shape), out=out)
     y *= inv_std.reshape(shape)
     y *= _bn_shape(x, gamma)
@@ -556,11 +559,11 @@ def dropout_backward(g: np.ndarray, mask: np.ndarray, rate: float, out=None) -> 
     return out
 
 
-def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def std_per_feature_map(x: np.ndarray) -> np.ndarray:
     """Population std over each (H, W) feature map; (n,c,h,w) -> (n,c).
 
-    The eps inside the sqrt keeps constant maps differentiable (their std
-    reports as sqrt(eps) instead of 0). The variance is taken a block of
+    STD_EPS inside the sqrt keeps constant maps differentiable (their std
+    reports as sqrt(STD_EPS) instead of 0). The variance is taken a block of
     examples at a time, so its centered squares stay block-sized.
     """
     x = _as_float(x, "x")
@@ -569,7 +572,7 @@ def std_per_feature_map(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     var = np.empty(x.shape[:2], dtype=x.dtype)
     for (rows,) in _row_blocks(x):
         var[rows] = x[rows].var(axis=(2, 3))
-    return np.sqrt(var + x.dtype.type(eps))
+    return np.sqrt(var + x.dtype.type(STD_EPS))
 
 
 def std_per_feature_map_backward(x: np.ndarray, g: np.ndarray, std: np.ndarray, out=None) -> np.ndarray:

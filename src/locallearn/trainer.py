@@ -158,7 +158,6 @@ class TrainConfig:
     width_mult: int = 1
     pred_target_dim: int = 1024  # pooled input size for conv classifier heads
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    clean_train_error: bool = False  # extra eval-mode pass over the train split
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -479,13 +478,20 @@ def _fold_singletons(batches: list, labels: np.ndarray) -> list:
 
 
 def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
-    """Inference logits: eval-mode blocks, no dropout, running batchnorm stats."""
+    """Inference logits: eval-mode blocks, no dropout, running batchnorm stats.
+    Under np.errstate(over="raise", invalid="raise"), as evaluate runs it, an
+    overflow or invalid value is a NonFiniteError naming its layer."""
     a = x
-    for block in net.blocks:
-        a, _ = block_forward(block, a, train=False)
-        if block.spec.pool:
-            a, _ = nm.maxpool2x2(a, need_index=False)
-    _, logits = _output_forward(net, a)
+    try:
+        for k, block in enumerate(net.blocks):
+            where = f"layer {k}"
+            a, _ = block_forward(block, a, train=False)
+            if block.spec.pool:
+                a, _ = nm.maxpool2x2(a, need_index=False)
+        where = "output layer"
+        _, logits = _output_forward(net, a)
+    except FloatingPointError as e:
+        raise NonFiniteError(f"{e} at {where}") from None
     return logits
 
 
@@ -497,7 +503,9 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     than fit their widest activation (the input or any block's output) into
     numerics.COLS_BUDGET, at least one. Every op of an eval forward works
     per example, so the slice size bounds the memory the pass holds, not
-    what it computes.
+    what it computes. A value that overflows or turns invalid (a checkpoint
+    holding huge weights) is a NonFiniteError naming the split and the
+    layer, not a score.
     """
     if batch_size < 1:
         raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
@@ -507,9 +515,13 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     widest = max(int(np.prod(s)) for s in shapes) * ds.images.itemsize
     step = max(1, min(batch_size, nm.COLS_BUDGET // widest))
     wrong = 0
-    for i in range(0, len(ds), step):
-        logits = forward_eval(net, ds.images[i : i + step])
-        wrong += int((logits.argmax(axis=1) != ds.labels[i : i + step]).sum())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(0, len(ds), step):
+                logits = forward_eval(net, ds.images[i : i + step])
+                wrong += int((logits.argmax(axis=1) != ds.labels[i : i + step]).sum())
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{e}, evaluating the {ds.name!r} split") from None
     return wrong / len(ds)
 
 
@@ -528,10 +540,11 @@ def train(cfg: TrainConfig, loss: LossConfig, train_ds: Dataset, test_ds: Option
     Derived rng streams are keyed by (seed, purpose, epoch), dropout's by
     hidden block as well (dropout_rngs), so two calls with identical
     configs and data produce bit-identical parameters and metrics on the
-    same numpy and BLAS build and thread count. Train error is counted on the step predictions (augmented
-    batches, parameters moving), unless clean_train_error asks for an extra
-    eval pass. The class-per-batch restriction, when set, lifts at the first
-    learning-rate drop.
+    same numpy and BLAS build and thread count. Train error is counted on
+    the step predictions (augmented batches, parameters moving); the train
+    split passed as test_ds as well gives its eval-mode error. The
+    class-per-batch restriction, when set, lifts at the first learning-rate
+    drop.
     """
     spec = parse_arch(cfg.arch, train_ds.images.shape[1:], train_ds.num_classes, cfg.width_mult)
     net = build_network(
@@ -572,8 +585,6 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
             loss_sums += result.losses
 
         train_error = 1.0 - correct / seen
-        if cfg.clean_train_error:
-            train_error = evaluate(net, train_ds)
         test_error = evaluate(net, test_ds) if test_ds is not None else float("nan")
         history.append(EpochStats(epoch, lr, train_error, test_error, list(loss_sums / len(batches))))
     return history
@@ -630,15 +641,14 @@ def load_network_state(net: Network, path) -> None:
     in the file the net does not own (another mode's heads) are ignored, so
     an inference net can consume any mode's checkpoint. A non-finite value
     or a negative running variance is a DataError naming the tensor. Slope
-    scalars are applied to the blocks.
+    scalars are applied to the blocks. Every tensor and slope is checked
+    before any is written, so a net that raises keeps what it held.
     """
     tensors, block_count = load_checkpoint(path)
     if block_count != len(net.blocks) + 1:
         raise DataError(f"checkpoint has {block_count} weight layers, net has {len(net.blocks) + 1}")
-    wanted = state_tensors(net)
+    wanted = {name: param for name, param in state_tensors(net).items() if not name.endswith(".slope")}
     for name, param in wanted.items():
-        if name.endswith(".slope"):
-            continue
         if name not in tensors:
             raise DataError(f"checkpoint is missing tensor {name!r}")
         src = tensors[name]
@@ -648,8 +658,10 @@ def load_network_state(net: Network, path) -> None:
             raise DataError(f"tensor {name!r} holds a non-finite value")
         if name.endswith(".run_var") and (src < 0).any():
             raise DataError(f"tensor {name!r} holds a negative variance")
-        param[...] = src.astype(param.dtype)
-    for i, b in enumerate(net.blocks):
-        key = f"block{i}.slope"
-        if key in tensors:
-            b.spec = replace(b.spec, slope=float(tensors[key]))
+    specs = [
+        replace(b.spec, slope=float(tensors.get(f"block{i}.slope", b.spec.slope))) for i, b in enumerate(net.blocks)
+    ]
+    for name, param in wanted.items():
+        param[...] = tensors[name].astype(param.dtype)
+    for b, spec in zip(net.blocks, specs):
+        b.spec = spec

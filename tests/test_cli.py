@@ -359,6 +359,30 @@ def test_eval_checkpoint_with_an_impossible_value_is_an_error_line(tmp_path, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, where", [
+    ("block0.weight", "layer 0"),
+    ("block0.gamma", "layer 0"),
+    ("out.weight", "output layer"),
+])
+def test_eval_checkpoint_whose_forward_overflows_is_an_error_line(tmp_path, capsys, name, where):
+    # finite, so the loader takes it, but 3e38 times an activation above
+    # about 1.13 is past float32's range
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    capsys.readouterr()
+    ckpt = out / "final.ckpt"
+    tensors, block_count = ly.load_checkpoint(ckpt)
+    tensors[name].flat[0] = 3e38
+    ly.save_checkpoint(ckpt, tensors, block_count)
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--dataset", "blobs", "--arch", "fc16-fc", "--seed", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: overflow encountered in ")
+    assert captured.err.endswith(f" at {where}, evaluating the 'blobs/subset' split\n")
+
+
 def test_eval_batch_size_below_one_is_an_error_line(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_train_argv(out, **{"--epochs": "1"})) == 0

@@ -299,8 +299,12 @@ def test_blobs_deterministic_and_balanced():
 
 
 def test_blobs_wide_separation_centroid_error_zero():
+    # every point is nearest to its own class mean
     ds = dt.synthetic_blobs(classes=5, per_class=20, dim=8, separation=100.0, seed=4)
-    assert dt.nearest_centroid_error(ds) == 0.0
+    flat = ds.images.reshape(len(ds), -1)
+    means = np.stack([flat[ds.labels == c].mean(axis=0) for c in range(ds.num_classes)])
+    d2 = ((flat[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(d2.argmin(axis=1), ds.labels)
 
 
 def test_class_balanced_split():

@@ -1,0 +1,49 @@
+"""The package's import layering, read from the source: each module may
+import only the modules below it, so the kernels never reach up into the
+engine and a block never runs a loss."""
+
+import ast
+import pathlib
+
+import locallearn
+
+PACKAGE = pathlib.Path(locallearn.__file__).parent
+
+_BASE = {"errors", "rng", "numerics"}
+_ENGINE = _BASE | {"data", "layers", "losses", "trainer"}
+ALLOWED = {
+    "errors": set(),
+    "rng": set(),
+    "numerics": {"errors"},
+    "losses": {"numerics", "errors"},
+    "layers": {"numerics", "errors"},
+    "data": _BASE,
+    "trainer": _ENGINE - {"trainer"},
+    "gradcheck": _ENGINE,
+    "cli": _ENGINE | {"gradcheck"},
+    "__init__": _ENGINE | {"gradcheck"},
+    "__main__": {"cli"},
+}
+
+
+def package_imports(path: pathlib.Path) -> set:
+    """The package modules a module's source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x, from .x import y
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("locallearn"):
+            parts = node.module.split(".")
+            found |= {parts[1]} if len(parts) > 1 else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("locallearn.")}
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(ALLOWED)
+
+
+def test_each_module_imports_only_the_modules_below_it():
+    reaches = {p.stem: package_imports(p) - ALLOWED[p.stem] for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in reaches.items() if found} == {}

@@ -149,7 +149,8 @@ def test_init_conv_shapes_and_heads():
     assert block.sim_b is None
     assert block.feedback.shape == block.cls_w.shape
     assert block.proj.shape == (6, 4)
-    assert block.pool_k >= 1
+    assert block.spec.pool_k == 4  # 5 maps of 8x8 pooled by 4 leave 20 >= 16 inputs, by 8 leave 5
+    assert block.cls_w.shape == (block.spec.cls_in, 6) == (20, 6)
     # fixed tensors carry no optimizer state
     assert "feedback" not in block.adam and "proj" not in block.adam
 
@@ -185,6 +186,33 @@ def test_init_rejects_bad_spec():
     ly.LayerSpec("dense", (4,), units=3, sim="head")  # a sim head never reads the labels' width
     with pytest.raises(ConfigError):
         ly.LayerSpec("dense", (4,), units=3, pool=True)  # a pool follows only a conv block
+
+
+def _pred_conv(channels, side, target):
+    return ly.LayerSpec("conv", (3, side, side), channels=channels, pred="ce", classes=10, pred_target_dim=target)
+
+
+def test_spec_pool_k_cases():
+    # the largest kernel dividing the extent that leaves pred_target_dim inputs
+    assert _pred_conv(128, 16, 2048).pool_k == 4   # 128*4*4 exact
+    assert _pred_conv(1024, 1, 1024).pool_k == 1
+    assert _pred_conv(512, 8, 1024).pool_k == 4    # k=8 would leave 512
+    assert _pred_conv(8, 4, 1024).pool_k == 1      # nothing reaches the target
+    assert _pred_conv(128, 16, 2048).cls_in == 2048
+    # no pred part, or a dense block, means no pool
+    assert ly.LayerSpec("conv", (3, 16, 16), channels=128, sim="head", pred_target_dim=2048).pool_k == 1
+    assert ly.LayerSpec("dense", (4,), units=3, pred="ce", classes=3, pred_target_dim=1).pool_k == 1
+
+
+def test_spec_checks_a_conv_pred_parts_pool():
+    with pytest.raises(ConfigError, match="square activations, got 6x8"):
+        ly.LayerSpec("conv", (3, 6, 8), channels=4, pred="ce", classes=3)
+    with pytest.raises(ConfigError, match="pred_target_dim must be >= 1, got 0"):
+        _pred_conv(4, 8, 0)
+    # the checks are the pred part's: without one, or on a dense block, they do not apply
+    ly.LayerSpec("conv", (3, 6, 8), channels=4, sim="head")
+    spec = ly.LayerSpec("dense", (4,), units=3, pred="ce", classes=3, pred_target_dim=0)
+    assert ly.init_params(spec, make_rng(4)).cls_w.shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------

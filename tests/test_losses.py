@@ -126,15 +126,6 @@ def test_pred_loss_conv_pools_then_flattens():
     assert res.dh.shape == h.shape
 
 
-def test_choose_pool_kernel_cases():
-    assert ls.choose_pool_kernel(128, 16, 2048) == 4   # 128*4*4 exact
-    assert ls.choose_pool_kernel(1024, 1, 1024) == 1
-    assert ls.choose_pool_kernel(512, 8, 1024) == 4    # k=8 would leave 512
-    assert ls.choose_pool_kernel(8, 4, 1024) == 1      # nothing reaches the target
-    with pytest.raises(ConfigError):
-        ls.choose_pool_kernel(0, 4, 16)
-
-
 # ---------------------------------------------------------------------------
 # backprop-free variants
 # ---------------------------------------------------------------------------
@@ -328,7 +319,7 @@ def test_local_block_loss_dispatch():
         # a block's spec names its parts, and the loss reads the block's tensors
         spec = LayerSpec("dense", (5,), units=5, pred=pred, sim=sim, projection=6, classes=3)
         heads = {**kw, "cls_w": bpf_w, "cls_b": bpf_b} if pred == "bpf" else {**kw, "cls_w": ce_w}
-        return SimpleNamespace(spec=spec, pool_k=1, **heads)
+        return SimpleNamespace(spec=spec, **heads)
 
     pred = ls.local_block_loss(block("ce", None), h, y, 1.0)
     sim = ls.local_block_loss(block(None, "head"), h, y, 1.0)

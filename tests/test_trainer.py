@@ -929,6 +929,29 @@ def test_load_network_rejects_out_of_range_slope(tmp_path):
     assert net.blocks[0].spec.slope == 0.0
 
 
+@pytest.mark.parametrize("bad, error", [
+    ("out.bias", DataError),  # a non-finite value in the last tensor loaded
+    ("block0.run_var", DataError),  # a negative variance
+    ("block0.slope", ConfigError),  # a slope outside [0, 1]
+])
+def test_load_network_that_raises_keeps_every_tensor_and_slope(tmp_path, bad, error):
+    # the checkpoint's own tensors differ from the net's, so a tensor written
+    # before the bad one was found would show
+    src = small_net("predsim", arch="fc8-fc", input_shape=(6, 1, 1), classes=3, seed=1, slope=0.2)
+    tensors = {name: np.array(t) for name, t in tr.state_tensors(src).items()}
+    tensors[bad].flat[0] = {"out.bias": np.nan, "block0.run_var": -1.0, "block0.slope": 5.0}[bad]
+    path = tmp_path / "net.ckpt"
+    ly.save_checkpoint(path, tensors, block_count=2)
+    net = small_net("predsim", arch="fc8-fc", input_shape=(6, 1, 1), classes=3, seed=2)
+    before = {name: np.array(t) for name, t in tr.state_tensors(net).items()}
+    with pytest.raises(error):
+        tr.load_network_state(net, path)
+    after = tr.state_tensors(net)
+    for name, t in before.items():
+        assert np.asarray(after[name]).tobytes() == t.tobytes(), name
+    assert [b.spec.slope for b in net.blocks] == [0.01]
+
+
 def _step_peak(net, x, y) -> int:
     """Traced bytes one applied step peaks at above what was live before it."""
     tracemalloc.start()
@@ -998,10 +1021,10 @@ def _reference_local_loss(net, block, h, y):
     elif row.sim == "bpf":
         parts.append(ls.sim_bpf_loss(h, block.proj @ y.T, weight=ws))
     if row.pred == "ce":
-        parts.append(ls.pred_loss(h, y, block.cls_w, block.cls_b, block.pool_k, weight=wp))
+        parts.append(ls.pred_loss(h, y, block.cls_w, block.cls_b, block.spec.pool_k, weight=wp))
     elif row.pred == "bpf":
         t = ls.binarized_targets(block.proj, y, h.dtype)
-        parts.append(ls.pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, block.pool_k, weight=wp))
+        parts.append(ls.pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, block.spec.pool_k, weight=wp))
     return parts[0] if len(parts) == 1 else ls.combine(parts[1], parts[0], net.beta)
 
 
@@ -1046,7 +1069,7 @@ def test_step_trains_the_bytes_of_the_reference_order(mode):
     # for bit as the reference does
     nets = [small_net(mode, arch="conv8-pool-conv12-pool-fc16-fc", input_shape=(3, 8, 8), classes=4,
                       dropout=0.2, pred_target_dim=100, seed=12) for _ in range(2)]
-    assert [b.pool_k for b in nets[0].blocks] == ([2, 1, 1] if MODE_TABLE[mode].pred else [1, 1, 1])
+    assert [b.spec.pool_k for b in nets[0].blocks] == ([2, 1, 1] if MODE_TABLE[mode].pred else [1, 1, 1])
     x = rand((10, 3, 8, 8), seed=112, dtype=np.float32)
     y = one_hot(np.arange(10) % 4, 4, np.float32)
     for step in range(3):
