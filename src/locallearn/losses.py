@@ -109,22 +109,36 @@ def similarity_matrix_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     clip is treated as the identity since it only trims float fuzz. The
     result is Fortran-ordered, so its transpose, one row per example as the
     losses consume it, is C-ordered.
+
+    It holds at most three buffers of x's shape: the centred c, normalised
+    in place to z; dz, made into dc in place; and one scratch. z and the
+    scratch die before the result is made. Each column sum reads a buffer
+    laid out as the expression it stands for would be (c*c in c's order,
+    z*dz and dc C-ordered, as matmul makes dz), so every byte is the one
+    the expressions give.
     """
     x = np.asarray(x)
     if g.shape != (x.shape[1], x.shape[1]):
         raise ShapeError(f"grad shape {g.shape} does not match {(x.shape[1], x.shape[1])}")
-    c = x - x.mean(axis=0)
-    nrm = np.sqrt((c * c).sum(axis=0))
+    if g.dtype != x.dtype:  # the buffers are x's dtype
+        raise ShapeError(f"grad dtype {g.dtype} does not match {x.dtype}")
+    z = x - x.mean(axis=0)  # c for now
+    flat = np.empty(z.size, dtype=z.dtype)
+    scratch = flat.reshape(z.shape, order="F" if z.flags.f_contiguous else "C")
+    nrm = np.sqrt(np.multiply(z, z, out=scratch).sum(axis=0))
     nu = np.maximum(nrm, x.dtype.type(_NORM_EPS))
-    z = c / nu
+    z /= nu
     g0 = g.copy()
     np.fill_diagonal(g0, 0.0)
     # through sym(Z^T Z): dL/dZ = Z (G0 + G0^T), the 1/2 of sym cancels
-    dz = z @ (g0 + g0.T)
+    dc = z @ (g0 + g0.T)  # dz for now
     # normalisation backward; columns at the epsilon floor have constant nu
-    proj = (z * dz).sum(axis=0)
+    scratch = flat.reshape(z.shape)
+    proj = np.multiply(z, dc, out=scratch).sum(axis=0)
     active = (nrm > _NORM_EPS).astype(x.dtype)
-    dc = dz / nu - active * proj / nu * z
+    dc /= nu
+    dc -= np.multiply(active * proj / nu, z, out=scratch)
+    z = scratch = flat = None  # dead before the result takes their place
     return np.subtract(dc, dc.mean(axis=0), order="F")
 
 

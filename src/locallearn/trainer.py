@@ -30,6 +30,7 @@ from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .layers import (
     AdamState,
     LayerSpec,
+    ProductGrad,
     block_backward,
     block_forward,
     block_local_backward,
@@ -349,8 +350,8 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: floa
     if kept is None:
         _update(block, grads, lr, what)
         block.fold_stats(*stats)
-    else:
-        kept[k] |= grads
+    else:  # the dense weight gradient as the array it stands for
+        kept[k] |= {name: g.whole() if isinstance(g, ProductGrad) else g for name, g in grads.items()}
     return loss, d
 
 
@@ -639,10 +640,11 @@ def load_network_state(net: Network, path) -> None:
 
     Every tensor the net owns must be present with the right shape; tensors
     in the file the net does not own (another mode's heads) are ignored, so
-    an inference net can consume any mode's checkpoint. A non-finite value
-    or a negative running variance is a DataError naming the tensor. Slope
-    scalars are applied to the blocks. Every tensor and slope is checked
-    before any is written, so a net that raises keeps what it held.
+    an inference net can consume any mode's checkpoint. A non-finite value,
+    a negative running variance, or a slope that is not one number in
+    [0, 1] is a DataError naming the tensor. Slope scalars are applied to
+    the blocks. Every tensor and slope is checked before any is written,
+    so a net that raises keeps what it held.
     """
     tensors, block_count = load_checkpoint(path)
     if block_count != len(net.blocks) + 1:
@@ -658,9 +660,16 @@ def load_network_state(net: Network, path) -> None:
             raise DataError(f"tensor {name!r} holds a non-finite value")
         if name.endswith(".run_var") and (src < 0).any():
             raise DataError(f"tensor {name!r} holds a negative variance")
-    specs = [
-        replace(b.spec, slope=float(tensors.get(f"block{i}.slope", b.spec.slope))) for i, b in enumerate(net.blocks)
-    ]
+    specs = []
+    for i, b in enumerate(net.blocks):
+        name = f"block{i}.slope"
+        value = tensors.get(name, np.float32(b.spec.slope))
+        if value.shape != ():
+            raise DataError(f"tensor {name!r} has shape {value.shape}, net expects ()")
+        slope = float(value)
+        if not 0.0 <= slope <= 1.0:  # a nan is not either
+            raise DataError(f"tensor {name!r} holds slope {slope}, outside [0, 1]")
+        specs.append(replace(b.spec, slope=slope))
     for name, param in wanted.items():
         param[...] = tensors[name].astype(param.dtype)
     for b, spec in zip(net.blocks, specs):

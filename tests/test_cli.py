@@ -342,7 +342,9 @@ def test_eval_checkpoint_name_that_is_not_utf8_is_an_error_line(tmp_path, capsys
     ("block0.weight", (0, 0), np.nan, "holds a non-finite value"),
     ("out.bias", (1,), -np.inf, "holds a non-finite value"),
     ("block0.run_var", (0,), -1.0, "holds a negative variance"),
-], ids=["nan-weight", "inf-bias", "negative-run-var"])
+    ("block0.slope", (), np.nan, "holds slope nan, outside [0, 1]"),
+    ("block0.slope", (), 5.0, "holds slope 5.0, outside [0, 1]"),
+], ids=["nan-weight", "inf-bias", "negative-run-var", "nan-slope", "slope-above-one"])
 def test_eval_checkpoint_with_an_impossible_value_is_an_error_line(tmp_path, capsys, name, index, value, why):
     out = tmp_path / "run"
     assert main(_train_argv(out, **{"--epochs": "1"})) == 0

@@ -104,10 +104,61 @@ def test_adam_matches_allocating_oracle_bitwise(dtype, shape, chunk, monkeypatch
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, fan_in, units, chunk, dtype", [
+    (128, 1024, 1024, None, np.float32),  # mlp-bpf's dense blocks
+    (32, 8192, 256, None, np.float32),  # conv-glob's fc256
+    (512, 1024, 1024, None, np.float32),
+    (128, 1025, 1024, None, np.float32),  # blocks of 256, 256, 256, 255 and 2 rows
+    (7, 9, 3, 4, np.float32),  # blocks of 4, 3 and 2 rows: no block is one row
+    (7, 9, 3, 8, np.float64),  # blocks of 8 and 1 row, which become 7 and 2
+    (6, 23, 5, 4, np.float64),
+    (5, 33, 1, 4, np.float64),  # one column, made whole
+    (3, 2, 7, 4, np.float32),
+])
+def test_adam_on_a_gradient_product_matches_the_whole_product_bitwise(n, fan_in, units, chunk, dtype, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(nm, "ROW_BLOCK", chunk)
+    p = rand((fan_in, units), seed=140, dtype=dtype, scale=0.1)
+    q = p.copy()
+    st, ref = ly.AdamState.for_param(p), ly.AdamState.for_param(q)
+    for t in range(3):
+        a = rand((n, fan_in), seed=141 + t, dtype=dtype)
+        g = rand((n, units), seed=151 + t, dtype=dtype, scale=10.0 ** (t - 2))
+        ly.adam_step(p, ly.ProductGrad(a, g), st, 1e-3)
+        ly.adam_step(q, a.T @ g, ref, 1e-3)
+        assert st.t == ref.t == t + 1
+        for got, want in ((p, q), (st.m, ref.m), (st.v, ref.v)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("product", [False, True])
+def test_adam_applies_the_blocks_before_a_non_finite_one(product, monkeypatch):
+    # ROW_BLOCK 4 on a (9, 3) weight: passes of 1 row, checked blocks of
+    # rows 0-3, 4-6 and 7-8. A NaN in row 0 moves nothing; one in row 8
+    # leaves the first two blocks applied and the last as it was
+    monkeypatch.setattr(nm, "ROW_BLOCK", 4)
+    for bad_row, moved in ((0, 0), (8, 7)):
+        a = rand((5, 9), seed=160, dtype=np.float32)
+        g = rand((5, 3), seed=161, dtype=np.float32)
+        a[2, bad_row] = np.nan
+        p = rand((9, 3), seed=162, dtype=np.float32)
+        before, st = p.copy(), ly.AdamState.for_param(p)
+        with pytest.raises(NonFiniteError):
+            ly.adam_step(p, ly.ProductGrad(a, g) if product else a.T @ g, st, 1e-3)
+        assert st.t == (1 if moved else 0)
+        assert (p[:moved] != before[:moved]).all() and p[moved:].tobytes() == before[moved:].tobytes()
+        assert st.m[:moved].all() and not st.m[moved:].any() and not st.v[moved:].any()
+
+
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(2)
     with pytest.raises(ShapeError):
         ly.adam_step(p, np.zeros(3), ly.AdamState.for_param(p), lr=1e-3)
+    w = np.zeros((4, 2))
+    with pytest.raises(ShapeError, match=r"\(4, 3\)"):
+        ly.adam_step(w, ly.ProductGrad(np.zeros((5, 4)), np.zeros((5, 3))), ly.AdamState.for_param(w), lr=1e-3)
+    with pytest.raises(ShapeError, match="factors"):
+        ly.ProductGrad(np.zeros((5, 4)), np.zeros((6, 2)))
 
 
 def test_update_params_names_offending_tensor():
@@ -209,10 +260,21 @@ def test_spec_checks_a_conv_pred_parts_pool():
         ly.LayerSpec("conv", (3, 6, 8), channels=4, pred="ce", classes=3)
     with pytest.raises(ConfigError, match="pred_target_dim must be >= 1, got 0"):
         _pred_conv(4, 8, 0)
-    # the checks are the pred part's: without one, or on a dense block, they do not apply
+    # the square check is the pred part's: without one, or on a dense block, it does not apply
     ly.LayerSpec("conv", (3, 6, 8), channels=4, sim="head")
-    spec = ly.LayerSpec("dense", (4,), units=3, pred="ce", classes=3, pred_target_dim=0)
+    spec = ly.LayerSpec("dense", (4,), units=3, pred="ce", classes=3, pred_target_dim=1)
     assert ly.init_params(spec, make_rng(4)).cls_w.shape == (3, 3)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="dense", in_shape=(4,), units=3, pred="ce", classes=3),  # a pred part that never pools
+    dict(kind="dense", in_shape=(4,), units=3),
+    dict(kind="conv", in_shape=(3, 6, 8), channels=4, sim="head"),
+])
+def test_spec_rejects_pred_target_dim_below_one_on_every_block(kw):
+    # as TrainConfig does, whether or not the block reads it
+    with pytest.raises(ConfigError, match="pred_target_dim must be >= 1, got 0"):
+        ly.LayerSpec(**kw, pred_target_dim=0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +369,18 @@ def test_batch_of_one_rejected_in_train():
         ly.block_forward(block, np.ones((1, 4), dtype=np.float32), train=True, rng=make_rng(0))
 
 
+def _whole(g):
+    """A gradient as an array: a dense weight's ProductGrad made whole."""
+    return g.whole() if isinstance(g, ly.ProductGrad) else g
+
+
 def test_block_local_backward_zero_grad_gives_zero():
     block = _dense_block()
     x = rand((5, 4), seed=66)
     h, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
     grads = ly.block_local_backward(block, cache, np.zeros_like(h))
     for name, g in grads.items():
-        assert np.all(g == 0.0), name
+        assert np.all(_whole(g) == 0.0), name
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv"])
@@ -332,9 +399,10 @@ def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
     weights_only, no_dx = ly.block_backward(block, cache, d_out.copy(), need_dx=False)
     assert dx.shape == x.shape and no_dx is None
     assert full.keys() == weights_only.keys()
-    # with dx, the weight gradient comes from matmul_backward / conv2d_backward
+    # with dx, a conv weight gradient comes from conv2d_backward; a dense
+    # one is the same product either way
     for name in full:
-        assert np.array_equal(full[name], weights_only[name]), name
+        assert np.array_equal(_whole(full[name]), _whole(weights_only[name])), name
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01])
@@ -375,19 +443,20 @@ def test_block_backward_takes_over_d_out(kind):
     assert not np.array_equal(d_out, saved)  # written over, not copied
     assert dx.tobytes() == want_dx.tobytes()
     for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
+        assert _whole(got[name]).tobytes() == _whole(want[name]).tobytes(), name
 
 
 @pytest.mark.parametrize("need_dx", [True, False])
 @pytest.mark.parametrize("kind", ["dense", "conv"])
 def test_block_backward_releases_each_cache_field_after_its_reader(kind, need_dx, monkeypatch):
     # the dropout mask dies before the leaky relu backward runs, the sign
-    # mask before the batchnorm backward, and xhat before the weight
-    # gradient's GEMM; each such field of the cache is None afterwards
+    # mask before the batchnorm backward, and xhat before the GEMMs (a dense
+    # block's dx alone: adam_step makes its weight gradient); each such
+    # field of the cache is None afterwards
     if kind == "dense":
         block = ly.init_params(ly.LayerSpec("dense", (6,), units=5, dropout=0.3), make_rng(7))
         x = rand((7, 6), seed=73, dtype=np.float32)
-        gemms = ("matmul_backward",) if need_dx else ()
+        gemms = ("matmul",) if need_dx else ()
     else:
         block = ly.init_params(ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=0.3), make_rng(8))
         x = rand((4, 2, 5, 7), seed=74, dtype=np.float32)

@@ -56,6 +56,49 @@ def test_similarity_properties_random():
         assert s.min() >= -1.0 and s.max() <= 1.0
 
 
+def _allocating_similarity_backward(x, g):
+    """similarity_matrix_backward as the expressions read, each in a new
+    array: the oracle for the buffers it works in."""
+    c = x - x.mean(axis=0)
+    nrm = np.sqrt((c * c).sum(axis=0))
+    nu = np.maximum(nrm, x.dtype.type(1e-8))
+    z = c / nu
+    g0 = g.copy()
+    np.fill_diagonal(g0, 0.0)
+    dz = z @ (g0 + g0.T)
+    proj = (z * dz).sum(axis=0)
+    active = (nrm > 1e-8).astype(x.dtype)
+    dc = dz / nu - active * proj / nu * z
+    return np.subtract(dc, dc.mean(axis=0), order="F")
+
+
+@pytest.mark.parametrize("layout", ["transposed", "c"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d, n, flat_column", [
+    (1024, 128, None),  # mlp-bpf's blocks
+    (64, 32, None),
+    (128, 32, None),
+    (64, 32, 5),  # a constant column, whose norm sits at the epsilon floor
+])
+def test_similarity_backward_matches_the_allocating_expressions_bitwise(d, n, flat_column, dtype, layout):
+    # the losses pass the transpose of C-ordered (n, d) descriptors; the
+    # gradient check passes a C-ordered (d, n) array
+    rows = rand((n, d), seed=170, dtype=dtype)
+    if flat_column is not None:
+        rows[flat_column] = 0.5
+    x = rows.T if layout == "transposed" else np.ascontiguousarray(rows.T)
+    g = rand((n, n), seed=171, dtype=dtype, scale=1e-3)
+    got = ls.similarity_matrix_backward(x, g)
+    want = _allocating_similarity_backward(x, g)
+    assert got.flags.f_contiguous and got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def test_similarity_backward_takes_a_gradient_of_its_dtype():
+    with pytest.raises(ShapeError, match="dtype"):
+        ls.similarity_matrix_backward(np.ones((4, 3), dtype=np.float32), np.ones((3, 3)))
+
+
 def test_similarity_affine_invariance():
     rng = make_rng(32)
     x = rng.standard_normal((8, 6))
