@@ -12,18 +12,17 @@ import tracemalloc
 import numpy as np
 
 from locallearn.data import synthetic_blobs
-from locallearn.losses import LossConfig
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
-from locallearn.trainer import TrainConfig, build_network, dropout_rngs, parse_arch, train, train_step
+from locallearn.trainer import TrainConfig, build_network, dropout_rngs, train, train_step
 
 ds = synthetic_blobs(classes=3, per_class=60, dim=16, separation=6.0, seed=5)
 print(f"dataset: {len(ds)} points, {ds.num_classes} classes, 16-dim\n")
 
 print(f"{'mode':12s} {'final train err':>16s} {'epochs to 0':>12s}")
 for mode in ("glob", "pred", "sim", "predsim", "pred-bpf", "sim-bpf", "predsim-bpf"):
-    cfg = TrainConfig(arch="fc32-fc", epochs=20, lr=5e-3, batch_size=32, seed=100)
-    _, hist = train(cfg, LossConfig(mode), ds, ds)  # scored in eval mode on the train split
+    cfg = TrainConfig(arch="fc32-fc", loss=mode, epochs=20, lr=5e-3, batch_size=32, seed=100)
+    _, hist = train(cfg, ds, ds)  # scored in eval mode on the train split
     first_zero = next((h.epoch for h in hist if h.test_error == 0.0), None)
     when = str(first_zero) if first_zero is not None else "never"
     print(f"{mode:12s} {hist[-1].test_error:16.4f} {when:>12s}")
@@ -33,8 +32,7 @@ x = make_rng(6).standard_normal((8, 2, 8, 8)).astype(np.float32)
 y = one_hot(np.arange(8) % 3, 3, np.float32)
 arch = "conv4-conv4-conv4-conv4-conv4-conv4-fc"
 for mode in ("predsim", "glob"):
-    net = build_network(parse_arch(arch, (2, 8, 8), 3),
-                        LossConfig(mode), seed=1, pred_target_dim=32)
+    net = build_network(TrainConfig(arch=arch, loss=mode, seed=1, pred_target_dim=32), (2, 8, 8), 3)
     tracemalloc.start()
     train_step(net, x, y, 1e-3, dropout_rngs(0, 0, len(net.blocks)))
     peak = tracemalloc.get_traced_memory()[1]

@@ -16,7 +16,7 @@ from .errors import (
     NonFiniteError,
     ShapeError,
 )
-from .losses import MODES, LossConfig, pred_loss, sim_loss, similarity_matrix
+from .losses import MODES, pred_loss, sim_loss, similarity_matrix
 from .trainer import (
     ARCH_PRESETS,
     Network,
@@ -41,7 +41,6 @@ __all__ = [
     "Dataset",
     "InputError",
     "LocalLearnError",
-    "LossConfig",
     "MODES",
     "Network",
     "NonFiniteError",

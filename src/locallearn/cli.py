@@ -25,9 +25,9 @@ import numpy as np
 
 from . import data as datamod
 from . import gradcheck as gc
-from .data import AugmentConfig, Dataset
+from .data import AugmentConfig
 from .errors import ConfigError, DataError, LocalLearnError
-from .losses import MODES, LossConfig
+from .losses import MODES
 from .trainer import (
     ARCH_PRESETS,
     CONTRACT,
@@ -36,8 +36,6 @@ from .trainer import (
     evaluate,
     load_network_state,
     metrics_csv,
-    parse_arch,
-    resolved_slope,
     save_network,
     train,
 )
@@ -105,7 +103,8 @@ def blas_entries() -> dict:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Sorted key=value lines; the whole resolved configuration of a run."""
+    """Sorted key=value lines; the whole resolved configuration of a run.
+    A float is written as its repr, so a run reruns from its manifest."""
     with open(path, "w") as f:
         for key in sorted(entries):
             f.write(f"{key}={entries[key]}\n")
@@ -121,9 +120,10 @@ def cmd_train(args) -> int:
     pred_dim = args.pred_dim if args.pred_dim is not None else preset["pred_dim"]
     dropout = args.dropout if args.dropout is not None else preset[f"dropout_{_family(resolved_arch)}"]
 
-    loss = LossConfig(mode=args.loss, beta=args.beta)
     cfg = TrainConfig(
         arch=args.arch,
+        loss=args.loss,
+        beta=args.beta,
         epochs=epochs,
         lr=lr,
         batch_size=args.batch_size,
@@ -139,37 +139,25 @@ def cmd_train(args) -> int:
     cfg.validate_for(train_ds)
 
     datamod.standardize(datamod.channel_stats(train_ds), train_ds, test_ds)
-    manifest = {
-        "dataset": args.dataset,
-        "data_dir": args.data_dir or "",
-        "arch": cfg.arch,
-        "arch_resolved": resolved_arch,
-        "loss": loss.mode,
-        "beta": repr(loss.resolved_beta),
-        "projection_dim": loss.projection_dim,
-        "epochs": cfg.epochs,
-        "lr": repr(cfg.lr),
-        "batch_size": cfg.batch_size,
-        "dropout": repr(cfg.dropout),
-        "slope": repr(resolved_slope(cfg.slope, loss.mode)),
-        "seed": cfg.seed,
-        "classes_per_batch": cfg.classes_per_batch,
-        "width_mult": cfg.width_mult,
-        "pred_target_dim": cfg.pred_target_dim,
-        "jitter": cfg.augment.jitter,
-        "hflip": str(cfg.augment.hflip).lower(),
-        "cutout": cfg.augment.cutout,
-        "out": args.out,
-        "contract": CONTRACT,
+    # every field of cfg, augment's flattened, with beta and slope resolved
+    fields = {**vars(cfg), **vars(cfg.augment), "beta": cfg.resolved_beta, "slope": cfg.resolved_slope}
+    del fields["augment"]
+    manifest = {key: str(v).lower() if isinstance(v, bool) else v for key, v in fields.items()}
+    manifest.update(
+        dataset=args.dataset,
+        data_dir=args.data_dir or "",
+        arch_resolved=resolved_arch,
+        out=args.out,
+        contract=CONTRACT,
         **blas_entries(),
-    }
+    )
     try:  # an --out that cannot be written fails before training, as one error line
         os.makedirs(args.out, exist_ok=True)
         write_manifest(os.path.join(args.out, "manifest.txt"), manifest)
     except OSError as e:
         raise LocalLearnError(f"cannot write the run directory {args.out!r}: {e.strerror or e}") from None
 
-    net, history = train(cfg, loss, train_ds, test_ds)
+    net, history = train(cfg, train_ds, test_ds)
 
     with open(os.path.join(args.out, "metrics.csv"), "w") as f:
         f.write(metrics_csv(history))
@@ -194,10 +182,10 @@ def cmd_eval(args) -> int:
     train_ds, test_ds = _load_dataset(args.dataset, args.data_dir, args.seed)
     # the train split lends its channel statistics and is never standardized
     datamod.standardize(datamod.channel_stats(train_ds), test_ds)
-    spec = parse_arch(args.arch, test_ds.images.shape[1:], test_ds.num_classes, args.width_mult)
     # heads never run at inference; a plain-backprop skeleton accepts any
     # mode's checkpoint and picks the trained slope up from it
-    net = build_network(spec, LossConfig(mode="glob"))
+    skeleton = TrainConfig(arch=args.arch, loss="glob", width_mult=args.width_mult)
+    net = build_network(skeleton, test_ds.images.shape[1:], test_ds.num_classes)
     load_network_state(net, args.checkpoint)
     err = evaluate(net, test_ds, args.batch_size)
     print(f"test_error={err:.6f}")
@@ -256,6 +244,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except LocalLearnError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # a net that fits numpy's index but not this machine
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

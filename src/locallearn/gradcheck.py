@@ -32,7 +32,6 @@ import numpy as np
 from . import numerics as nm
 from .losses import (
     MODE_TABLE,
-    LossConfig,
     binarized_targets,
     pred_bpf_loss,
     pred_loss,
@@ -42,7 +41,7 @@ from .losses import (
     similarity_matrix_backward,
 )
 from .rng import make_rng
-from .trainer import build_network, dropout_rngs, parse_arch, train_step
+from .trainer import TrainConfig, build_network, dropout_rngs, train_step
 
 THRESHOLD = 1e-4
 FD_STEP = 1e-5
@@ -292,9 +291,8 @@ _TOY_ARCH = "conv3-pool-fc8-fc"  # 3 channels keep the conv sim descriptor non-d
 
 
 def _toy_setup(mode: str, seed: int = 3):
-    loss = LossConfig(mode=mode, projection_dim=6)
-    spec = parse_arch(_TOY_ARCH, (1, 6, 6), 3)
-    net = build_network(spec, loss, dropout=0.1, pred_target_dim=8, seed=seed, dtype=np.float64)
+    cfg = TrainConfig(arch=_TOY_ARCH, loss=mode, projection_dim=6, dropout=0.1, pred_target_dim=8, seed=seed)
+    net = build_network(cfg, (1, 6, 6), 3, dtype=np.float64)
     r = make_rng(seed, 9)
     x = r.normal(size=(4, 1, 6, 6))
     y = nm.one_hot(r.integers(0, 3, size=4), 3, np.float64)

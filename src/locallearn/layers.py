@@ -143,6 +143,10 @@ def adam_step(param: np.ndarray, grad, state: AdamState, lr: float) -> None:
 # block definition / init
 # ---------------------------------------------------------------------------
 
+# The most elements one weight may hold: numpy refuses an array of more bytes
+# than np.intp counts, and every weight is drawn in float64 before its cast.
+MAX_WEIGHT_ELEMENTS = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -202,11 +206,21 @@ class LayerSpec:
             raise ConfigError(f"a bpf part needs projection >= 1, got {self.projection}")
         if (self.pred or self.sim == "bpf") and self.classes < 2:  # the parts that read the labels' width
             raise ConfigError(f"a {self.pred or self.sim} part needs at least 2 classes, got {self.classes}")
+        sizes = {"weight": self.fan_in * self.width}  # B is cls_w's shape
+        if self.pred:
+            sizes["cls_w"] = self.cls_in * (self.classes if self.pred == "ce" else self.projection)
+        if self.sim == "head":
+            sizes["sim_w"] = self.width**2 * (1 if self.kind == "dense" else self.kernel**2)
+        if "bpf" in (self.pred, self.sim):
+            sizes["proj"] = self.projection * self.classes
+        for name, size in sizes.items():
+            if size > MAX_WEIGHT_ELEMENTS:
+                raise ConfigError(f"a {name} of {size} elements is more than numpy can hold")
 
     @property
     def fan_in(self) -> int:
         if self.kind == "dense":
-            return int(np.prod(self.in_shape))
+            return math.prod(self.in_shape)
         return self.in_shape[0] * self.kernel * self.kernel
 
     @property

@@ -45,33 +45,6 @@ MODES = tuple(MODE_TABLE)
 LOCAL_MODES = tuple(mode for mode, row in MODE_TABLE.items() if row.local)
 
 
-@dataclass
-class LossConfig:
-    """Which error signal trains the hidden layers."""
-
-    mode: str = "predsim"
-    beta: Optional[float] = None  # None = the mode's default
-    projection_dim: int = 128  # width of the fixed random label projection (bpf modes)
-
-    def __post_init__(self):
-        if self.mode not in MODE_TABLE:
-            raise ConfigError(f"unknown loss mode {self.mode!r}; valid: {', '.join(MODES)}")
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        row = MODE_TABLE[self.mode]
-        if self.beta is not None and self.beta != row.beta and not (row.pred and row.sim):
-            # beta weighs a pred part against a sim part; a mode without both never reads it
-            raise ConfigError(
-                f"loss mode {self.mode!r} does not mix pred and sim, so beta must stay {row.beta}, got {self.beta}"
-            )
-        if self.projection_dim < 1:
-            raise ConfigError(f"projection_dim must be >= 1, got {self.projection_dim}")
-
-    @property
-    def resolved_beta(self) -> float:
-        return MODE_TABLE[self.mode].beta if self.beta is None else self.beta
-
-
 # ---------------------------------------------------------------------------
 # similarity matching
 # ---------------------------------------------------------------------------

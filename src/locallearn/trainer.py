@@ -1,9 +1,11 @@
 """The training engine: architecture parsing, the training step's one
 sweep, the epoch loop, and checkpoint/metrics plumbing.
 
-A network is described once: parse_arch reads an architecture string into
-its hidden blocks' LayerSpecs (shapes only), and build_network completes
-each with the fields the loss mode and the run set, then initialises it.
+A run is described once, by a TrainConfig. A network is described once
+too: parse_arch reads an architecture string into its hidden blocks'
+LayerSpecs (shapes only), and build_network(cfg, input_shape, classes)
+parses cfg.arch and completes each spec with the fields the loss mode and
+the run set, then initialises it: the net train(cfg, ...) starts from.
 
 The point of the local modes is the shape of the step: activations flow
 forward once through the blocks (a conv block may end in a 2x2 pool), and
@@ -28,6 +30,7 @@ from . import rng as rngmod
 from .data import AugmentConfig, Dataset, augment_batch
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 from .layers import (
+    MAX_WEIGHT_ELEMENTS,
     AdamState,
     LayerSpec,
     ProductGrad,
@@ -40,7 +43,7 @@ from .layers import (
     save_checkpoint,
     update_params,
 )
-from .losses import MODE_TABLE, LossConfig, local_block_loss
+from .losses import MODE_TABLE, MODES, local_block_loss
 
 ARCH_PRESETS = {
     "vgg8b": "conv128-conv256-pool-conv256-conv512-pool-conv512-pool-conv512-pool-fc1024-fc",
@@ -68,11 +71,10 @@ CONTRACT = 2
 class NetworkSpec:
     """A parsed architecture: each hidden block's LayerSpec in forward order,
     with only its shape fields set (build_network adds the rest), and the
-    output layer's fan-in and width."""
+    output layer's fan-in."""
 
     blocks: list  # LayerSpec
     out_in_dim: int
-    classes: int
 
 
 def _int_suffix(token: str, prefix: str) -> int:
@@ -94,7 +96,8 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
     block before it. So impossible networks fail here, not mid-epoch:
     LayerSpec rejects conv after a dense block and pool after one, and
     pooling an odd extent, pool first or after pool, or a non-fc final
-    token raise too. A token's error names the token.
+    token raise too, as does a weight too large for numpy to hold
+    (LayerSpec checks the hidden blocks'). A token's error names the token.
     """
     if width_mult < 1:
         raise ConfigError(f"width multiplier must be >= 1, got {width_mult}")
@@ -114,6 +117,9 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
                 units = classes if tok == "fc" else _int_suffix(tok, "fc")
                 if units != classes:
                     raise ConfigError(f"output width {units} does not match {classes} classes")
+                size = math.prod(shape) * classes
+                if size > MAX_WEIGHT_ELEMENTS:
+                    raise ConfigError(f"an output weight of {size} elements is more than numpy can hold")
             elif tok == "pool":
                 if not blocks:
                     raise ConfigError("pool cannot be the first layer")
@@ -130,13 +136,13 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
             elif tok == "fc":
                 raise ConfigError("bare fc denotes the output layer and must be last")
             elif tok.startswith("fc"):
-                blocks.append(LayerSpec("dense", (int(np.prod(shape)),), units=_int_suffix(tok, "fc")))
+                blocks.append(LayerSpec("dense", (math.prod(shape),), units=_int_suffix(tok, "fc")))
                 shape = blocks[-1].out_shape
             else:
                 raise ConfigError("unknown architecture token")
         except (ConfigError, ShapeError) as e:
             raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
-    return NetworkSpec(blocks, int(np.prod(shape)), classes)
+    return NetworkSpec(blocks, math.prod(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +152,13 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
 
 @dataclass
 class TrainConfig:
-    """Everything about a run except the loss mode (see LossConfig)."""
+    """Everything about a run: the net, the error signal that trains its
+    hidden layers, and the protocol."""
 
     arch: str = "mlp3x1024"
+    loss: str = "predsim"  # the loss mode, a row of losses.MODE_TABLE
+    beta: Optional[float] = None  # None = the mode's default
+    projection_dim: int = 128  # width of the fixed random label projection (bpf modes)
     epochs: int = 1
     lr: float = 5e-4
     batch_size: int = 128
@@ -161,6 +171,18 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
+        if self.loss not in MODE_TABLE:
+            raise ConfigError(f"unknown loss mode {self.loss!r}; valid: {', '.join(MODES)}")
+        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
+            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        row = MODE_TABLE[self.loss]
+        if self.beta is not None and self.beta != row.beta and not (row.pred and row.sim):
+            # beta weighs a pred part against a sim part; a mode without both never reads it
+            raise ConfigError(
+                f"loss mode {self.loss!r} does not mix pred and sim, so beta must stay {row.beta}, got {self.beta}"
+            )
+        if self.projection_dim < 1:
+            raise ConfigError(f"projection_dim must be >= 1, got {self.projection_dim}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):  # a nan lr is not <= 0 either
@@ -187,11 +209,15 @@ class TrainConfig:
         if self.batch_size > len(train_ds):
             raise ConfigError(f"batch size {self.batch_size} exceeds dataset size {len(train_ds)}")
 
+    @property
+    def resolved_beta(self) -> float:
+        return MODE_TABLE[self.loss].beta if self.beta is None else self.beta
 
-def resolved_slope(slope: Optional[float], mode: str) -> float:
-    if slope is not None:
-        return slope
-    return 0.01 if MODE_TABLE[mode].sim else 0.0
+    @property
+    def resolved_slope(self) -> float:
+        if self.slope is not None:
+            return self.slope
+        return 0.01 if MODE_TABLE[self.loss].sim else 0.0
 
 
 def lr_breakpoints(total_epochs: int):
@@ -230,43 +256,37 @@ class Network:
     out: OutputLayer
 
 
-def build_network(
-    spec: NetworkSpec,
-    loss: LossConfig,
-    dropout: float = 0.0,
-    slope: Optional[float] = None,
-    pred_target_dim: int = 1024,
-    seed: int = 0,
-    dtype=np.float32,
-) -> Network:
-    """Materialise each parsed block, its LayerSpec completed with the
-    mode row's pred and sim parts (and the projection width a bpf part
-    reads), the slope, the dropout and the pooling target, and then the
-    output layer. Each weight layer draws from its own seeded
-    stream, so nets with equal seeds match bit for bit regardless of
-    mode-dependent head counts."""
-    row = MODE_TABLE[loss.mode]
+def build_network(cfg: TrainConfig, input_shape, classes: int, dtype=np.float32) -> Network:
+    """The net train(cfg, ...) starts from, for inputs of input_shape in
+    classes classes. cfg.arch is parsed at cfg.width_mult, and each block's
+    LayerSpec completed with the loss mode's pred and sim parts (and the
+    projection width a bpf part reads), the slope, the dropout and the
+    pooling target; then the output layer. Each weight layer draws from
+    its own stream of cfg.seed, so nets with equal seeds match bit for bit
+    regardless of mode-dependent head counts."""
+    spec = parse_arch(cfg.arch, input_shape, classes, cfg.width_mult)
+    row = MODE_TABLE[cfg.loss]
     shared = dict(  # every field of a block's spec but its shape
-        slope=resolved_slope(slope, loss.mode),
-        dropout=dropout,
-        pred_target_dim=pred_target_dim,
-        classes=spec.classes,
+        slope=cfg.resolved_slope,
+        dropout=cfg.dropout,
+        pred_target_dim=cfg.pred_target_dim,
+        classes=classes,
         pred=row.pred,
         sim=row.sim,
-        projection=loss.projection_dim if "bpf" in (row.pred, row.sim) else 0,
+        projection=cfg.projection_dim if "bpf" in (row.pred, row.sim) else 0,
     )
 
     blocks = [
-        init_params(replace(lspec, **shared), rngmod.make_rng(seed, rngmod.INIT, k), dtype)
+        init_params(replace(lspec, **shared), rngmod.make_rng(cfg.seed, rngmod.INIT, k), dtype)
         for k, lspec in enumerate(spec.blocks)
     ]
 
-    orng = rngmod.make_rng(seed, rngmod.INIT, len(blocks))
+    orng = rngmod.make_rng(cfg.seed, rngmod.INIT, len(blocks))
     bound = float(np.sqrt(1.0 / spec.out_in_dim))
-    weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, spec.classes)).astype(dtype)
-    bias = np.zeros(spec.classes, dtype=dtype)
+    weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, classes)).astype(dtype)
+    bias = np.zeros(classes, dtype=dtype)
     out = OutputLayer(weight, bias, {"weight": AdamState.for_param(weight), "bias": AdamState.for_param(bias)})
-    return Network(loss.mode, loss.resolved_beta, blocks, out)
+    return Network(cfg.loss, cfg.resolved_beta, blocks, out)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +555,9 @@ class EpochStats:
     layer_losses: list
 
 
-def train(cfg: TrainConfig, loss: LossConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None):
-    """Run the full protocol; returns (net, history).
+def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None):
+    """Run the full protocol on build_network(cfg, ...)'s net; returns
+    (net, history).
 
     Derived rng streams are keyed by (seed, purpose, epoch), dropout's by
     hidden block as well (dropout_rngs), so two calls with identical
@@ -547,15 +568,7 @@ def train(cfg: TrainConfig, loss: LossConfig, train_ds: Dataset, test_ds: Option
     class-per-batch restriction, when set, lifts at the first learning-rate
     drop.
     """
-    spec = parse_arch(cfg.arch, train_ds.images.shape[1:], train_ds.num_classes, cfg.width_mult)
-    net = build_network(
-        spec,
-        loss,
-        dropout=cfg.dropout,
-        slope=cfg.slope,
-        pred_target_dim=cfg.pred_target_dim,
-        seed=cfg.seed,
-    )
+    net = build_network(cfg, train_ds.images.shape[1:], train_ds.num_classes)
     history = train_network(net, cfg, train_ds, test_ds)
     return net, history
 

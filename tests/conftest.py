@@ -9,9 +9,8 @@ import pytest
 import locallearn.gradcheck as gc
 import locallearn.trainer as tr
 from locallearn.data import synthetic_blobs
-from locallearn.losses import LossConfig
 from locallearn.rng import make_rng
-from locallearn.trainer import build_network, parse_arch
+from locallearn.trainer import TrainConfig, build_network
 
 
 def rand(shape, seed=0, dtype=np.float64, scale=1.0):
@@ -48,10 +47,10 @@ def tiny_blobs(classes=3, per_class=40, dim=16, separation=6.0, seed=0):
 
 def small_net(mode, arch="fc16-fc", input_shape=(8, 1, 1), classes=3,
               seed=0, dropout=0.0, dtype=np.float32, **kw):
-    """A throwaway network for step-level tests."""
-    spec = parse_arch(arch, input_shape, classes)
-    return build_network(spec, LossConfig(mode=mode), dropout=dropout,
-                         seed=seed, dtype=dtype, **kw)
+    """A throwaway network for step-level tests; kw sets other TrainConfig
+    fields."""
+    cfg = TrainConfig(arch=arch, loss=mode, seed=seed, dropout=dropout, **kw)
+    return build_network(cfg, input_shape, classes, dtype)
 
 
 def peak_live_caches(step):

@@ -19,7 +19,7 @@ import locallearn.layers as ly
 import locallearn.losses as ls
 import locallearn.trainer as tr
 from locallearn.data import AugmentConfig, synthetic_blobs
-from locallearn.losses import LOCAL_MODES, LossConfig
+from locallearn.losses import LOCAL_MODES
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 from locallearn.trainer import TrainConfig
@@ -34,8 +34,7 @@ def _grab_all_params(block):
 
 
 def _build(mode, arch, in_shape, classes, seed=0, **kw):
-    spec = tr.parse_arch(arch, in_shape, classes)
-    return tr.build_network(spec, LossConfig(mode=mode), seed=seed, **kw)
+    return tr.build_network(TrainConfig(arch=arch, loss=mode, seed=seed, **kw), in_shape, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +205,10 @@ def test_criterion_06_mnist_mlp_trend():
     for mode in ("glob", "pred", "sim", "predsim"):
         errs = []
         for seed in (0, 1, 2):
-            cfg = TrainConfig(arch="fc256-fc256-fc256-fc", epochs=15, lr=5e-4,
+            cfg = TrainConfig(arch="fc256-fc256-fc256-fc", loss=mode, epochs=15, lr=5e-4,
                               batch_size=128, seed=seed,
                               augment=AugmentConfig(jitter=2))
-            _, hist = tr.train(cfg, LossConfig(mode), train_ds, test_ds)
+            _, hist = tr.train(cfg, train_ds, test_ds)
             errs.append(hist[-1].test_error)
         means[mode] = float(np.mean(errs))
         assert means[mode] <= 0.03, f"{mode}: mean test error {means[mode]:.4f} > 3%"
@@ -229,9 +228,9 @@ def test_criterion_07_blobs_converge_all_local_modes():
             seed = 100 + s
             ds = synthetic_blobs(classes=3, per_class=60, dim=16,
                                  separation=6.0, seed=seed)
-            cfg = TrainConfig(arch="fc32-fc", epochs=20, lr=5e-3, batch_size=32, seed=seed)
+            cfg = TrainConfig(arch="fc32-fc", loss=mode, epochs=20, lr=5e-3, batch_size=32, seed=seed)
             # the train split as the test split: its eval-mode error each epoch
-            _, hist = tr.train(cfg, LossConfig(mode), ds, ds)
+            _, hist = tr.train(cfg, ds, ds)
             best = min(h.test_error for h in hist)
             assert best == 0.0, f"{mode} seed {seed}: best train error {best:.4f}"
     elapsed = time.perf_counter() - t0
@@ -268,12 +267,12 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
     gen = make_rng(31)
     ds = dt.Dataset(gen.random((96, 1, 6, 6)).astype(np.float32),
                     gen.integers(0, 4, 96), 4, "pixels")
-    cfg = TrainConfig(arch="conv4-pool-fc", epochs=3, lr=1e-3, batch_size=16, seed=8,
+    cfg = TrainConfig(arch="conv4-pool-fc", loss="predsim", epochs=3, lr=1e-3, batch_size=16, seed=8,
                       dropout=0.1, pred_target_dim=8,
                       augment=AugmentConfig(jitter=1, hflip=True, cutout=2))
     runs = []
     for tag in ("a", "b"):
-        net, hist = tr.train(cfg, LossConfig("predsim"), ds)
+        net, hist = tr.train(cfg, ds)
         path = tmp_path / f"{tag}.ckpt"
         tr.save_network(net, path)
         runs.append((tr.metrics_csv(hist), path.read_bytes()))
@@ -322,9 +321,9 @@ def test_criterion_10_class_limited_batches(monkeypatch):
         return out
 
     monkeypatch.setattr(tr, "sample_batches", spy)
-    cfg = TrainConfig(arch="fc8-fc", epochs=2, lr=1e-3, batch_size=64, seed=3,
+    cfg = TrainConfig(arch="fc8-fc", loss="pred", epochs=2, lr=1e-3, batch_size=64, seed=3,
                       classes_per_batch=20)
-    tr.train(cfg, LossConfig("pred"), ds)
+    tr.train(cfg, ds)
 
     assert [limit for limit, _ in seen] == [20, 0]  # drop at ceil(0.5*2) = epoch 1
     for _, epoch_batches in seen:

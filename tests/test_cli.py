@@ -1,7 +1,13 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
+import builtins
 import ctypes
+import dataclasses
+import math
+import re
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +16,9 @@ import locallearn.cli as cli
 import locallearn.data as datamod
 import locallearn.gradcheck as gc
 import locallearn.layers as ly
+import locallearn.trainer as tr
 from locallearn.cli import main
+from locallearn.errors import DataError
 from locallearn.rng import make_rng
 
 
@@ -168,6 +176,19 @@ def test_train_beta_defaults_per_mode(tmp_path):
     assert main(_train_argv(out, **{"--loss": "predsim-bpf", "--epochs": "1"})) == 0
     manifest = _read(out / "manifest.txt")
     assert "beta=0.01" in manifest
+
+
+def test_manifest_records_every_config_field(tmp_path):
+    """The manifest holds each TrainConfig field, augment's three
+    flattened, and the run's other facts: a field added without a manifest
+    entry fails here."""
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    manifest = dict(line.split("=", 1) for line in _read(out / "manifest.txt").strip().split("\n"))
+    fields = {f.name for f in dataclasses.fields(tr.TrainConfig)} - {"augment"}
+    fields |= {f.name for f in dataclasses.fields(datamod.AugmentConfig)}
+    run = {"dataset", "data_dir", "arch_resolved", "out", "contract", "blas", "blas_threads"}
+    assert set(manifest) == fields | run
 
 
 def test_train_unknown_loss_exits_2(tmp_path, capsys):
@@ -451,6 +472,194 @@ def test_eval_missing_flag_exits_2(capsys):
         main(["eval", "--dataset", "blobs"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# nets too large to build, and a sweep of malformed inputs
+# ---------------------------------------------------------------------------
+
+def _eval_argv(checkpoint, arch="fc16-fc", dataset="blobs", data_dir=""):
+    return ["eval", "--checkpoint", str(checkpoint), "--dataset", dataset, "--data-dir", str(data_dir),
+            "--arch", arch, "--seed", "3"]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) with warnings as errors;
+    a file main opened and left open fails."""
+    opened, real_open = [], builtins.open
+
+    def tracked(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(builtins, "open", tracked)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert [f.name for f in opened if not f.closed] == [], argv
+    return code, captured.out, captured.err
+
+
+def _is_error_line(outcome):
+    code, out, err = outcome
+    return code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def _is_score(outcome):
+    code, out, err = outcome
+    return code == 0 and err == "" and re.fullmatch(r"test_error=(0\.\d{6}|1\.000000)\n", out) is not None
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_width_too_large_to_build_is_one_error_line(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    arch = "fc99999999999999999999-fc"
+    argv = _train_argv(out, **{"--arch": arch}) if command == "train" else _eval_argv(tmp_path / "none.ckpt", arch)
+    code, printed, err = _outcome(argv, capsys)
+    assert (code, printed) == (1, "")
+    assert err == (f"error: token 1 'fc99999999999999999999' of '{arch}': "
+                   "a weight of 3199999999999999999968 elements is more than numpy can hold\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_net_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # a width that numpy can index but this machine cannot hold; raised, not allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (32, 2**60) and data type float64")
+
+    monkeypatch.setattr(tr, "init_params", out_of_memory)
+    argv = _train_argv(tmp_path / "run") if command == "train" else _eval_argv(tmp_path / "none.ckpt")
+    outcome = _outcome(argv, capsys)
+    assert _is_error_line(outcome)
+    assert outcome[2].startswith("error: out of memory: Unable to allocate 8.00 EiB")
+
+
+# Malformed architecture strings for blobs' (32, 1, 1) inputs in 10 classes,
+# as --arch or with the --width-mult that follows them
+_BAD_ARCHS = [
+    ("", None), ("-", None), ("fc-", None), ("-fc", None), ("fc16", None),
+    ("fc16--fc", None), ("fc-16-fc", None), ("fc16-fc-fc", None), ("pool-fc", None),
+    ("fc16-pool-fc", None), ("fc16-conv8-fc", None), ("conv8-pool-fc", None), ("fc0-fc", None),
+    ("fc016-fc", None), ("fc+16-fc", None), ("fc 16-fc", None), ("fc1_6-fc", None),
+    ("fc\u0661\u0666-fc", None), ("fc16-fc9", None), ("FC16-fc", None), ("fc1e3-fc", None),
+    ("mlp3x1024-fc", None), ("fc99999999999999999999-fc", None), ("conv99999999999999999999-fc", None),
+    ("conv8-fc", "0"), ("conv8-fc", str(10**20)),
+]
+
+
+def test_malformed_archs_are_one_error_line_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    capsys.readouterr()
+    fresh = tmp_path / "never"
+    for arch, mult in _BAD_ARCHS:
+        extra = [f"--arch={arch}"] + (["--width-mult", mult] if mult else [])
+        train = ["train", "--dataset", "blobs", "--epochs", "1", "--out", str(fresh)] + extra
+        evaluate = ["eval", "--checkpoint", str(out / "final.ckpt"), "--dataset", "blobs", "--seed", "3"] + extra
+        assert _is_error_line(_outcome(train, capsys)), (arch, mult)
+        assert not fresh.exists(), (arch, mult)
+        assert _is_error_line(_outcome(evaluate, capsys)), (arch, mult)
+
+
+def _payload_offsets(raw):
+    """The byte offset of every float32 in a checkpoint's tensor payloads."""
+    offsets, off = [], 12  # past the magic, version and block count
+    while off < len(raw):
+        (size,) = struct.unpack_from("<I", raw, off)
+        (rank,) = struct.unpack_from("<I", raw, off + 4 + size)
+        start = off + 8 + size + 8 * rank
+        end = start + 4 * math.prod(struct.unpack_from(f"<{rank}Q", raw, off + 8 + size))
+        offsets += range(start, end, 4)
+        off = end
+    return offsets
+
+
+def _edited(clean, rng, hot):
+    """clean with 1-3 bytes changed, each in the positions hot names half
+    of the time."""
+    raw = bytearray(clean)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.choice(hot)) if rng.random() < 0.5 else int(rng.integers(len(raw)))
+        raw[pos] = (raw[pos] + int(rng.integers(1, 256))) % 256
+    return bytes(raw)
+
+
+def test_mutated_checkpoints_score_or_give_one_error_line(tmp_path, capsys):
+    """A seeded sweep of a 1-epoch checkpoint through eval: byte edits,
+    truncations, and payload floats set to NaN, +-Inf or +-3e38. A file the
+    loader rejects is one error line. One whose tensors that eval reads are
+    the clean file's scores as the clean file does. Any other scores or is
+    one error line: a finite edit of a weight may move the score."""
+    out = tmp_path / "run"
+    assert main(_train_argv(out, **{"--epochs": "1"})) == 0
+    capsys.readouterr()
+    ckpt = out / "final.ckpt"
+    clean = ckpt.read_bytes()
+    clean_tensors, blocks = ly.load_checkpoint(ckpt)
+    argv = _eval_argv(ckpt)
+    clean_outcome = _outcome(argv, capsys)
+    assert _is_score(clean_outcome)
+    read = set(tr.state_tensors(tr.build_network(tr.TrainConfig(arch="fc16-fc", loss="glob"), (32, 1, 1), 10)))
+    payload = _payload_offsets(clean)
+    assert len(payload) == sum(t.size for t in clean_tensors.values())
+
+    rng = make_rng(2024)
+    cases = [_edited(clean, rng, payload) for _ in range(160)]
+    cases += [clean[: int(rng.integers(len(clean)))] for _ in range(40)]
+    for value in [np.nan, np.inf, -np.inf, 3e38, -3e38] * 20:
+        pos = int(rng.choice(payload))
+        cases.append(clean[:pos] + struct.pack("<f", value) + clean[pos + 4:])
+    for i, raw in enumerate(cases):
+        ckpt.write_bytes(raw)
+        outcome = _outcome(argv, capsys)
+        try:
+            tensors, count = ly.load_checkpoint(ckpt)
+        except DataError:
+            assert _is_error_line(outcome), (i, outcome)
+            continue
+        same = count == blocks and all(
+            name in tensors and tensors[name].shape == clean_tensors[name].shape
+            and tensors[name].tobytes() == clean_tensors[name].tobytes() for name in read)
+        assert outcome == clean_outcome if same else _is_error_line(outcome) or _is_score(outcome), (i, outcome)
+
+
+def test_mutated_data_files_score_or_give_one_error_line(tmp_path, capsys):
+    """Seeded byte edits, half of them in a header or a label byte, and
+    truncations of each file of an IDX pair of splits and of two CIFAR
+    batches, through eval. A truncation is one error line, except a CIFAR
+    batch cut at a record boundary, which is fewer records. An edit scores
+    or is one error line: an edited pixel, or a label still in range, is
+    other data."""
+    rng = make_rng(2025)
+    mnist = _write_mnist_dir(tmp_path / "mnist", n_train=16, n_test=8)
+    cifar = _write_cifar_dir(tmp_path / "cifar", per_batch=4, n_test=8)
+    idx_files = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"]
+    for data_dir, train_argv, dataset, files in (
+        (mnist, _mnist_train_argv, "mnist", idx_files),
+        (cifar, _cifar_train_argv, "cifar10", ["data_batch_1.bin", "test_batch.bin"]),
+    ):
+        out = tmp_path / f"{dataset}-run"
+        assert main(train_argv(data_dir, out)) == 0
+        capsys.readouterr()
+        argv = _eval_argv(out / "final.ckpt", dataset=dataset, data_dir=data_dir)
+        assert _is_score(_outcome(argv, capsys))
+        for name in files:
+            path = data_dir / name
+            clean = path.read_bytes()
+            hot = range(0, len(clean), 3073) if dataset == "cifar10" else range(16 if "images" in name else 8)
+            for case in range(24):
+                if case < 16:
+                    raw, whole = _edited(clean, rng, hot), False
+                else:
+                    raw = clean[: int(rng.integers(len(clean)))]
+                    whole = dataset == "cifar10" and len(raw) % 3073 == 0
+                path.write_bytes(raw)
+                outcome = _outcome(argv, capsys)
+                ok = _is_error_line(outcome) or (case < 16 or whole) and _is_score(outcome)
+                assert ok, (name, case, outcome)
+            path.write_bytes(clean)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,28 @@ def test_spec_rejects_slope_outside_unit_interval(slope):
         ly.LayerSpec("dense", (4,), units=3, slope=slope)
 
 
+@pytest.mark.parametrize("dropout", [-0.5, 1.0, 1.5])
+def test_spec_rejects_dropout_outside_its_range(dropout):
+    with pytest.raises(ConfigError, match="dropout"):
+        ly.LayerSpec("dense", (4,), units=3, dropout=dropout)
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(in_shape=(2,), units=ly.MAX_WEIGHT_ELEMENTS // 2 + 1), "weight"),
+    (dict(units=2**31, sim="head"), "sim_w"),
+    (dict(units=2**59, pred="ce", classes=4), "cls_w"),
+    (dict(pred="bpf", projection=2**59, classes=4), "cls_w"),
+    (dict(sim="bpf", projection=2**59, classes=4), "proj"),
+])
+def test_spec_rejects_a_weight_numpy_cannot_hold(fields, name):
+    # the count alone is checked: nothing is allocated
+    spec = dict(kind="dense", in_shape=(1,), units=3) | fields
+    with pytest.raises(ConfigError, match=f"^a {name} of [0-9]+ elements is more than numpy can hold$"):
+        ly.LayerSpec(**spec)
+    # a weight of exactly the bound is no error
+    ly.LayerSpec("dense", (1,), units=ly.MAX_WEIGHT_ELEMENTS)
+
+
 def test_spec_slope_bounds_are_legal_and_replace_rechecks():
     specs = [ly.LayerSpec("dense", (4,), units=3, slope=slope) for slope in (0.0, 0.01, 1.0)]
     with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from locallearn.errors import ConfigError, InputError, ShapeError
 from locallearn.layers import LayerSpec
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
+from locallearn.trainer import TrainConfig
 
 from conftest import rand
 
@@ -325,30 +326,30 @@ def test_mode_lists():
 
 
 def test_loss_config_beta_defaults():
-    assert ls.LossConfig("predsim").resolved_beta == 0.99
-    assert ls.LossConfig("predsim-bpf").resolved_beta == 0.01
-    assert ls.LossConfig("sim").resolved_beta == 1.0
-    assert ls.LossConfig("predsim", beta=0.3).resolved_beta == 0.3
+    assert TrainConfig(loss="predsim").resolved_beta == 0.99
+    assert TrainConfig(loss="predsim-bpf").resolved_beta == 0.01
+    assert TrainConfig(loss="sim").resolved_beta == 1.0
+    assert TrainConfig(loss="predsim", beta=0.3).resolved_beta == 0.3
 
 
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
-        ls.LossConfig("nonsense")
+        TrainConfig(loss="nonsense")
     with pytest.raises(ConfigError):
-        ls.LossConfig("predsim", beta=1.5)
+        TrainConfig(loss="predsim", beta=1.5)
     with pytest.raises(ConfigError):
-        ls.LossConfig("predsim", projection_dim=0)
+        TrainConfig(loss="predsim", projection_dim=0)
 
 
 @pytest.mark.parametrize("mode", ls.MODES)
 def test_loss_config_beta_only_where_it_mixes(mode):
     row = ls.MODE_TABLE[mode]
-    assert ls.LossConfig(mode, beta=row.beta).resolved_beta == row.beta
+    assert TrainConfig(loss=mode, beta=row.beta).resolved_beta == row.beta
     if row.pred and row.sim:
-        assert ls.LossConfig(mode, beta=0.3).resolved_beta == 0.3
+        assert TrainConfig(loss=mode, beta=0.3).resolved_beta == 0.3
     else:
         with pytest.raises(ConfigError, match=re.escape(repr(mode))):
-            ls.LossConfig(mode, beta=0.3)
+            TrainConfig(loss=mode, beta=0.3)
 
 
 def test_local_block_loss_dispatch():

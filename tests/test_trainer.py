@@ -17,7 +17,7 @@ import locallearn.numerics as nm
 import locallearn.trainer as tr
 from locallearn.data import Dataset, synthetic_blobs
 from locallearn.errors import ConfigError, DataError, NonFiniteError, ShapeError
-from locallearn.losses import LOCAL_MODES, MODE_TABLE, MODES, LossConfig
+from locallearn.losses import LOCAL_MODES, MODE_TABLE, MODES
 from locallearn.numerics import one_hot
 from locallearn.rng import SAMPLER, make_rng
 
@@ -97,6 +97,12 @@ def test_parse_rejects_an_input_shape_without_three_positive_extents(shape):
             tr.parse_arch(arch, shape, 3)
 
 
+def test_parse_rejects_an_output_weight_numpy_cannot_hold():
+    # each conv weight fits; the output layer's 10**18 x 10 does not
+    with pytest.raises(ConfigError, match=r"^token 2 'fc' of .*: an output weight of 10240000000000000000 elements"):
+        tr.parse_arch("conv1000000000000000-fc", (3, 32, 32), 10)
+
+
 def test_parse_trailing_fc_n_as_output():
     spec = tr.parse_arch("fc32-fc10", (16, 1, 1), 10)
     assert len(spec.blocks) + 1 == 2
@@ -112,10 +118,38 @@ def test_build_network_keeps_the_parsed_shapes(mode, arch, shape):
     """Every built block has the kind and shape fields its parsed LayerSpec
     has: build_network adds the mode's fields and changes none of these."""
     spec = tr.parse_arch(arch, shape, 4)
-    net = tr.build_network(spec, LossConfig(mode), pred_target_dim=8)
+    net = tr.build_network(tr.TrainConfig(arch=arch, loss=mode, pred_target_dim=8), shape, 4)
     fields = ("kind", "in_shape", "units", "channels", "pool")
     assert [[getattr(b.spec, f) for f in fields] for b in net.blocks] == \
         [[getattr(b, f) for f in fields] for b in spec.blocks]
+
+
+def _what_net(net):
+    """What a net is: its mode and beta, each block's spec, and the bytes of
+    every tensor it holds."""
+    tensors = {name: np.asarray(t).tobytes() for name, t in tr.state_tensors(net).items()}
+    return net.mode, net.beta, [b.spec for b in net.blocks], tensors
+
+
+_SHAPING = tr.TrainConfig(arch="conv4-pool-fc8-fc", loss="predsim-bpf", pred_target_dim=8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("loss", "predsim"), ("beta", 0.5), ("projection_dim", 7), ("dropout", 0.2),
+    ("slope", 0.3), ("pred_target_dim", 4), ("width_mult", 2), ("seed", 1),
+])
+def test_build_network_reads_every_field_that_shapes_a_net(field, value):
+    changed = dataclasses.replace(_SHAPING, **{field: value})
+    assert _what_net(tr.build_network(changed, (2, 4, 4), 3)) != _what_net(tr.build_network(_SHAPING, (2, 4, 4), 3))
+
+
+def test_train_starts_from_the_net_build_network_builds(monkeypatch):
+    ds = Dataset(rand((12, 2, 4, 4), seed=75, dtype=np.float32), np.arange(12) % 3, 3)
+    cfg = dataclasses.replace(_SHAPING, beta=0.5, dropout=0.1, slope=0.2, width_mult=2, seed=3)
+    started = []
+    monkeypatch.setattr(tr, "train_network", lambda net, *args: started.append(_what_net(net)) or [])
+    tr.train(cfg, ds)
+    assert started == [_what_net(tr.build_network(cfg, (2, 4, 4), 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +169,11 @@ def test_lr_at_exact_values():
 
 
 def test_resolved_slope_by_mode():
-    assert tr.resolved_slope(None, "predsim") == 0.01
-    assert tr.resolved_slope(None, "sim-bpf") == 0.01
-    assert tr.resolved_slope(None, "glob") == 0.0
-    assert tr.resolved_slope(None, "pred") == 0.0
-    assert tr.resolved_slope(0.2, "glob") == 0.2
+    assert tr.TrainConfig(loss="predsim").resolved_slope == 0.01
+    assert tr.TrainConfig(loss="sim-bpf").resolved_slope == 0.01
+    assert tr.TrainConfig(loss="glob").resolved_slope == 0.0
+    assert tr.TrainConfig(loss="pred").resolved_slope == 0.0
+    assert tr.TrainConfig(loss="glob", slope=0.2).resolved_slope == 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +214,8 @@ def test_one_example_batch_is_folded_and_trains(classes_per_batch):
         tr.sample_batches(labels, 1, make_rng(72), classes_per_batch)
 
     ds = Dataset(rand((33, 4, 1, 1), seed=73, dtype=np.float32), labels, 2)
-    cfg = _quick_cfg(arch="fc8-fc", epochs=1, classes_per_batch=classes_per_batch)
-    _, hist = tr.train(cfg, LossConfig("predsim"), ds)
+    cfg = _quick_cfg(arch="fc8-fc", loss="predsim", epochs=1, classes_per_batch=classes_per_batch)
+    _, hist = tr.train(cfg, ds)
     assert len(hist) == 1 and all(np.isfinite(hist[0].layer_losses))
 
 
@@ -341,8 +375,8 @@ def test_a_blocks_dropout_masks_do_not_depend_on_another_blocks_width(mode, monk
     monkeypatch.setattr(tr, "block_forward", recording)
     for width in (8, 12):
         masks[width] = []
-        cfg = tr.TrainConfig(arch=f"fc16-fc{width}-fc", epochs=1, lr=1e-3, batch_size=60, dropout=0.3, seed=4)
-        tr.train(cfg, LossConfig(mode), ds)
+        cfg = tr.TrainConfig(arch=f"fc16-fc{width}-fc", loss=mode, epochs=1, lr=1e-3, batch_size=60, dropout=0.3, seed=4)
+        tr.train(cfg, ds)
     assert len(masks[8]) == len(masks[12]) == 2
     assert all(np.array_equal(a, b) for a, b in zip(masks[8], masks[12]))
 
@@ -633,7 +667,7 @@ def test_heads_match_mode_row(mode):
     # classes wide for ce and the projection wide for bpf, and only a dense
     # sim head has a bias
     row = MODE_TABLE[mode]
-    p = LossConfig(mode).projection_dim
+    p = tr.TrainConfig(loss=mode).projection_dim
     width = {"ce": 3, "bpf": p}.get(row.pred)
     for arch, input_shape in (("fc8-fc", (6, 1, 1)), ("conv3-fc", (2, 4, 4))):
         net = small_net(mode, arch=arch, input_shape=input_shape, classes=3, pred_target_dim=4)
@@ -691,10 +725,9 @@ def _quick_cfg(**kw):
 
 
 def test_train_deterministic_across_runs(blobs3):
-    cfg = _quick_cfg(dropout=0.1)
-    loss = LossConfig("predsim")
-    net1, hist1 = tr.train(cfg, loss, blobs3)
-    net2, hist2 = tr.train(cfg, loss, blobs3)
+    cfg = _quick_cfg(loss="predsim", dropout=0.1)
+    net1, hist1 = tr.train(cfg, blobs3)
+    net2, hist2 = tr.train(cfg, blobs3)
     assert tr.metrics_csv(hist1) == tr.metrics_csv(hist2)
     s1, s2 = tr.state_tensors(net1), tr.state_tensors(net2)
     assert list(s1) == list(s2)
@@ -703,14 +736,14 @@ def test_train_deterministic_across_runs(blobs3):
 
 
 def test_non_finite_step_names_its_epoch_and_step(blobs3, monkeypatch):
-    cfg = _quick_cfg(epochs=2)
+    cfg = _quick_cfg(loss="predsim", epochs=2)
     images = blobs3.images.copy()
     images[77] = np.nan
     poisoned = Dataset(images, blobs3.labels, blobs3.num_classes)
     batches = tr.sample_batches(blobs3.labels, cfg.batch_size, make_rng(cfg.seed, SAMPLER, 0))
     step = next(i for i, b in enumerate(batches) if 77 in b)
     with pytest.raises(NonFiniteError, match=rf"^non-finite loss at layer 0 \(predsim\), epoch 0, step {step}$"):
-        tr.train(cfg, LossConfig("predsim"), poisoned)
+        tr.train(cfg, poisoned)
     # epochs and steps count from 0, as metrics.csv's epochs do
     calls, train_step = [], tr.train_step
 
@@ -722,17 +755,17 @@ def test_non_finite_step_names_its_epoch_and_step(blobs3, monkeypatch):
 
     monkeypatch.setattr(tr, "train_step", failing)
     with pytest.raises(NonFiniteError, match=r"^non-finite loss at output layer, epoch 1, step 1$"):
-        tr.train(cfg, LossConfig("glob"), blobs3)
+        tr.train(dataclasses.replace(cfg, loss="glob"), blobs3)
 
 
 def test_train_learns_separable_blobs(blobs3):
-    _, hist = tr.train(_quick_cfg(epochs=12), LossConfig("predsim"), blobs3)
+    _, hist = tr.train(_quick_cfg(loss="predsim", epochs=12), blobs3)
     assert hist[-1].train_error < 0.1
 
 
 def test_train_reports_test_error(blobs3):
     test = tiny_blobs(per_class=10, seed=9)
-    _, hist = tr.train(_quick_cfg(epochs=2), LossConfig("sim"), blobs3, test)
+    _, hist = tr.train(_quick_cfg(loss="sim", epochs=2), blobs3, test)
     assert 0.0 <= hist[-1].test_error <= 1.0
     assert not math.isnan(hist[-1].test_error)
 
@@ -781,8 +814,8 @@ def test_evaluate_slices_match_a_per_example_reference(batch_size, slices, monke
 def test_evaluate_peak_holds_with_the_split_and_the_batch():
     # the benchmark's conv net: block 0's output is 256 KiB an image, so a
     # slice holds 16 of them and never 4 MiB more
-    spec = tr.parse_arch("conv64-pool-conv128-pool-fc256-fc", (3, 32, 32), 10)
-    net = tr.build_network(spec, LossConfig("predsim"), pred_target_dim=2048, seed=0)
+    cfg = tr.TrainConfig(arch="conv64-pool-conv128-pool-fc256-fc", loss="predsim", pred_target_dim=2048, seed=0)
+    net = tr.build_network(cfg, (3, 32, 32), 10)
     peaks = []
     for n in (64, 512):
         ds = Dataset(rand((n, 3, 32, 32), seed=84, dtype=np.float32), np.arange(n) % 10, 10, "probe")
@@ -798,8 +831,7 @@ def test_evaluate_peak_holds_with_the_split_and_the_batch():
 def test_evaluate_keeps_the_batch_size_on_a_dense_net(monkeypatch):
     # mlp3x1024 on 28x28 images: 1024 floats per example lets 1024 into the
     # budget, so the 512 cap sets every slice
-    spec = tr.parse_arch("mlp3x1024", (1, 28, 28), 10)
-    net = tr.build_network(spec, LossConfig("predsim-bpf"), seed=0)
+    net = tr.build_network(tr.TrainConfig(arch="mlp3x1024", loss="predsim-bpf", seed=0), (1, 28, 28), 10)
     ds = Dataset(rand((1100, 1, 28, 28), seed=85, dtype=np.float32), np.arange(1100) % 10, 10, "probe")
     seen = _recording_forward_eval(monkeypatch)
     tr.evaluate(net, ds, batch_size=512)
@@ -822,7 +854,7 @@ def test_evaluate_rejects_batch_size_below_one(batch_size):
 
 
 def test_metrics_csv_format(blobs3):
-    _, hist = tr.train(_quick_cfg(epochs=2), LossConfig("glob"), blobs3)
+    _, hist = tr.train(_quick_cfg(loss="glob", epochs=2), blobs3)
     lines = tr.metrics_csv(hist).strip().split("\n")
     assert lines[0] == "epoch,lr,train_error,test_error,loss_layer_0,loss_layer_1"
     first = lines[1].split(",")
@@ -833,13 +865,14 @@ def test_metrics_csv_format(blobs3):
 
 
 def test_glob_sim_records_sim_losses(blobs3):
-    _, hist = tr.train(_quick_cfg(epochs=1), LossConfig("glob+sim"), blobs3)
+    _, hist = tr.train(_quick_cfg(loss="glob+sim", epochs=1), blobs3)
     assert hist[0].layer_losses[0] > 0.0
 
 
 def test_build_network_validates_the_spec_it_uses():
-    """Dropout reaches the block spec whole, so the spec's own check fires at
-    build time, and the built spec cannot be changed behind that check."""
+    """An out-of-range dropout never reaches a built block (TrainConfig
+    checks it as the block spec does), and the built spec cannot be changed
+    behind that check."""
     for dropout in (-0.5, 1.5):
         with pytest.raises(ConfigError, match="dropout"):
             small_net("pred", dropout=dropout)
@@ -880,8 +913,8 @@ def test_train_config_slope_bounds_and_mode_default_are_legal():
 # ---------------------------------------------------------------------------
 
 def test_save_load_network_restores_bitwise(tmp_path, blobs3):
-    cfg = _quick_cfg(epochs=2)
-    net, _ = tr.train(cfg, LossConfig("predsim"), blobs3)
+    cfg = _quick_cfg(loss="predsim", epochs=2)
+    net, _ = tr.train(cfg, blobs3)
     path = tmp_path / "net.ckpt"
     tr.save_network(net, path)
 
@@ -894,7 +927,7 @@ def test_save_load_network_restores_bitwise(tmp_path, blobs3):
 
 
 def test_load_network_rejects_block_count_mismatch(tmp_path, blobs3):
-    net, _ = tr.train(_quick_cfg(epochs=1), LossConfig("predsim"), blobs3)
+    net, _ = tr.train(_quick_cfg(loss="predsim", epochs=1), blobs3)
     path = tmp_path / "net.ckpt"
     tr.save_network(net, path)
     other = small_net("predsim", arch="fc16-fc16-fc", input_shape=(16, 1, 1), classes=3)
@@ -914,7 +947,7 @@ def test_load_network_rejects_shape_mismatch(tmp_path):
 def test_plain_skeleton_loads_any_modes_checkpoint(tmp_path, blobs3):
     """Inference ignores the heads, so a glob skeleton accepts them all."""
     for mode in ("predsim", "pred-bpf", "sim-bpf", "glob+sim"):
-        net, _ = tr.train(_quick_cfg(epochs=1), LossConfig(mode), blobs3)
+        net, _ = tr.train(_quick_cfg(loss=mode, epochs=1), blobs3)
         path = tmp_path / f"{mode}.ckpt"
         tr.save_network(net, path)
         plain = small_net("glob", arch="fc16-fc", input_shape=(16, 1, 1), classes=3, seed=5)
@@ -982,8 +1015,8 @@ def _step_peak(net, x, y) -> int:
 @pytest.mark.parametrize("mode", ["predsim", "glob", "glob+sim", "sim", "pred"])
 def test_conv_step_peak_stays_near_the_first_block_output(mode):
     # the benchmark's conv net and batch, with its dropout and pooling target
-    spec = tr.parse_arch("conv64-pool-conv128-pool-fc256-fc", (3, 32, 32), 10)
-    net = tr.build_network(spec, LossConfig(mode), dropout=0.2, pred_target_dim=2048, seed=0)
+    cfg = tr.TrainConfig(arch="conv64-pool-conv128-pool-fc256-fc", loss=mode, dropout=0.2, pred_target_dim=2048, seed=0)
+    net = tr.build_network(cfg, (3, 32, 32), 10)
     x = rand((32, 3, 32, 32), seed=110, dtype=np.float32)
     y = one_hot(np.arange(32) % 10, 10, np.float32)
     peak = _step_peak(net, x, y)
@@ -1008,11 +1041,11 @@ def test_glob_sim_step_peak_stays_near_globs_on_a_quarter_width_vgg8b():
     # the block, on its output recomputed from the cache, so no block's sim
     # gradient waits on the trace: its step peaks at 46.4 MiB against glob's
     # 37.1 (1.25x; 59.1 MiB, 1.59x, when the sim loss ran in the forward)
-    spec = tr.parse_arch("conv32-conv64-pool-conv64-conv128-pool-conv128-pool-conv128-pool-fc256-fc", (3, 32, 32), 10)
+    arch = "conv32-conv64-pool-conv64-conv128-pool-conv128-pool-conv128-pool-fc256-fc"
     x = rand((32, 3, 32, 32), seed=113, dtype=np.float32)
     y = one_hot(np.arange(32) % 10, 10, np.float32)
-    glob, glob_sim = (_step_peak(tr.build_network(spec, LossConfig(mode), dropout=0.1, seed=0), x, y)
-                      for mode in ("glob", "glob+sim"))
+    cfgs = (tr.TrainConfig(arch=arch, loss=mode, dropout=0.1, seed=0) for mode in ("glob", "glob+sim"))
+    glob, glob_sim = (_step_peak(tr.build_network(cfg, (3, 32, 32), 10), x, y) for cfg in cfgs)
     assert glob_sim < 1.35 * glob
 
 
@@ -1024,8 +1057,8 @@ def test_dense_bpf_step_peak_holds_no_gradient_past_its_reader():
     # 3.43 MiB, in block 1's and block 2's local loss (5.53 with the whole
     # weight gradient and the allocating sim backward, 6.56 when the heads
     # and the cache lived through the backward)
-    spec = tr.parse_arch("mlp3x1024", (1, 28, 28), 10)
-    net = tr.build_network(spec, LossConfig("predsim-bpf"), dropout=0.1, seed=0)
+    cfg = tr.TrainConfig(arch="mlp3x1024", loss="predsim-bpf", dropout=0.1, seed=0)
+    net = tr.build_network(cfg, (1, 28, 28), 10)
     x = rand((128, 1, 28, 28), seed=111, dtype=np.float32)
     y = one_hot(np.arange(128) % 10, 10, np.float32)
     assert _step_peak(net, x, y) < 3.6 * (1 << 20)
