@@ -2,10 +2,11 @@
 sweep, the epoch loop, and checkpoint/metrics plumbing.
 
 A run is described once, by a TrainConfig. A network is described once
-too: parse_arch reads an architecture string into its hidden blocks'
-LayerSpecs (shapes only), and build_network(cfg, input_shape, classes)
-parses cfg.arch and completes each spec with the fields the loss mode and
-the run set, then initialises it: the net train(cfg, ...) starts from.
+too: parse_arch(cfg, input_shape, classes) reads cfg.arch into each hidden
+block's complete LayerSpec, with the fields the loss mode and the run set,
+and build_network initialises what it returns: the net train(cfg, ...)
+starts from. TrainConfig.validate_for runs the same parse, so a spec the
+data cannot run fails before a run writes anything.
 
 The point of the local modes is the shape of the step: activations flow
 forward once through the blocks (a conv block may end in a 2x2 pool), and
@@ -67,16 +68,6 @@ CONTRACT = 2
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NetworkSpec:
-    """A parsed architecture: each hidden block's LayerSpec in forward order,
-    with only its shape fields set (build_network adds the rest), and the
-    output layer's fan-in."""
-
-    blocks: list  # LayerSpec
-    out_in_dim: int
-
-
 def _int_suffix(token: str, prefix: str) -> int:
     # int() alone also takes a sign, spaces, underscores and non-ASCII
     # digits, which would give one network many spellings
@@ -86,26 +77,39 @@ def _int_suffix(token: str, prefix: str) -> int:
     return int(digits)
 
 
-def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> NetworkSpec:
-    """Turn an architecture string (or preset name) into a NetworkSpec.
+def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
+    """Each hidden block's complete LayerSpec, in forward order, and the
+    output layer's fan-in, (specs, out_in_dim), for cfg.arch (a token string
+    or preset name) on inputs of input_shape in classes classes.
 
-    Tokens: convN (3x3, stride 1, pad 1), pool (2x2 max, which joins the
-    conv block before it), fcN (hidden dense), and a final fc or fcN output
-    layer. A convN or fcN token appends its block's LayerSpec, whose input
-    shape is the one the tokens before it leave; a pool token marks the
-    block before it. So impossible networks fail here, not mid-epoch:
-    LayerSpec rejects conv after a dense block and pool after one, and
-    pooling an odd extent, pool first or after pool, or a non-fc final
-    token raise too, as does a weight too large for numpy to hold
-    (LayerSpec checks the hidden blocks'). A token's error names the token.
+    Tokens: convN (3x3, stride 1, pad 1, N times cfg.width_mult channels),
+    pool (2x2 max, which joins the conv block before it), fcN (hidden dense),
+    and a final fc or fcN output layer. A convN or fcN token appends its
+    block's LayerSpec: its input shape is the one the tokens before it leave,
+    and the rest comes from cfg: the loss mode's pred and sim parts (and the
+    projection width a bpf part reads), the slope, the dropout and the
+    pooling target. A pool token marks the block before it. So impossible
+    networks fail here, not mid-epoch. LayerSpec rejects conv after a dense
+    block, pool after one, a conv classifier on non-square activations, and
+    a weight or head too large for numpy to hold. Pooling an odd extent, pool
+    first or after pool, a non-fc final token and an output weight too large
+    raise here too. A token's error names the token.
     """
-    if width_mult < 1:
-        raise ConfigError(f"width multiplier must be >= 1, got {width_mult}")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if len(input_shape) != 3 or min(input_shape) < 1:
         raise ConfigError(f"input shape must be (c, h, w) with positive extents, got {tuple(input_shape)}")
-    resolved = ARCH_PRESETS.get(arch, arch)
+    row = MODE_TABLE[cfg.loss]
+    shared = dict(  # every field of a block's spec but its shape
+        slope=cfg.resolved_slope,
+        dropout=cfg.dropout,
+        pred_target_dim=cfg.pred_target_dim,
+        classes=classes,
+        pred=row.pred,
+        sim=row.sim,
+        projection=cfg.projection_dim if "bpf" in (row.pred, row.sim) else 0,
+    )
+    resolved = ARCH_PRESETS.get(cfg.arch, cfg.arch)
     tokens = resolved.split("-")
     shape = tuple(input_shape)
     blocks: list = []
@@ -131,18 +135,18 @@ def parse_arch(arch: str, input_shape, classes: int, width_mult: int = 1) -> Net
                     raise ShapeError(f"pool needs even extents, got {h}x{w}")
                 shape = (c, h // 2, w // 2)
             elif tok.startswith("conv"):
-                blocks.append(LayerSpec("conv", shape, channels=_int_suffix(tok, "conv") * width_mult))
+                blocks.append(LayerSpec("conv", shape, channels=_int_suffix(tok, "conv") * cfg.width_mult, **shared))
                 shape = blocks[-1].out_shape  # 3x3 stride 1 pad 1 keeps the extent
             elif tok == "fc":
                 raise ConfigError("bare fc denotes the output layer and must be last")
             elif tok.startswith("fc"):
-                blocks.append(LayerSpec("dense", (math.prod(shape),), units=_int_suffix(tok, "fc")))
+                blocks.append(LayerSpec("dense", (math.prod(shape),), units=_int_suffix(tok, "fc"), **shared))
                 shape = blocks[-1].out_shape
             else:
                 raise ConfigError("unknown architecture token")
         except (ConfigError, ShapeError) as e:
             raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
-    return NetworkSpec(blocks, math.prod(shape))
+    return blocks, math.prod(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +199,19 @@ class TrainConfig:
             raise ConfigError(f"leaky relu slope must be in [0, 1], got {self.slope}")
         if self.classes_per_batch < 0:
             raise ConfigError("classes_per_batch must be >= 0")
+        if self.width_mult < 1:
+            raise ConfigError(f"width multiplier must be >= 1, got {self.width_mult}")
         if self.pred_target_dim < 1:
             raise ConfigError("pred_target_dim must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for(self, train_ds: Dataset) -> None:
-        """The checks that need the data: the architecture against its shape
-        and classes, the augmentation against the image size, and the batch
-        size against the train split."""
-        parse_arch(self.arch, train_ds.images.shape[1:], train_ds.num_classes, self.width_mult)
+        """The checks that need the data: parse_arch's whole block specs
+        against its shape and classes, the augmentation against the image
+        size, and the batch size against the train split. So a config
+        build_network would reject fails here, before a run writes."""
+        parse_arch(self, train_ds.images.shape[1:], train_ds.num_classes)
         self.augment.validate_for(train_ds.images.shape[1:])
         if self.batch_size > len(train_ds):
             raise ConfigError(f"batch size {self.batch_size} exceeds dataset size {len(train_ds)}")
@@ -258,32 +265,16 @@ class Network:
 
 def build_network(cfg: TrainConfig, input_shape, classes: int, dtype=np.float32) -> Network:
     """The net train(cfg, ...) starts from, for inputs of input_shape in
-    classes classes. cfg.arch is parsed at cfg.width_mult, and each block's
-    LayerSpec completed with the loss mode's pred and sim parts (and the
-    projection width a bpf part reads), the slope, the dropout and the
-    pooling target; then the output layer. Each weight layer draws from
-    its own stream of cfg.seed, so nets with equal seeds match bit for bit
-    regardless of mode-dependent head counts."""
-    spec = parse_arch(cfg.arch, input_shape, classes, cfg.width_mult)
-    row = MODE_TABLE[cfg.loss]
-    shared = dict(  # every field of a block's spec but its shape
-        slope=cfg.resolved_slope,
-        dropout=cfg.dropout,
-        pred_target_dim=cfg.pred_target_dim,
-        classes=classes,
-        pred=row.pred,
-        sim=row.sim,
-        projection=cfg.projection_dim if "bpf" in (row.pred, row.sim) else 0,
-    )
-
-    blocks = [
-        init_params(replace(lspec, **shared), rngmod.make_rng(cfg.seed, rngmod.INIT, k), dtype)
-        for k, lspec in enumerate(spec.blocks)
-    ]
+    classes classes: each block parse_arch specifies, initialised, then the
+    output layer. Each weight layer draws from its own stream of cfg.seed,
+    so nets with equal seeds match bit for bit regardless of mode-dependent
+    head counts."""
+    specs, out_in_dim = parse_arch(cfg, input_shape, classes)
+    blocks = [init_params(spec, rngmod.make_rng(cfg.seed, rngmod.INIT, k), dtype) for k, spec in enumerate(specs)]
 
     orng = rngmod.make_rng(cfg.seed, rngmod.INIT, len(blocks))
-    bound = float(np.sqrt(1.0 / spec.out_in_dim))
-    weight = orng.uniform(-bound, bound, size=(spec.out_in_dim, classes)).astype(dtype)
+    bound = float(np.sqrt(1.0 / out_in_dim))
+    weight = orng.uniform(-bound, bound, size=(out_in_dim, classes)).astype(dtype)
     bias = np.zeros(classes, dtype=dtype)
     out = OutputLayer(weight, bias, {"weight": AdamState.for_param(weight), "bias": AdamState.for_param(bias)})
     return Network(cfg.loss, cfg.resolved_beta, blocks, out)

@@ -7,7 +7,6 @@ files; when they are absent the test skips loudly instead of faking a result
 """
 
 import hashlib
-import math
 import os
 import time
 

@@ -43,12 +43,13 @@ def _read(path):
         return f.read()
 
 
-def _write_mnist_dir(path, n_train, n_test):
-    """An MNIST-layout directory of random 28x28 images, labels 0..9 in turn."""
+def _write_mnist_dir(path, n_train, n_test, rows=28, cols=28):
+    """An MNIST-layout directory of random rows x cols images, labels 0..9
+    in turn."""
     path.mkdir()
     gen = np.random.default_rng(0)
     for prefix, n in (("train", n_train), ("t10k", n_test)):
-        datamod.write_idx_images(path / f"{prefix}-images-idx3-ubyte", gen.integers(0, 256, (n, 28, 28), dtype=np.uint8))
+        datamod.write_idx_images(path / f"{prefix}-images-idx3-ubyte", gen.integers(0, 256, (n, rows, cols), dtype=np.uint8))
         datamod.write_idx_labels(path / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 10)
     return path
 
@@ -210,12 +211,30 @@ def test_train_bad_arch_reports_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # fails before writing anything
 
 
-@pytest.mark.parametrize("flag, value", [("--cutout", "-1"), ("--batch-size", "5000")])
-def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag, value, names", [
+    ("--cutout", "-1", "augmentation sizes must be non-negative"),
+    ("--batch-size", "5000", "batch size 5000"),
+    ("--arch", "fc2000000000-fc", "token 1 'fc2000000000'"),  # its 2e9 x 2e9 sim head
+])
+def test_train_config_that_misfits_the_data_writes_nothing(tmp_path, capsys, flag, value, names):
     code = main(_train_argv(tmp_path / "x", **{"--arch": "fc32-fc", flag: value}))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
     assert not (tmp_path / "x").exists()
+
+
+def test_conv_classifier_on_non_square_images_writes_nothing(tmp_path, capsys):
+    """Only a pred part needs square activations: predsim fails as one error
+    line before --out exists, and glob trains on the same 8x12 images."""
+    data_dir = _write_mnist_dir(tmp_path / "mnist", n_train=16, n_test=8, rows=8, cols=12)
+    argv = ["train", "--dataset", "mnist", "--data-dir", str(data_dir), "--arch", "conv4-fc",
+            "--epochs", "1", "--batch-size", "8"]
+    assert main(argv + ["--loss", "predsim", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == \
+        "error: token 1 'conv4' of 'conv4-fc': conv classifier head needs square activations, got 8x12\n"
+    assert not (tmp_path / "x").exists()
+    assert main(argv + ["--loss", "glob", "--out", str(tmp_path / "y")]) == 0
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/run"])

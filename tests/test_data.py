@@ -11,8 +11,6 @@ import locallearn.data as dt
 from locallearn.errors import ConfigError, DataError
 from locallearn.rng import make_rng
 
-from conftest import rand
-
 
 def _fixture_images(n=2, h=4, w=5, seed=80):
     return (make_rng(seed).random((n, 1, h, w)).astype(np.float32) * 255).round() / 255

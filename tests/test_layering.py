@@ -1,6 +1,6 @@
 """The package's import layering, read from the source: each module may
 import only the modules below it, so the kernels never reach up into the
-engine and a block never runs a loss."""
+engine and a block never runs a loss. And no import is dead."""
 
 import ast
 import pathlib
@@ -47,3 +47,24 @@ def test_every_module_has_a_layer():
 def test_each_module_imports_only_the_modules_below_it():
     reaches = {p.stem: package_imports(p) - ALLOWED[p.stem] for p in PACKAGE.glob("*.py")}
     assert {name: found for name, found in reaches.items() if found} == {}
+
+
+def unread_imports(path: pathlib.Path) -> set:
+    """The names a module's imports bind that its code never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import a.b binds a
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_imported_name_is_read():
+    # the package's __init__ is exempt: its imports are its exports
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    dead = {f"{p.parent.name}/{p.name}": names for p in paths if (names := unread_imports(p))}
+    assert dead == {}

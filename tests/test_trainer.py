@@ -15,7 +15,7 @@ import locallearn.layers as ly
 import locallearn.losses as ls
 import locallearn.numerics as nm
 import locallearn.trainer as tr
-from locallearn.data import Dataset, synthetic_blobs
+from locallearn.data import Dataset
 from locallearn.errors import ConfigError, DataError, NonFiniteError, ShapeError
 from locallearn.losses import LOCAL_MODES, MODE_TABLE, MODES
 from locallearn.numerics import one_hot
@@ -33,29 +33,29 @@ from tracing import MemoryProbe  # noqa: E402
 # ---------------------------------------------------------------------------
 
 def test_parse_vgg8b_has_8_weight_layers():
-    spec = tr.parse_arch(tr.ARCH_PRESETS["vgg8b"], (3, 32, 32), 10)
-    assert len(spec.blocks) + 1 == 8
-    kinds = [b.kind for b in spec.blocks]
+    specs, _ = tr.parse_arch(tr.TrainConfig(arch=tr.ARCH_PRESETS["vgg8b"]), (3, 32, 32), 10)
+    assert len(specs) + 1 == 8
+    kinds = [b.kind for b in specs]
     assert kinds.count("conv") == 6 and kinds.count("dense") == 1  # + the output layer
 
 
 def test_parse_vgg11b_has_11_weight_layers():
-    spec = tr.parse_arch(tr.ARCH_PRESETS["vgg11b"], (3, 32, 32), 10)
-    assert len(spec.blocks) + 1 == 11
+    specs, _ = tr.parse_arch(tr.TrainConfig(arch=tr.ARCH_PRESETS["vgg11b"]), (3, 32, 32), 10)
+    assert len(specs) + 1 == 11
 
 
 def test_parse_shape_bookkeeping():
-    spec = tr.parse_arch("conv128-pool-fc10", (1, 28, 28), 10)
+    specs, out_in_dim = tr.parse_arch(tr.TrainConfig(arch="conv128-pool-fc10", loss="glob"), (1, 28, 28), 10)
     # the conv block records the pool that follows it; the pool is no block
-    assert spec.blocks == [ly.LayerSpec("conv", (1, 28, 28), channels=128, pool=True)]
+    assert specs == [ly.LayerSpec("conv", (1, 28, 28), channels=128, pool=True, classes=10)]
     # the trailing fc10 is the output layer: 128 channels at 14x14 flattened
-    assert spec.out_in_dim == 128 * 14 * 14
+    assert out_in_dim == 128 * 14 * 14
 
 
 def test_parse_width_mult_scales_conv_only():
-    spec = tr.parse_arch("conv128-pool-fc1024-fc", (3, 32, 32), 10, width_mult=2)
-    assert spec.blocks[0].channels == 256
-    fc = [b for b in spec.blocks if b.kind == "dense"][0]
+    specs, _ = tr.parse_arch(tr.TrainConfig(arch="conv128-pool-fc1024-fc", width_mult=2), (3, 32, 32), 10)
+    assert specs[0].channels == 256
+    fc = [b for b in specs if b.kind == "dense"][0]
     assert fc.units == 1024
     assert fc.in_shape == (256 * 16 * 16,)
 
@@ -85,7 +85,7 @@ def test_parse_errors():
     ]
     for arch, shape, error, token in cases:
         with pytest.raises(error) as info:
-            tr.parse_arch(arch, shape, 3)
+            tr.parse_arch(tr.TrainConfig(arch=arch, loss="glob"), shape, 3)
         assert type(info.value) is error
         assert str(info.value).startswith(f"{token} of {tr.ARCH_PRESETS.get(arch, arch)!r}: ")
 
@@ -94,19 +94,19 @@ def test_parse_errors():
 def test_parse_rejects_an_input_shape_without_three_positive_extents(shape):
     for arch in ("fc8-fc", "conv4-fc"):
         with pytest.raises(ConfigError, match=r"input shape must be \(c, h, w\) with positive extents"):
-            tr.parse_arch(arch, shape, 3)
+            tr.parse_arch(tr.TrainConfig(arch=arch, loss="glob"), shape, 3)
 
 
 def test_parse_rejects_an_output_weight_numpy_cannot_hold():
     # each conv weight fits; the output layer's 10**18 x 10 does not
     with pytest.raises(ConfigError, match=r"^token 2 'fc' of .*: an output weight of 10240000000000000000 elements"):
-        tr.parse_arch("conv1000000000000000-fc", (3, 32, 32), 10)
+        tr.parse_arch(tr.TrainConfig(arch="conv1000000000000000-fc", loss="glob"), (3, 32, 32), 10)
 
 
 def test_parse_trailing_fc_n_as_output():
-    spec = tr.parse_arch("fc32-fc10", (16, 1, 1), 10)
-    assert len(spec.blocks) + 1 == 2
-    assert spec.out_in_dim == 32
+    specs, out_in_dim = tr.parse_arch(tr.TrainConfig(arch="fc32-fc10"), (16, 1, 1), 10)
+    assert len(specs) + 1 == 2
+    assert out_in_dim == 32
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -115,13 +115,11 @@ def test_parse_trailing_fc_n_as_output():
     ("fc32-fc16-fc", (12, 1, 1)),
 ])
 def test_build_network_keeps_the_parsed_shapes(mode, arch, shape):
-    """Every built block has the kind and shape fields its parsed LayerSpec
-    has: build_network adds the mode's fields and changes none of these."""
-    spec = tr.parse_arch(arch, shape, 4)
-    net = tr.build_network(tr.TrainConfig(arch=arch, loss=mode, pred_target_dim=8), shape, 4)
-    fields = ("kind", "in_shape", "units", "channels", "pool")
-    assert [[getattr(b.spec, f) for f in fields] for b in net.blocks] == \
-        [[getattr(b, f) for f in fields] for b in spec.blocks]
+    """Every built block runs with the whole LayerSpec parse_arch gives it:
+    build_network changes no field."""
+    cfg = tr.TrainConfig(arch=arch, loss=mode, pred_target_dim=8)
+    net = tr.build_network(cfg, shape, 4)
+    assert [b.spec for b in net.blocks] == tr.parse_arch(cfg, shape, 4)[0]
 
 
 def _what_net(net):
@@ -895,6 +893,8 @@ def test_train_config_validation():
         _quick_cfg(lr=0.0)
     with pytest.raises(ConfigError, match="seed"):
         _quick_cfg(seed=-1)
+    with pytest.raises(ConfigError, match="width multiplier"):
+        _quick_cfg(width_mult=0)
 
 
 @pytest.mark.parametrize("slope", [-1.0, 5.0, float("nan")])
