@@ -21,9 +21,12 @@ Conventions:
     add_to=, an array its result is added into, bit for bit the sum with a
     new array (a pred head's caller passes the sim part's gradient). Every
     other kernel returns new arrays
-  * leaky_relu, dropout, their backwards, the feature-map variance and
-    batchnorm_backward work a block of leading rows at a time (see
-    _row_blocks), so their scratch stays small
+  * leaky_relu, dropout, their backwards, the feature-map variance,
+    batchnorm_backward and the four pool kernels (maxpool2x2, avgpool and
+    their backwards, add_to= included) work a block of leading rows at a
+    time (see _row_blocks), so their scratch stays small; the window masks
+    maxpool2x2_backward ands g's bits with are one row block at g's
+    integer width
   * the two masks a backward reads, leaky_relu's sign (x >= 0) and
     dropout's keep mask, are bits: np.packbits rows, uint8, with
     ceil(row/8) bytes for each leading-axis row of the tensor (a 1-d
@@ -60,10 +63,10 @@ from .errors import ConfigError, InputError, ShapeError
 
 
 # Elements one block of a row-blocked loop covers: Adam, leaky_relu, dropout,
-# their backwards, the feature-map variance and batchnorm_backward's two
-# passes over xhat each work through their tensor a block of whole
-# leading-axis rows at a time, so their scratch stays cache-sized instead of
-# as large as the tensor.
+# their backwards, the feature-map variance, batchnorm_backward's two passes
+# over xhat and the pool kernels each work through their tensor a block of
+# whole leading-axis rows at a time, so their scratch stays cache-sized
+# instead of as large as the tensor.
 ROW_BLOCK = 1 << 16
 
 
@@ -263,7 +266,8 @@ def maxpool2x2(x: np.ndarray, need_index: bool = True):
     order: each tap is folded into the running max as np.maximum(tap, max),
     which keeps its second argument on a tie (+0 against -0 too), and the
     index moves only where a tap is strictly greater. Odd spatial extents
-    are an error, halving must be exact.
+    are an error, halving must be exact. Works a block of examples at a
+    time, so each tap's wins exist one block at a time.
     """
     x = _as_float(x, "x")
     if x.ndim != 4:
@@ -271,16 +275,22 @@ def maxpool2x2(x: np.ndarray, need_index: bool = True):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    t0, t1, t2, t3 = (x[:, :, u::2, v::2] for u, v in _POOL_TAPS)
-    idx = (t1 > t0).view(np.uint8) if need_index else None
-    out = np.maximum(t1, t0)
-    for p, tap in ((2, t2), (3, t3)):
+    out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+    idx = np.empty(out.shape, dtype=np.uint8) if need_index else None
+    for (rows,) in _row_blocks(out):
+        t0, t1, t2, t3 = (x[rows, :, u::2, v::2] for u, v in _POOL_TAPS)
+        top = out[rows]
         if need_index:
-            # p where this tap wins, 0 elsewhere: the later winner has the larger p
-            wins = (tap > out).view(np.uint8)
-            wins *= np.uint8(p)
-            np.maximum(idx, wins, out=idx)
-        np.maximum(tap, out, out=out)
+            at = idx[rows]
+            np.greater(t1, t0, out=at.view(np.bool_))
+        np.maximum(t1, t0, out=top)
+        for p, tap in ((2, t2), (3, t3)):
+            if need_index:
+                # p where this tap wins, 0 elsewhere: the later winner has the larger p
+                wins = (tap > top).view(np.uint8)
+                wins *= np.uint8(p)
+                np.maximum(at, wins, out=at)
+            np.maximum(tap, top, out=top)
     return out, idx
 
 
@@ -290,17 +300,20 @@ def maxpool2x2_backward(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     One pass per window position, through its strided view of dx: g's bits
     and-ed with an all-ones mask where the position won (an exact copy, -0
-    and NaN included) and an all-zeros one where it lost (+0).
+    and NaN included) and an all-zeros one where it lost (+0). The mask is
+    one block of examples at g's integer width.
     """
     if g.shape != idx.shape:
         raise ShapeError(f"grad shape {g.shape} does not match index shape {idx.shape}")
     n, c, ho, wo = g.shape
     bits = np.dtype(f"i{g.itemsize}")  # the signed integer as wide as g's floats
     dx = np.empty((n, c, 2 * ho, 2 * wo), dtype=g.dtype)
-    for p, (u, v) in enumerate(_POOL_TAPS):
-        mask = (idx == p).astype(bits)
-        np.negative(mask, out=mask)  # 1 -> all ones
-        np.bitwise_and(g.view(bits), mask, out=dx.view(bits)[:, :, u::2, v::2])
+    gb, dxb = g.view(bits), dx.view(bits)
+    for rows, mask in _row_blocks(g, bits):
+        for p, (u, v) in enumerate(_POOL_TAPS):
+            np.equal(idx[rows], p, out=mask)
+            np.negative(mask, out=mask)  # 1 -> all ones
+            np.bitwise_and(gb[rows], mask, out=dxb[rows, :, u::2, v::2])
     return dx
 
 
@@ -308,7 +321,8 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
     """k x k / stride-k average pooling; k must divide both spatial extents.
 
     Sums each window's k rows as k strided slices of whole image rows, then
-    the k columns of that as k strided slices, and divides once by k*k.
+    the k columns of that as k strided slices, and divides once by k*k; the
+    row sums exist a block of examples at a time.
     """
     x = _as_float(x, "x")
     if x.ndim != 4:
@@ -318,22 +332,25 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"avgpool kernel {k} does not divide extents {h}x{w}")
-    rows = x.reshape(n, c, h // k, k, w)
-    acc = rows[:, :, :, 0].copy()
-    for u in range(1, k):
-        acc += rows[:, :, :, u]
-    cols = acc.reshape(n, c, h // k, w // k, k)
-    out = cols[..., 0].copy()
-    for v in range(1, k):
-        out += cols[..., v]
-    out /= x.dtype.type(k * k)
+    win_rows = x.reshape(n, c, h // k, k, w)
+    out = np.empty((n, c, h // k, w // k), dtype=x.dtype)
+    for rows, acc in _row_blocks(win_rows[:, :, :, 0], x.dtype):
+        np.copyto(acc, win_rows[rows, :, :, 0])
+        for u in range(1, k):
+            acc += win_rows[rows, :, :, u]
+        cols = acc.reshape(-1, c, h // k, w // k, k)
+        pooled = out[rows]
+        np.copyto(pooled, cols[..., 0])
+        for v in range(1, k):
+            pooled += cols[..., v]
+        pooled /= x.dtype.type(k * k)
     return out
 
 
 def avgpool_backward(g: np.ndarray, k: int, add_to=None) -> np.ndarray:
     """Spread each pooled gradient uniformly over its k*k window: each
     scaled value repeated k times along a row, then each such row written k
-    times, both as broadcast writes.
+    times, a block of examples at a time.
 
     With add_to, a C-ordered (n, c, ho*k, wo*k) array its caller hands over,
     the rows are added into it instead of written into a new array, and
@@ -344,16 +361,16 @@ def avgpool_backward(g: np.ndarray, k: int, add_to=None) -> np.ndarray:
     n, c, ho, wo = g.shape
     if add_to is not None and (add_to.shape != (n, c, ho * k, wo * k) or not add_to.flags.c_contiguous):
         raise ShapeError(f"avgpool_backward adds into a C-ordered {(n, c, ho * k, wo * k)} array, got {add_to.shape}")
-    row = np.empty((n, c, ho, 1, wo, k), dtype=g.dtype)
-    row[...] = (g / (k * k))[:, :, :, None, :, None]
-    row = row.reshape(n, c, ho, 1, wo * k)
-    if add_to is not None:
-        dst = add_to.reshape(n, c, ho, k, wo * k)
-        np.add(dst, row, out=dst)
-        return add_to
-    dx = np.empty((n, c, ho, k, wo * k), dtype=g.dtype)
-    dx[...] = row
-    return dx.reshape(n, c, ho * k, wo * k)
+    dx = np.empty((n, c, ho * k, wo * k), dtype=g.dtype) if add_to is None else add_to
+    win_rows = dx.reshape(n, c, ho, k, wo * k)
+    for rows, row in _row_blocks(win_rows[:, :, :, 0], g.dtype):
+        np.divide(g[rows, :, :, :, None], k * k, out=row.reshape(-1, c, ho, wo, k))
+        dst = win_rows[rows]
+        if add_to is None:
+            dst[...] = row[:, :, :, None]
+        else:
+            np.add(dst, row[:, :, :, None], out=dst)
+    return dx
 
 
 # ---------------------------------------------------------------------------

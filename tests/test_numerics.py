@@ -6,6 +6,7 @@ the forwards are pinned against values small enough to verify by hand.
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -329,21 +330,25 @@ def test_avgpool_float32_matches_the_float64_mean(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_avgpool_backward_matches_the_repeat_formula_bitwise(k, dtype):
-    g = rand((3, 4, 2, 5), seed=22, dtype=dtype)
+def test_avgpool_backward_matches_the_repeat_formula_bitwise(k, dtype, monkeypatch):
+    g = _mixed((7, 4, 2, 5), seed=22, dtype=dtype)
     want = np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=3)
-    got = nm.avgpool_backward(g, k)
-    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    for per_block in _PER_BLOCK:
+        _blocks_of(monkeypatch, per_block, g[0].size * k)
+        assert _same_bytes(nm.avgpool_backward(g, k), want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_avgpool_backward_adds_into_a_given_buffer_bitwise(k, dtype):
-    g = rand((3, 4, 2, 5), seed=23, dtype=dtype)
-    buf = rand((3, 4, 2 * k, 5 * k), seed=24, dtype=dtype)
-    want = buf + nm.avgpool_backward(g, k)
-    got = nm.avgpool_backward(g, k, add_to=buf)
-    assert got is buf and got.tobytes() == want.tobytes()
+def test_avgpool_backward_adds_into_a_given_buffer_bitwise(k, dtype, monkeypatch):
+    g = _mixed((7, 4, 2, 5), seed=23, dtype=dtype)
+    before = _mixed((7, 4, 2 * k, 5 * k), seed=26, dtype=dtype)
+    want = before + np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=3)
+    for per_block in _PER_BLOCK:
+        _blocks_of(monkeypatch, per_block, g[0].size * k)
+        buf = before.copy()
+        got = nm.avgpool_backward(g, k, add_to=buf)
+        assert got is buf and got.tobytes() == want.tobytes()
 
 
 def test_avgpool_backward_rejects_a_buffer_it_cannot_add_into():
@@ -560,6 +565,40 @@ def _tied(shape, seed, dtype):
     return make_rng(seed).choice(values, size=shape)
 
 
+def _strided_sum_avgpool(x, k):
+    """avgpool as whole-tensor sums in the kernel's order: a window's k rows
+    first, then the k columns of that, then one division by k*k."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // k, k, w // k, k)
+    rows = win[:, :, :, 0]
+    for u in range(1, k):
+        rows = rows + win[:, :, :, u]
+    out = rows[..., 0]
+    for v in range(1, k):
+        out = out + rows[..., v]
+    return out / x.dtype.type(k * k)
+
+
+# examples a row-blocked kernel works at a time: a batch of 7 splits into
+# 1 x 7, 2+2+2+1 and 3+3+1, each ending in a block of one, and one block
+_PER_BLOCK = (1, 2, 3, 7)
+
+
+def _blocks_of(monkeypatch, per_block, row):
+    """Set ROW_BLOCK so that a kernel whose blocks take `row` elements of
+    each example works per_block examples at a time."""
+    monkeypatch.setattr(nm, "ROW_BLOCK", per_block * row)
+
+
+def _mixed(shape, seed, dtype):
+    """Random values and signed zeros, every fifth drawn from a handful
+    (ties), and a NaN last."""
+    a = _tied(shape, seed, dtype) * rand(shape, seed=seed + 1, dtype=dtype)
+    a.flat[::5] = _tied((a.size + 4) // 5, seed + 2, dtype)
+    a.flat[-1] = np.nan
+    return a
+
+
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -577,17 +616,34 @@ def test_maximum_keeps_its_second_argument_on_a_tie():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_maxpool_matches_argmax_oracle_with_ties_and_signed_zeros(dtype):
-    for x in (_tied((4, 3, 8, 10), seed=31, dtype=dtype), rand((4, 3, 8, 10), seed=32, dtype=dtype)):
+def test_maxpool_matches_argmax_oracle_with_ties_and_signed_zeros(dtype, monkeypatch):
+    tied = _tied((7, 3, 8, 10), seed=31, dtype=dtype)
+    # a NaN only as a window's first tap, where argmax and the running max
+    # both keep it: the max stays NaN and no later tap beats it
+    tied[1::3, :, 0::4, 0::4] = np.nan
+    for x in (tied, rand(tied.shape, seed=32, dtype=dtype)):
         want, want_idx = _argmax_maxpool(x)
-        got, idx = nm.maxpool2x2(x)
-        assert _same_bytes(got, want)
-        assert idx.dtype == np.uint8 and np.array_equal(idx, want_idx)
-        g = rand(got.shape, seed=33, dtype=dtype)
-        g[0, 0, 0, 0] = -0.0
-        assert _same_bytes(nm.maxpool2x2_backward(g, idx), _argmax_maxpool_backward(g, want_idx))
-        unindexed, none = nm.maxpool2x2(x, need_index=False)
-        assert none is None and _same_bytes(unindexed, want)
+        g = _mixed(want.shape, seed=33, dtype=dtype)
+        want_dx = _argmax_maxpool_backward(g, want_idx)
+        for per_block in _PER_BLOCK:
+            _blocks_of(monkeypatch, per_block, want[0].size)
+            got, idx = nm.maxpool2x2(x)
+            assert _same_bytes(got, want)
+            assert idx.dtype == np.uint8 and np.array_equal(idx, want_idx)
+            assert _same_bytes(nm.maxpool2x2_backward(g, idx), want_dx)
+            unindexed, none = nm.maxpool2x2(x, need_index=False)
+            assert none is None and _same_bytes(unindexed, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpool_matches_the_strided_sum_oracle_bitwise(dtype, k, monkeypatch):
+    x = _mixed((7, 3, 8, 12), seed=122, dtype=dtype)
+    want = _strided_sum_avgpool(x, k)
+    assert np.isnan(want).any()
+    for per_block in _PER_BLOCK:
+        _blocks_of(monkeypatch, per_block, x[0].size // k)
+        assert _same_bytes(nm.avgpool(x, k), want)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
@@ -834,3 +890,24 @@ def test_in_place_kernels_allocate_under_a_quarter_of_their_input(kernel):
     g = rand(x.shape, seed=100, dtype=np.float32)
     pos, mask = packed(x >= 0), packed(g >= -0.8)
     assert _transient_bytes(lambda: _IN_PLACE_CALLS[kernel](x, g, pos, mask)) < x.nbytes // 4
+
+
+# kernel -> the call, its arguments made from x before it is traced, whose
+# full-size side is x; a (32, 64, 32, 32) float32 batch (8 MiB) is block
+# 0's output in the benchmark's conv net. Each kernel, working on the whole
+# batch at once, held (MiB) 1.03, 4.50, 4.00, 2.00, 4.00, 6.00 and 2.50
+_POOL_CALLS = {
+    "maxpool2x2": lambda x: partial(nm.maxpool2x2, x),
+    "maxpool2x2_backward": lambda x: partial(nm.maxpool2x2_backward, *nm.maxpool2x2(x)),
+    "avgpool k=2": lambda x: partial(nm.avgpool, x, 2),
+    "avgpool k=4": lambda x: partial(nm.avgpool, x, 4),
+    "avgpool_backward k=2": lambda x: partial(nm.avgpool_backward, nm.avgpool(x, 2), 2),
+    "avgpool_backward k=2 add_to": lambda x: partial(nm.avgpool_backward, nm.avgpool(x, 2), 2, add_to=x),
+    "avgpool_backward k=4 add_to": lambda x: partial(nm.avgpool_backward, nm.avgpool(x, 4), 4, add_to=x),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_POOL_CALLS))
+def test_pool_kernels_hold_under_1_mib_of_scratch(kernel):
+    x = rand((32, 64, 32, 32), seed=101, dtype=np.float32)
+    assert _transient_bytes(_POOL_CALLS[kernel](x)) < 1 << 20
