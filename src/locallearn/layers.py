@@ -19,7 +19,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, DataError, NonFiniteError, ShapeError
+from .errors import ConfigError, DataError, InputError, NonFiniteError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,7 @@ class LayerSpec:
     units: int = 0  # dense output width
     channels: int = 0  # conv output channels
     pool: bool = False  # a 2x2 max pool, which the trainer runs, follows the block (conv only)
+    rebuild_xhat: bool = False  # the cache keeps no xhat; block_backward rebuilds it from the input
     slope: float = 0.0
     dropout: float = 0.0
     pred: Optional[str] = None  # "ce": classifier on the labels; "bpf": on P's binarised labels, through B
@@ -344,15 +345,44 @@ def init_params(spec: LayerSpec, rng: np.random.Generator, dtype=np.float32) -> 
 class BlockCache:
     """Everything the paired backward pass needs from one forward.
     block_backward sets xhat and the two masks to None once it has read
-    them."""
+    them. A block whose spec has rebuild_xhat keeps no xhat (None from the
+    forward on): its backward rebuilds it from x, the weight and bias and
+    the batch mean and inv_std, so the cache holds no float array of the
+    output's size."""
 
     x: np.ndarray  # affine input (dense: already flattened)
     x_shape: tuple  # original input shape, for reshaping dx
-    xhat: Optional[np.ndarray]
+    xhat: Optional[np.ndarray]  # the normalised pre-activation
     inv_std: np.ndarray
     positive: Optional[np.ndarray]  # packed sign of the leaky relu input (numerics.leaky_relu)
     mask: Optional[np.ndarray]  # packed dropout mask, None without dropout
     stats: tuple  # the batch (mean, var), for LayerBlock.fold_stats
+
+
+def _affine(block: LayerBlock, x2: np.ndarray) -> np.ndarray:
+    """The block's pre-activation: its weight applied to x2 (dense: already
+    flattened), plus its bias."""
+    if block.spec.kind == "dense":
+        pre = nm.matmul(x2, block.weight)
+        pre += block.bias
+    else:
+        pre = nm.conv2d(x2, block.weight)
+        pre += block.bias[None, :, None, None]
+    return pre
+
+
+def _xhat(block: LayerBlock, cache: BlockCache) -> np.ndarray:
+    """The cache's xhat, or, when it keeps none, the one batchnorm_train
+    made in the forward, bit for bit, rebuilt by the forward's own ops:
+    the affine map of x, minus the batch mean, times inv_std. Read it
+    before an update moves the weight or the bias."""
+    if cache.xhat is not None:
+        return cache.xhat
+    xhat = _affine(block, cache.x)
+    shape = (1, block.spec.width) + (1,) * (xhat.ndim - 2)
+    xhat -= cache.stats[0].reshape(shape)
+    xhat *= cache.inv_std.reshape(shape)
+    return xhat
 
 
 def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[np.random.Generator] = None):
@@ -363,17 +393,12 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     mode touches the running stats, and eval mode consumes no randomness.
     """
     spec = block.spec
-    x_shape = x.shape
+    x2 = x
     if spec.kind == "dense":
         x2 = x.reshape(x.shape[0], -1)
         if x2.shape[1] != spec.fan_in:
             raise ShapeError(f"block expects {spec.fan_in} features, got {x2.shape[1]}")
-        pre = nm.matmul(x2, block.weight)
-        pre += block.bias
-    else:
-        x2 = x
-        pre = nm.conv2d(x, block.weight)
-        pre += block.bias[None, :, None, None]
+    pre = _affine(block, x2)
 
     # nothing reads pre after batchnorm, nor bn_out after the leaky relu (its
     # backward reads the sign mask), nor act after dropout, so each of them
@@ -383,6 +408,8 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         return nm.leaky_relu(act, spec.slope, out=act), None
     bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta, out=pre)
     del pre
+    if spec.rebuild_xhat:  # block_backward rebuilds it
+        xhat = None
     act, positive = nm.leaky_relu(bn_out, spec.slope, out=bn_out, need_sign=True)
 
     mask = None
@@ -390,15 +417,17 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
         if rng is None:
             raise ConfigError("dropout needs an rng in train mode")
         act, mask = nm.dropout(act, spec.dropout, rng, out=act)
-    return act, BlockCache(x2, x_shape, xhat, inv_std, positive, mask, (mean, var))
+    return act, BlockCache(x2, x.shape, xhat, inv_std, positive, mask, (mean, var))
 
 
 def block_output(block: LayerBlock, cache: BlockCache) -> np.ndarray:
     """block_forward's train-mode output for cache, bit for bit, by its own
-    ops from xhat and the masks: call it before block_backward takes them
-    over and before an update moves gamma and beta."""
-    shape = (1, block.spec.width) + (1,) * (cache.xhat.ndim - 2)
-    out = np.multiply(block.gamma.reshape(shape), cache.xhat)
+    ops from xhat (rebuilt when the cache keeps none) and the masks: call
+    it before block_backward takes them over and before an update moves
+    the block's parameters."""
+    xhat = _xhat(block, cache)
+    shape = (1, block.spec.width) + (1,) * (xhat.ndim - 2)
+    out = np.multiply(block.gamma.reshape(shape), xhat)
     out += block.beta.reshape(shape)
     out = nm.leaky_relu(out, block.spec.slope, out=out)
     if cache.mask is not None:  # the dropout backward scales by the mask as dropout does
@@ -414,9 +443,13 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
     afterwards must pass a copy. It takes over the cache too: the dropout
     mask, the sign mask and xhat are set to None right after the kernel
     that reads each, so none of them lives through the weight gradient's
-    GEMM, and a cache goes through one backward only. dx comes back in the
-    shape the block was fed, so it can cross a flatten boundary on the way
-    down in the global modes. With need_dx=False it is not computed and
+    GEMM, and a cache goes through one backward only (a second raises
+    InputError). A cache that keeps no xhat (LayerSpec.rebuild_xhat) has
+    it rebuilt, bit for bit, once the masks are dead, so the grads and dx
+    are the bytes a cache that kept it gives; the weight and bias must not
+    have moved since the forward. dx comes back in the shape the block was
+    fed, so it can cross a flatten boundary on the way down in the global
+    modes. With need_dx=False it is not computed and
     comes back None: the weight gradients are the same bytes either way.
     A dense block's weight gradient comes back as ProductGrad(x, g), the
     cache's input and the gradient at the affine output, which adam_step
@@ -424,14 +457,17 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
     any update moves W.
     """
     spec = block.spec
+    if cache.positive is None:
+        raise InputError("a block cache goes through one backward only")
     g = d_out
     if cache.mask is not None:
         g = nm.dropout_backward(g, cache.mask, spec.dropout, out=g)
         cache.mask = None
     g = nm.leaky_relu_backward(cache.positive, g, spec.slope, out=g)
     cache.positive = None
-    g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, cache.xhat, cache.inv_std, out=g)
-    cache.xhat = None
+    xhat, cache.xhat = _xhat(block, cache), None
+    g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, xhat, cache.inv_std, out=g)
+    xhat = None
     dx = None
     if spec.kind == "dense":
         if need_dx:  # before any update moves the weight

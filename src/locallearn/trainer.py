@@ -12,7 +12,11 @@ The point of the local modes is the shape of the step: activations flow
 forward once through the blocks (a conv block may end in a 2x2 pool), and
 every hidden block computes its own loss, backpropagates one layer deep,
 updates immediately, and drops its cache before the next block runs (more
-than one live cache would be a bug). Global backprop is the same forward
+than one live cache would be a bug). In predsim and sim, the conv blocks
+with the largest output keep no xhat in their cache either: the backward
+rebuilds it from the block's input (LayerSpec.rebuild_xhat), and the
+block pools its output before that, so the step's peak block holds
+neither. Global backprop is the same forward
 sweep, except that each block's cache goes onto a trace for one backward
 pass at the end. In every mode one body runs a block's local loss, head
 update, backward and update.
@@ -93,7 +97,9 @@ def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
     block, pool after one, a conv classifier on non-square activations, and
     a weight or head too large for numpy to hold. Pooling an odd extent, pool
     first or after pool, a non-fc final token and an output weight too large
-    raise here too. A token's error names the token.
+    raise here too. A token's error names the token. In a local mode with
+    a sim head, each conv block whose output has the most elements of any
+    hidden block gets rebuild_xhat: its cache keeps no xhat.
     """
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
@@ -146,6 +152,15 @@ def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
                 raise ConfigError("unknown architecture token")
         except (ConfigError, ShapeError) as e:
             raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
+    if row.local and row.sim == "head":
+        # a local step with a sim head peaks at the block with the largest
+        # output, where the head's conv backward runs on top of the cache:
+        # such a conv block keeps no xhat, which its backward rebuilds with
+        # one more trunk conv. Measured at quarter-width vgg8b, rebuilding
+        # in every conv block gave the same peak at +9% step time, and in
+        # pred or a bpf mode, with no sim head's GEMMs to hide it, +24-35%
+        most = max(math.prod(b.out_shape) for b in blocks) if blocks else 0
+        blocks = [replace(b, rebuild_xhat=b.kind == "conv" and math.prod(b.out_shape) == most) for b in blocks]
     return blocks, math.prod(shape)
 
 
@@ -323,16 +338,20 @@ def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
 
 
 def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: float, kept: Optional[list]):
-    """Local loss, head update, backward and update of the block on top of
-    the trace, in every mode; returns (local loss, the gradient the block
-    below reads, None in a local mode). It pops the block's entry, the only
-    reference to its cache; the loss reads the entry's live output in a
-    local mode and one recomputed from the cache in a global one. Each
-    buffer dies at its last reader: the head gradients at their update,
-    before the pool backward; the local dh once added into d; the masks and
-    xhat inside the block's backward; the rest of the cache before the
-    update. A dry step (kept not None) keeps the gradients at the block's
-    index instead of updating."""
+    """Local loss, head update, pool, backward and update of the block on
+    top of the trace, in every mode; returns (local loss, what the next
+    block in the sweep reads). It pops the block's entry, the only
+    reference to its cache. In a local mode the entry holds the block's
+    live output, which the loss reads and the block's 2x2 pool, if it has
+    one, then reduces: the next block's input, which comes back. In a
+    global mode the loss reads the output recomputed from the cache, the
+    pool backward reads the entry's gradient, and the gradient the block
+    below reads comes back. Each buffer dies at its last reader: the head
+    gradients at their update, before the pool; a local mode's full-size
+    output in its pool; the local dh once added into d; the masks and xhat
+    inside the block's backward; the rest of the cache before the update.
+    A dry step (kept not None) keeps the gradients at the block's index
+    instead of updating."""
     k, cache, h, idx, d = trace.pop()
     block = net.blocks[k]
     what = f"layer {k} ({net.mode})"
@@ -345,6 +364,13 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: floa
         elif res.grads:
             _update(block, res.grads, lr, what)
         loss, dh, res = res.loss, res.dh, None  # the head gradients die here
+    # h is rebound, so the full-size output dies with the pool: before the
+    # backward when that rebuilds xhat, so the two are never live at once,
+    # otherwise after the update, so the pool does not run while the cache
+    # and dh are live
+    pool = h is not None and block.spec.pool
+    if pool and block.spec.rebuild_xhat:
+        (h, _), pool = nm.maxpool2x2(h, need_index=False), False
     if idx is not None:
         d = nm.maxpool2x2_backward(d, idx)
         idx = None  # dies here, before the block's backward
@@ -363,19 +389,24 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: floa
         block.fold_stats(*stats)
     else:  # the dense weight gradient as the array it stands for
         kept[k] |= {name: g.whole() if isinstance(g, ProductGrad) else g for name, g in grads.items()}
-    return loss, d
+    if pool:
+        h, _ = nm.maxpool2x2(h, need_index=False)
+    return loss, d if h is None else h
 
 
 def train_step(
     net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, apply: bool = True
 ) -> StepResult:
     """One optimisation step: a single forward sweep in which each block
-    runs, pushes its cache onto a trace and runs its 2x2 pool, if it has
-    one. Each block trains in _train_block: in a local mode at once, so its
-    cache dies before the next block runs; in glob and glob+sim in the
-    global backward, one reverse loop over the trace that the output
-    layer's cross-entropy starts, where glob+sim adds each block's sim
-    gradient with unit weight. Each owner of parameters updates as soon as
+    runs and pushes its cache onto a trace. Each block trains in
+    _train_block: in a local mode at once, so its cache dies before the
+    next block runs, and its 2x2 pool, if it has one, runs there: right
+    after the local loss in a block that rebuilds xhat, so the full-size
+    output is dead before the rebuild, and after the update in any other.
+    In glob and glob+sim the pool runs in the sweep, and each block trains
+    in the global backward, one reverse loop over the trace that the
+    output layer's cross-entropy starts, where glob+sim adds each block's
+    sim gradient with unit weight. Each owner of parameters updates as soon as
     its gradients exist, the output layer first in the global modes, and
     each parameter on its own, so the order leaves the bytes as they are.
     With apply=False the gradients are returned, by layer index, and nothing
@@ -397,12 +428,11 @@ def train_step(
         a, cache = block_forward(block, a, train=True, rng=rngs[k])
         trace.append([k, cache, a if local else None, None, None])
         cache = None  # the trace holds the only reference
-        if local:  # pushed and popped at once
-            losses[k], _ = _train_block(net, trace, targets_onehot, lr, kept)
-        if block.spec.pool:  # a is rebound, so the block's output dies with the pool
-            a, idx = nm.maxpool2x2(a, need_index=not local)
-            if idx is not None:  # only a global backward reads it
-                trace[-1][3], idx = idx, None
+        if local:  # pushed and popped at once; the next block's input comes back, pooled if the block pools
+            a = None  # the trace holds the only reference to the output too
+            losses[k], a = _train_block(net, trace, targets_onehot, lr, kept)
+        elif block.spec.pool:  # a is rebound, so the block's output dies with the pool
+            a, trace[-1][3] = nm.maxpool2x2(a, need_index=True)
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)

@@ -93,10 +93,12 @@ def test_traced_conv_step_runs_and_counts_flops(mode):
     assert len(spans["trainer.train_step"]) == 1
     # a 3x3 same conv of n examples from ci to co channels at h x w costs
     # 2*n*co*h*w*ci*9 flops; block 0 maps 2 -> 3 channels at 4x4, block 1
-    # 3 -> 4 at 2x2, and each predsim sim head keeps its block's channels
+    # 3 -> 4 at 2x2, and each predsim sim head keeps its block's channels.
+    # predsim's block 0, the largest output, runs its trunk conv again in
+    # its backward, to rebuild xhat
     flop = lambda ci, co, hw: 2 * 6 * co * hw * ci * 9
     trunk, heads = [flop(2, 3, 16), flop(3, 4, 4)], [flop(3, 3, 16), flop(4, 4, 4)]
-    forward = {"predsim": [trunk[0], heads[0], trunk[1], heads[1]], "glob": trunk}[mode]
+    forward = {"predsim": [trunk[0], heads[0], trunk[0], trunk[1], heads[1]], "glob": trunk}[mode]
     assert [s.attrs["flop"] for s in spans["numerics.conv2d"]] == forward
     # dx-producing conv backwards, dx and dk a forward's flops each: the two
     # sim heads in predsim, block 1 in glob

@@ -336,14 +336,15 @@ def test_block_forward_identity_weight_is_relu():
     assert np.max(np.abs(y - np.maximum(x, 0.0))) < 1e-3
 
 
+@pytest.mark.parametrize("rebuild", [False, True])
 @pytest.mark.parametrize("kind", ["dense", "conv"])
-def test_block_cache_keeps_a_bool_sign_mask_and_no_float_copy(kind):
+def test_block_cache_keeps_a_bool_sign_mask_and_no_float_copy(kind, rebuild):
     if kind == "dense":
-        block = _dense_block(din=4, units=5, slope=0.01)
+        block = ly.init_params(ly.LayerSpec("dense", (4,), units=5, slope=0.01, rebuild_xhat=rebuild), make_rng(3))
         x = rand((6, 4), seed=65, dtype=np.float32)
         pre = x @ block.weight + block.bias
     else:
-        block = ly.init_params(ly.LayerSpec("conv", (2, 4, 4), channels=3, slope=0.01), make_rng(4))
+        block = ly.init_params(ly.LayerSpec("conv", (2, 4, 4), channels=3, slope=0.01, rebuild_xhat=rebuild), make_rng(4))
         x = rand((3, 2, 4, 4), seed=66, dtype=np.float32)
         pre = nm.conv2d(x, block.weight) + block.bias[None, :, None, None]
     y, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
@@ -351,9 +352,10 @@ def test_block_cache_keeps_a_bool_sign_mask_and_no_float_copy(kind):
     # the sign mask as bits: uint8, ceil(row/8) bytes for each example
     assert cache.positive.dtype == np.uint8 and cache.positive.shape == packed_shape(y.shape)
     assert np.array_equal(unpacked(cache.positive, y.shape), bn_out >= 0)
-    # of the activation's size, the cache holds xhat alone in floats
+    # of the activation's size, the cache holds xhat alone in floats, and
+    # nothing when the backward rebuilds it
     floats = [v for v in vars(cache).values() if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
-    assert [v is cache.xhat for v in floats if v.shape == y.shape] == [True]
+    assert [v is cache.xhat for v in floats if v.shape == y.shape] == ([] if rebuild else [True])
     # at 0 the relu takes the x >= 0 branch: gamma = beta = 0 makes every output 0
     block.gamma[:] = 0.0
     _, cache = ly.block_forward(block, x, train=True, rng=make_rng(0))
@@ -427,25 +429,73 @@ def test_block_backward_without_dx_gives_the_same_weight_grads(kind):
         assert np.array_equal(_whole(full[name]), _whole(weights_only[name])), name
 
 
+@pytest.mark.parametrize("rebuild", [False, True])
 @pytest.mark.parametrize("slope", [0.0, 0.01])
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 @pytest.mark.parametrize("kind", ["dense", "conv"])
-def test_block_output_is_the_train_forwards_output_bytes(kind, dropout, slope):
+def test_block_output_is_the_train_forwards_output_bytes(kind, dropout, slope, rebuild):
     # recomputed from the cache by the forward's own ops, signed zeros and
-    # all, with gamma and beta moved off their init so both take part
+    # all, with gamma, beta and the bias moved off their init so all take
+    # part; from an xhat rebuilt from the input when the cache keeps none
     if kind == "dense":
-        spec = ly.LayerSpec("dense", (6,), units=5, dropout=dropout, slope=slope)
+        spec = ly.LayerSpec("dense", (6,), units=5, dropout=dropout, slope=slope, rebuild_xhat=rebuild)
         x = rand((7, 6), seed=75, dtype=np.float32)
     else:
-        spec = ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=dropout, slope=slope)
+        spec = ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=dropout, slope=slope, rebuild_xhat=rebuild)
         x = rand((4, 2, 5, 7), seed=76, dtype=np.float32)
     block = ly.init_params(spec, make_rng(9))
     block.gamma[...] = rand(block.gamma.shape, seed=77, dtype=np.float32)
     block.beta[...] = rand(block.beta.shape, seed=78, dtype=np.float32)
+    block.bias[...] = rand(block.bias.shape, seed=79, dtype=np.float32)
     h, cache = ly.block_forward(block, x, train=True, rng=make_rng(1))
     got = ly.block_output(block, cache)
     assert got.dtype == h.dtype and got.shape == h.shape and got.tobytes() == h.tobytes()
-    assert (cache.mask is None) == (dropout == 0.0) and cache.xhat is not None  # the cache is left as it was
+    assert (cache.mask is None) == (dropout == 0.0) and (cache.xhat is None) == rebuild  # the cache is left as it was
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_block_backward_on_a_rebuilt_xhat_gives_the_kept_ones_bytes(kind, dtype, need_dx):
+    # the same block run with and without rebuild_xhat, with a nonzero bias,
+    # dropout and a slope: the forward's own ops rebuild xhat bit for bit,
+    # so every gradient and dx is the same bytes
+    if kind == "dense":
+        spec = ly.LayerSpec("dense", (6,), units=5, dropout=0.3, slope=0.01)
+        x = rand((7, 6), seed=90, dtype=dtype)
+    else:
+        spec = ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=0.3, slope=0.01)
+        x = rand((4, 2, 5, 7), seed=91, dtype=dtype)
+    kept = ly.init_params(spec, make_rng(10), dtype=dtype)
+    kept.bias[...] = rand(kept.bias.shape, seed=92, dtype=dtype)
+    kept.gamma[...] = rand(kept.gamma.shape, seed=93, dtype=dtype)
+    rebuilt = dataclasses.replace(kept, spec=dataclasses.replace(spec, rebuild_xhat=True))
+    results = []
+    for block in (kept, rebuilt):
+        h, cache = ly.block_forward(block, x, train=True, rng=make_rng(2))
+        assert (cache.xhat is None) == (block is rebuilt)
+        grads, dx = ly.block_backward(block, cache, rand(h.shape, seed=94, dtype=dtype), need_dx=need_dx)
+        results.append((h, {name: _whole(g) for name, g in grads.items()}, dx))
+    (h, want, want_dx), (got_h, got, dx) = results
+    assert got_h.tobytes() == h.tobytes()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == dtype and got[name].tobytes() == want[name].tobytes(), name
+    assert (dx is None and want_dx is None) if not need_dx else dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_a_block_cache_goes_through_one_backward_only(rebuild):
+    # a used cache has lost its masks; one that rebuilds xhat never had one,
+    # so the second backward would otherwise rebuild it and run again
+    spec = ly.LayerSpec("conv", (2, 5, 7), channels=3, dropout=0.3, rebuild_xhat=rebuild)
+    block = ly.init_params(spec, make_rng(11))
+    h, cache = ly.block_forward(block, rand((4, 2, 5, 7), seed=95, dtype=np.float32), train=True, rng=make_rng(3))
+    ly.block_backward(block, cache, np.ones_like(h))
+    with pytest.raises(InputError, match="one backward only"):
+        ly.block_backward(block, cache, np.ones_like(h))
+    with pytest.raises(InputError, match="one backward only"):
+        ly.block_local_backward(block, cache, np.ones_like(h))
 
 
 @pytest.mark.parametrize("kind", ["dense", "conv"])
