@@ -439,11 +439,12 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
     """Backward through one block; returns (grads dict, dx).
 
     The block takes over d_out: the dropout, leaky relu and batchnorm
-    backwards write their gradients into it, so a caller that reads d_out
-    afterwards must pass a copy. It takes over the cache too: the dropout
-    mask, the sign mask and xhat are set to None right after the kernel
-    that reads each, so none of them lives through the weight gradient's
-    GEMM, and a cache goes through one backward only (a second raises
+    backwards write their gradients into it, and a same-channel conv its
+    dx, so a caller that reads d_out afterwards must pass a copy. It takes
+    over the cache too: the dropout mask, the sign mask and xhat are set to
+    None right after the kernel that reads each, so none of them lives
+    through the weight gradient's GEMM, and a cache goes through one
+    backward only (a second raises
     InputError). A cache that keeps no xhat (LayerSpec.rebuild_xhat) has
     it rebuilt, bit for bit, once the masks are dead, so the grads and dx
     are the bytes a cache that kept it gives; the weight and bias must not
@@ -475,11 +476,11 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
         dw = ProductGrad(cache.x, g)
         db = g.sum(axis=0)
     else:
+        db = g.sum(axis=(0, 2, 3))  # before a same-channel conv's dx takes over g
         if need_dx:
             dx, dw = nm.conv2d_backward(cache.x, block.weight, g)
         else:
             dw = nm.conv2d_weight_grad(cache.x, block.weight, g)
-        db = g.sum(axis=(0, 2, 3))
     return {"weight": dw, "bias": db, "gamma": dgamma, "beta": dbeta}, dx
 
 

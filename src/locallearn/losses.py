@@ -175,7 +175,8 @@ def sim_loss(
         return LocalLossResult(loss, dh, {"sim_w": dw, "sim_b": dfeat.sum(axis=0)})
     if h.ndim == 4:
         # nothing reads the head's feature map once its std is taken, so its
-        # gradient is written over it; the head's dx gets a buffer of its own
+        # gradient is written over it, and the same-channel head's dx (the
+        # block's dh) over that: map, gradient and dh are one buffer
         feat = nm.conv2d(h, head_w)
         loss, dfeat = _sim_match(feat, target_sim, weight, out=feat)
         dh, dw = nm.conv2d_backward(h, head_w, dfeat)

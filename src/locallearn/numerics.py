@@ -17,7 +17,10 @@ Conventions:
     output), leaky_relu and dropout (the batchnorm output, then the relu's),
     dropout_backward, leaky_relu_backward and batchnorm_backward (the
     gradient block_backward takes over), and std_per_feature_map_backward
-    (sim_loss passes the sim head's feature map). avgpool_backward takes
+    (sim_loss passes the sim head's feature map). conv2d_backward takes
+    over g with no out=: a same-channel conv writes its dx there, a conv
+    that widens or narrows leaves g be (sim_loss and block_backward hand
+    over a gradient they no longer read). avgpool_backward takes
     add_to=, an array its result is added into, bit for bit the sum with a
     new array (a pred head's caller passes the sim part's gradient). Every
     other kernel returns new arrays
@@ -225,7 +228,11 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
         return dx, dk.reshape(k.shape)
     x3 = x.reshape(n, ci, h * w)
     dkf = np.zeros((co * 9, ci), dtype=k.dtype)
-    dx = np.empty((n, ci, h * w), dtype=x.dtype) if need_dx else None
+    # a same-channel dx takes over g: each chunk of g is in the canvas
+    # before that chunk's dx rows are written over it
+    dx = None
+    if need_dx:
+        dx = g.reshape(n, ci, h * w) if ci == co else np.empty((n, ci, h * w), dtype=x.dtype)
     f2 = flipped.reshape(ci, -1)
     for rows, cols in _im2col_chunks(g, ci):
         for j, i in enumerate(range(n)[rows]):
@@ -237,7 +244,12 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
 
 
 def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
-    """Gradients of sum(g * conv2d(x, k)) w.r.t. x and k."""
+    """Gradients (dx, dk) of sum(g * conv2d(x, k)) w.r.t. x and k.
+
+    Takes over g: a same-channel conv (ci == co) writes dx into g's buffer,
+    bit for bit the dx a new array gets, so a caller that reads g afterwards
+    must pass a copy. A conv that widens or narrows its channels leaves g
+    as it was."""
     return _conv_grads(x, k, g, need_dx=True)
 
 

@@ -410,6 +410,8 @@ def test_sim_head_feature_map_is_dead_when_its_backward_starts(monkeypatch):
     monkeypatch.setattr(nm, "conv2d_backward", checking)
     res = ls.sim_loss(h, t, head_w)
     assert len(maps) == 1 and reuse == [True]
+    # and the same-channel head's dx, the block's dh, is written over it too
+    assert np.shares_memory(res.dh, maps[0])
     assert res.dh.shape == h.shape and np.isfinite(res.loss)
 
 

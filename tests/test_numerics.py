@@ -149,7 +149,7 @@ def test_conv_kernels_match_per_tap_oracle(case):
     x, k, g = _conv_case(*CONV_CASES[case], seed=30)
     out, dx, dk = _conv_oracle(x, k, g, 1, 1)
     assert np.allclose(nm.conv2d(x, k), out, rtol=1e-12, atol=1e-12)
-    got_dx, got_dk = nm.conv2d_backward(x, k, g)
+    got_dx, got_dk = nm.conv2d_backward(x, k, g.copy())  # a same-channel dx takes over g
     assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(nm.conv2d_weight_grad(x, k, g), dk, rtol=1e-12, atol=1e-12)
@@ -196,12 +196,13 @@ CHUNK_CASES = {
 def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
     xs, ks, budget, forward, backward, weight_grad = CHUNK_CASES[case]
     x, k, g = _conv_case(xs, ks, seed=40)
+    fed = g.copy()  # what conv2d_backward takes over: a same-channel dx is written there
     monkeypatch.setattr(nm, "COLS_BUDGET", budget(x))
     passes = []  # (lowered array, its chunk sizes) for each pass of a call
     make_chunks = nm._im2col_chunks
 
     def recording(a, *args):
-        passes.append(("x" if a is x else "g" if a is g else "?", []))
+        passes.append(("x" if a is x else "g" if a is g or a is fed else "?", []))
         for rows, cols in make_chunks(a, *args):
             passes[-1][1].append(len(range(len(a))[rows]))
             yield rows, cols
@@ -214,7 +215,7 @@ def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
     out, dx, dk = _conv_oracle(x, k, g, 1, 1)
     got, passes = lowered(lambda: nm.conv2d(x, k))
     assert np.allclose(got, out, rtol=1e-12, atol=1e-12) and passes == forward
-    (got_dx, got_dk), passes = lowered(lambda: nm.conv2d_backward(x, k, g))
+    (got_dx, got_dk), passes = lowered(lambda: nm.conv2d_backward(x, k, fed))
     assert np.allclose(got_dx, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_dk, dk, rtol=1e-12, atol=1e-12)
     assert passes == backward
@@ -257,8 +258,33 @@ def test_lowering_copies_the_windowed_oracles_bytes(xs, dtype, monkeypatch):
 @pytest.mark.parametrize("case", CONV_CASES)
 def test_conv_weight_grad_is_conv_backward_dk_bitwise(case):
     x, k, g = _conv_case(*CONV_CASES[case], seed=50, dtype=np.float32)
-    _, dk = nm.conv2d_backward(x, k, g)
+    _, dk = nm.conv2d_backward(x, k, g.copy())  # a same-channel dx takes over g
     assert np.array_equal(nm.conv2d_weight_grad(x, k, g), dk)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_same_channel_conv_backward_writes_dx_over_g(dtype, per_chunk, monkeypatch):
+    # dx is g's buffer, holding the bytes of the conv of g with the flipped
+    # kernel taken first, over a batch of at least 3 chunks: each chunk of g
+    # is lowered before its dx rows are written over it
+    x, k, g = _conv_case((7, 3, 5, 6), (3, 3, 3, 3), seed=70, dtype=dtype)
+    monkeypatch.setattr(nm, "COLS_BUDGET", per_chunk * x.itemsize * 3 * 9 * 5 * 6)
+    assert len(list(nm._im2col_chunks(g, 3))) >= 3
+    want_dx = nm.conv2d(g, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    want_dk = nm.conv2d_backward(x, k, g.copy())[1]
+    dx, dk = nm.conv2d_backward(x, k, g)
+    assert np.shares_memory(dx, g)
+    assert dx.dtype == want_dx.dtype == dtype and dx.tobytes() == want_dx.tobytes()
+    assert dk.tobytes() == want_dk.tobytes()
+
+
+@pytest.mark.parametrize("case", ["5x7-image", "narrowing-8to3-5x7"])
+def test_widening_and_narrowing_conv_backward_leave_g_be(case):
+    x, k, g = _conv_case(*CONV_CASES[case], seed=71, dtype=np.float32)
+    before = g.tobytes()
+    dx, _ = nm.conv2d_backward(x, k, g)
+    assert g.tobytes() == before and not np.shares_memory(dx, g)
 
 
 def test_conv_weight_grad_rejects_misshapen_grad():
