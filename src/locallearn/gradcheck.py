@@ -2,13 +2,13 @@
 
 Each check compares analytic gradients against central differences in
 float64 and reports the worst relative error. The per-op checks exercise the
-kernels in isolation. The per-mode checks run `train_step` itself, with
-apply=False, on a 2-block toy net (conv -> pool -> dense -> output) in every
-loss mode, and compare the gradients it hands to Adam with the finite
-difference of the loss each parameter trains on: its block's local loss in a
-local mode, the sum of every layer's loss in a global one, extrapolated from
-two steps (see MODE_FD_STEP). A parameter the step gives no gradient fails
-its check.
+kernels in isolation. The per-mode checks run `train_step` itself, with a
+`GradRecorder` as its update, on a 2-block toy net (conv -> pool -> dense
+-> output) in every loss mode, and compare the gradients it hands to Adam
+with the finite difference of the loss each parameter trains on: its
+block's local loss in a local mode, the sum of every layer's loss in a
+global one, extrapolated from two steps (see MODE_FD_STEP). A parameter the
+step gives no gradient fails its check.
 
 Feedback alignment needs a caveat: in the *-bpf pred path the activation
 gradient is routed through a fixed random matrix B in place of the
@@ -25,6 +25,7 @@ the harness itself can be shown to catch a broken backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from .losses import (
     similarity_matrix_backward,
 )
 from .rng import make_rng
-from .trainer import TrainConfig, build_network, dropout_rngs, train_step
+from .trainer import GradRecorder, TrainConfig, build_network, dropout_rngs, train_step
 
 THRESHOLD = 1e-4
 FD_STEP = 1e-5
@@ -290,10 +291,10 @@ def _check_pred_bpf():
 _TOY_ARCH = "conv3-pool-fc8-fc"  # 3 channels keep the conv sim descriptor non-degenerate
 
 
-def _toy_setup(mode: str, seed: int = 3):
-    cfg = TrainConfig(arch=_TOY_ARCH, loss=mode, projection_dim=6, dropout=0.1, pred_target_dim=8, seed=seed)
+def _toy_setup(mode: str):
+    cfg = TrainConfig(arch=_TOY_ARCH, loss=mode, projection_dim=6, dropout=0.1, pred_target_dim=8, seed=3)
     net = build_network(cfg, (1, 6, 6), 3, dtype=np.float64)
-    r = make_rng(seed, 9)
+    r = make_rng(3, 9)
     x = r.normal(size=(4, 1, 6, 6))
     y = nm.one_hot(r.integers(0, 3, size=4), 3, np.float64)
     return net, x, y
@@ -304,19 +305,20 @@ def _check_mode(mode: str):
     for block in net.blocks:
         if block.feedback is not None:
             block.cls_w[...] = block.feedback  # at w = B the routed gradient is the true one
-    step = lambda: train_step(net, x, y, 0.0, dropout_rngs(7, 0, len(net.blocks)), apply=False)
-    base = step()
+    step = lambda kept: train_step(net, x, y, 0.0, dropout_rngs(7, 0, len(net.blocks)), update=kept).losses
+    kept = GradRecorder()
+    step(kept)
     local = MODE_TABLE[mode].local
     pairs = []
     # a local block trains on its own loss and the output layer on the last
     # one; a global step trains everything on the sum, where blocks without a
     # local loss report exactly 0.0
     for k, owner in enumerate(net.blocks + [net.out]):
-        target = (lambda k=k: step().losses[k]) if local else (lambda: float(sum(step().losses)))
+        target = lambda: step(GradRecorder())[k] if local else float(sum(step(GradRecorder())))
         for name in owner.adam:
             p = getattr(owner, name)
             fd = (4.0 * fd_grad(target, p, MODE_FD_STEP / 2) - fd_grad(target, p, MODE_FD_STEP)) / 3.0
-            pairs.append((base.grads[k].get(name), fd))
+            pairs.append((kept[k].get(name), fd))
     return pairs
 
 
@@ -351,7 +353,7 @@ def all_checks():
         ("sim_bpf_conv", lambda: _check_sim_bpf(True)),
         ("pred_bpf", _check_pred_bpf),
     ]
-    checks += [(f"mode_{mode}", lambda m=mode: _check_mode(m)) for mode in MODE_TABLE]
+    checks += [(f"mode_{mode}", partial(_check_mode, mode)) for mode in MODE_TABLE]
     return checks
 
 

@@ -302,32 +302,25 @@ def build_network(cfg: TrainConfig, input_shape, classes: int, dtype=np.float32)
 
 @dataclass
 class StepResult:
-    """Per-layer losses (hidden blocks then the output cross-entropy), the
-    raw gradients of a dry step (apply=False; an applied step keeps none),
-    and the batch predictions."""
+    """Per-layer losses (hidden blocks then the output cross-entropy) and
+    the batch predictions; the gradients pass only through the update."""
 
     losses: list
-    grads: list
     predictions: np.ndarray
+
+
+class GradRecorder(list):
+    """A train_step update that moves nothing: it keeps each owner's
+    gradients, whole, by layer index, the output layer last. One per step."""
+
+    def __call__(self, k, owner, grads, stats=None):
+        self.extend({} for _ in range(k + 1 - len(self)))
+        self[k] |= {name: g.whole() if isinstance(g, ProductGrad) else g for name, g in grads.items()}
 
 
 def _output_forward(net: Network, a: np.ndarray):
     flat = a.reshape(a.shape[0], -1)
     return flat, nm.matmul(flat, net.out.weight) + net.out.bias
-
-
-def _check_finite(loss: float, what: str) -> None:
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"non-finite loss at {what}")
-
-
-def _update(owner, grads: dict, lr: float, what: str) -> None:
-    """update_params, with a non-finite gradient's error naming the layer
-    as well as the parameter."""
-    try:
-        update_params(owner, grads, lr)
-    except NonFiniteError as e:
-        raise NonFiniteError(f"{e} at {what}") from None
 
 
 def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
@@ -337,7 +330,7 @@ def dropout_rngs(seed: int, epoch: int, blocks: int) -> list:
     return [rngmod.make_rng(seed, rngmod.DROPOUT, epoch, k) for k in range(blocks)]
 
 
-def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: float, kept: Optional[list]):
+def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, update):
     """Local loss, head update, pool, backward and update of the block on
     top of the trace, in every mode; returns (local loss, what the next
     block in the sweep reads). It pops the block's entry, the only
@@ -349,20 +342,17 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: floa
     below reads comes back. Each buffer dies at its last reader: the head
     gradients at their update, before the pool; a local mode's full-size
     output in its pool; the local dh once added into d; the masks and xhat
-    inside the block's backward; the rest of the cache before the update.
-    A dry step (kept not None) keeps the gradients at the block's index
-    instead of updating."""
+    inside the block's backward; the rest of the cache before the update,
+    which gets the trunk's gradients and the batch stats."""
     k, cache, h, idx, d = trace.pop()
     block = net.blocks[k]
-    what = f"layer {k} ({net.mode})"
     loss, dh = 0.0, None
     if block.spec.pred or block.spec.sim:
         res = local_block_loss(block, block_output(block, cache) if h is None else h, targets_onehot, net.beta)
-        _check_finite(res.loss, what)
-        if kept is not None:
-            kept[k] |= res.grads
-        elif res.grads:
-            _update(block, res.grads, lr, what)
+        if not np.isfinite(res.loss):
+            raise NonFiniteError(f"non-finite loss at layer {k} ({net.mode})")
+        if res.grads:
+            update(k, block, res.grads)
         loss, dh, res = res.loss, res.dh, None  # the head gradients die here
     # h is rebound, so the full-size output dies with the pool: before the
     # backward when that rebuilds xhat, so the two are never live at once,
@@ -384,19 +374,13 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, lr: floa
     else:
         grads, d = block_backward(block, cache, d, need_dx=k > 0)
     stats, cache = cache.stats, None  # the cache dies before the update
-    if kept is None:
-        _update(block, grads, lr, what)
-        block.fold_stats(*stats)
-    else:  # the dense weight gradient as the array it stands for
-        kept[k] |= {name: g.whole() if isinstance(g, ProductGrad) else g for name, g in grads.items()}
+    update(k, block, grads, stats)
     if pool:
         h, _ = nm.maxpool2x2(h, need_index=False)
     return loss, d if h is None else h
 
 
-def train_step(
-    net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, apply: bool = True
-) -> StepResult:
+def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, update=None) -> StepResult:
     """One optimisation step: a single forward sweep in which each block
     runs and pushes its cache onto a trace. Each block trains in
     _train_block: in a local mode at once, so its cache dies before the
@@ -406,23 +390,39 @@ def train_step(
     In glob and glob+sim the pool runs in the sweep, and each block trains
     in the global backward, one reverse loop over the trace that the
     output layer's cross-entropy starts, where glob+sim adds each block's
-    sim gradient with unit weight. Each owner of parameters updates as soon as
-    its gradients exist, the output layer first in the global modes, and
-    each parameter on its own, so the order leaves the bytes as they are.
-    With apply=False the gradients are returned, by layer index, and nothing
-    moves, which the gradient checks build on; with apply=True no gradient
-    outlives its update, and no cache, block output or pool index outlives
-    its last reader. No layer computes an input gradient that nothing
-    reads: not a local block, not the first block, and not the output
-    layer of a local mode. Block k draws its dropout masks from rngs[k]
-    (see dropout_rngs).
+    sim gradient with unit weight. Each owner hands its gradients to
+    update(k, owner, grads, stats=None) once they exist, the output layer
+    (k = len(net.blocks)) first in the global modes, a block's head
+    gradients when its local loss returns and its trunk's with its batch
+    (mean, var). By default Adam steps each parameter on its own at lr, so
+    the order leaves the bytes as they are, and the stats fold in; a
+    GradRecorder moves nothing. No gradient outlives its update, and no
+    cache, block output or pool index outlives its last reader. No layer
+    computes an input gradient that nothing reads: not a local block, not
+    the first block, and not the output layer of a local mode. Block k
+    draws its dropout masks from rngs[k] (see dropout_rngs). A non-finite
+    lr, or targets not of shape (len(x), classes), fail before anything runs.
     """
     if len(rngs) != len(net.blocks):
         raise ConfigError(f"train_step takes a dropout generator per hidden block, {len(net.blocks)}, got {len(rngs)}")
+    if not math.isfinite(lr):
+        raise ConfigError(f"lr must be finite, got {lr}")
+    want = (len(x), net.out.weight.shape[1])
+    if targets_onehot.shape != want:
+        raise ShapeError(f"targets of shape {targets_onehot.shape} for inputs of shape {x.shape}: want {want}")
+    if update is None:
+        def update(k, owner, grads, stats=None):
+            try:
+                update_params(owner, grads, lr)
+            except NonFiniteError as e:
+                where = "output layer" if owner is net.out else f"layer {k} ({net.mode})"
+                raise NonFiniteError(f"{e} at {where}") from None
+            if stats is not None:
+                owner.fold_stats(*stats)
+
     local = MODE_TABLE[net.mode].local
     a = x
     losses = [0.0] * len(net.blocks)
-    kept = None if apply else [{} for _ in range(len(net.blocks) + 1)]  # a dry step's gradients
     trace: list = []  # [block index, cache, live output (local modes), pool index, output gradient]
     for k, block in enumerate(net.blocks):
         a, cache = block_forward(block, a, train=True, rng=rngs[k])
@@ -430,29 +430,26 @@ def train_step(
         cache = None  # the trace holds the only reference
         if local:  # pushed and popped at once; the next block's input comes back, pooled if the block pools
             a = None  # the trace holds the only reference to the output too
-            losses[k], a = _train_block(net, trace, targets_onehot, lr, kept)
+            losses[k], a = _train_block(net, trace, targets_onehot, update)
         elif block.spec.pool:  # a is rebound, so the block's output dies with the pool
             a, trace[-1][3] = nm.maxpool2x2(a, need_index=True)
 
     flat, logits = _output_forward(net, a)
     out_loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
-    _check_finite(out_loss, "output layer")
+    if not np.isfinite(out_loss):
+        raise NonFiniteError("non-finite loss at output layer")
     if local:  # nothing reads the output layer's input gradient
         d, dw = None, flat.T @ dlogits  # matmul_backward's dw
     else:
         d, dw = nm.matmul_backward(flat, net.out.weight, dlogits)
         d = d.reshape(a.shape)
-    ograds = {"weight": dw, "bias": dlogits.sum(axis=0)}
-    if apply:
-        _update(net.out, ograds, lr, "output layer")
-    else:
-        kept[-1] = ograds
+    update(len(net.blocks), net.out, {"weight": dw, "bias": dlogits.sum(axis=0)})
     for k in range(len(trace) - 1, -1, -1):  # empty in a local mode
         trace[-1][4], d = d, None  # handed over with the entry, which _train_block pops
-        losses[k], d = _train_block(net, trace, targets_onehot, lr, kept)
+        losses[k], d = _train_block(net, trace, targets_onehot, update)
 
     losses.append(out_loss)
-    return StepResult(losses, kept or [], logits.argmax(axis=1))
+    return StepResult(losses, logits.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +609,7 @@ def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Op
             xb = augment_batch(train_ds.images[idx], cfg.augment, augment_rng)
             yb = nm.one_hot(train_ds.labels[idx], train_ds.num_classes, xb.dtype)
             try:
-                result = train_step(net, xb, yb, lr, rngs, apply=True)
+                result = train_step(net, xb, yb, lr, rngs)
             except NonFiniteError as e:
                 raise NonFiniteError(f"{e}, epoch {epoch}, step {step}") from None
             correct += int((result.predictions == train_ds.labels[idx]).sum())

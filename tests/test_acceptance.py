@@ -63,13 +63,15 @@ def test_criterion_02_detachment_four_blocks():
 
     for mode in LOCAL_MODES:
         base = _build(mode, arch, in_shape, classes, seed=9)
-        ref = tr.train_step(base, x, y, 1e-3, tr.dropout_rngs(77, 0, len(base.blocks)), apply=False).grads
+        ref = tr.GradRecorder()
+        tr.train_step(base, x, y, 1e-3, tr.dropout_rngs(77, 0, len(base.blocks)), update=ref)
 
         for j in range(1, 4):
             poked = _build(mode, arch, in_shape, classes, seed=9)
             for arr in _grab_all_params(poked.blocks[j]).values():
                 arr += np.float32(0.05)
-            got = tr.train_step(poked, x, y, 1e-3, tr.dropout_rngs(77, 0, len(poked.blocks)), apply=False).grads
+            got = tr.GradRecorder()
+            tr.train_step(poked, x, y, 1e-3, tr.dropout_rngs(77, 0, len(poked.blocks)), update=got)
             for i in range(j):
                 for name in ref[i]:
                     assert np.array_equal(ref[i][name], got[i][name]), \
@@ -117,9 +119,10 @@ def test_criterion_03_feedback_alignment_structure():
     # and at the network level: only gradients downstream of dH move
     x = ds.images[:16]
     y = one_hot(ds.labels[:16], 3, np.float32)
-    g1 = tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), apply=False).grads
+    g1, g2 = tr.GradRecorder(), tr.GradRecorder()
+    tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), update=g1)
     net.blocks[0].feedback = make_rng(28).standard_normal(net.blocks[0].feedback.shape).astype(np.float32)
-    g2 = tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), apply=False).grads
+    tr.train_step(net, x, y, 5e-4, tr.dropout_rngs(1, 0, len(net.blocks)), update=g2)
     assert np.array_equal(g1[0]["cls_w"], g2[0]["cls_w"])
     assert not np.array_equal(g1[0]["weight"], g2[0]["weight"])
     print("\n[criterion 3] PASS: B frozen across 100 steps; B-swap moved dL/dH only")

@@ -105,6 +105,12 @@ def test_traced_conv_step_runs_and_counts_flops(mode):
     backward = {"predsim": heads, "glob": trunk[1:]}[mode]
     assert [s.attrs["flop"] for s in spans["numerics.conv2d_backward"]] == [2 * f for f in backward]
     assert len(spans["layers.block_backward"]) == 2
+    # perlayer times a block's update phase from the update_params spans
+    # train_step calls directly, so an update seam that perfbench wraps
+    # would read every update_ms as 0
+    updates = spans["layers.update_params"]
+    assert all(s.parent is not None and s.parent.name == "trainer.train_step" for s in updates)
+    assert {s.attrs["block"] for s in updates} == {0, 1, "out"}
 
 
 def test_harness_selftest_passes():

@@ -1,9 +1,10 @@
 """The trained bytes, pinned: a SHA-256 over what a few steps of every loss
 mode compute, on a conv net and two dense nets.
 
-Each case hashes 3 dry steps (the losses, the predictions and every kept
-gradient), then 3 applied steps, and after them every state tensor, every
-Adam m, v and t, and the eval-mode logits. The expected hashes live in
+Each case hashes 3 dry steps (the losses, the predictions and every
+gradient a GradRecorder kept as the step's update), then 3 applied steps,
+and after them every state tensor, every Adam m, v and t, and the
+eval-mode logits. The expected hashes live in
 fingerprints.json, keyed by the arithmetic contract, the numpy version and
 the BLAS with its thread count, since each of these moves float32 bytes. A
 machine whose key has no entry fails with the key and the hashes it
@@ -53,9 +54,10 @@ def fingerprint(net_name: str, mode: str) -> str:
             sha.update(np.ascontiguousarray(a).tobytes())
 
     for step in range(6):  # 3 dry steps, then 3 applied ones
-        res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(7, step, len(net.blocks)), apply=step >= 3)
+        kept = tr.GradRecorder() if step < 3 else None
+        res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(7, step, len(net.blocks)), update=kept)
         put(np.array(res.losses, dtype=np.float64), res.predictions)
-        for grads in res.grads:
+        for grads in kept or []:
             put(*(grads[name] for name in sorted(grads)))
     state = tr.state_tensors(net)
     put(*(state[name] for name in sorted(state)))

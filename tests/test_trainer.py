@@ -288,10 +288,11 @@ def test_local_grads_keyed_by_param_names():
     net = small_net("predsim", arch="fc8-fc", input_shape=(6, 1, 1), classes=3)
     x = rand((6, 6, 1, 1), seed=75, dtype=np.float32)
     y = one_hot(np.arange(6) % 3, 3, np.float32)
-    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
-    block_grads = res.grads[0]
+    kept = tr.GradRecorder()
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), update=kept)
+    block_grads = kept[0]
     assert set(block_grads) >= {"weight", "bias", "gamma", "beta", "cls_w", "sim_w"}
-    assert set(res.grads[-1]) == {"weight", "bias"}
+    assert set(kept[-1]) == {"weight", "bias"}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -311,7 +312,8 @@ def test_step_contract_in_every_mode(mode):
     stats = [(b.run_mean.copy(), b.run_var.copy()) for b in net.blocks]
     logits = tr.forward_eval(net, x)
     rngs = tr.dropout_rngs(0, 0, len(net.blocks))
-    res, peak = peak_live_caches(lambda: tr.train_step(net, x, y, 1e-3, rngs, apply=False))
+    kept = tr.GradRecorder()
+    res, peak = peak_live_caches(lambda: tr.train_step(net, x, y, 1e-3, rngs, update=kept))
     for o, saved in zip(owners, before):
         for name, (param, m, v, t) in saved.items():
             st = o.adam[name]
@@ -320,11 +322,11 @@ def test_step_contract_in_every_mode(mode):
     for b, (mean, var) in zip(net.blocks, stats):
         assert np.array_equal(b.run_mean, mean) and np.array_equal(b.run_var, var)
     assert np.array_equal(tr.forward_eval(net, x), logits)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert all(not np.array_equal(b.run_mean, mean) for b, (mean, _) in zip(net.blocks, stats))
 
     assert peak == (1 if mode in LOCAL_MODES else n_blocks)
-    assert len(res.grads) == n_blocks + 1
+    assert len(kept) == n_blocks + 1
     assert len(res.losses) == n_blocks + 1
     hidden_zero = [loss == 0.0 for loss in res.losses[:-1]]
     assert hidden_zero == [mode == "glob"] * n_blocks
@@ -343,7 +345,8 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
         return conv_backward(x, k, *args, **kwargs)
 
     monkeypatch.setattr(nm, "conv2d_backward", counting)
-    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
+    kept = tr.GradRecorder()
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), update=kept)
     monkeypatch.setattr(nm, "conv2d_backward", conv_backward)
 
     # every dx-producing conv backward is a sim head's, or in the global
@@ -360,9 +363,10 @@ def test_step_computes_no_input_gradient_that_nothing_reads(mode, monkeypatch):
 
     monkeypatch.setattr(ly, "block_backward", always_dx)
     monkeypatch.setattr(tr, "block_backward", always_dx)
-    full = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
-    assert len(full.grads) == len(res.grads)
-    for want, got in zip(full.grads, res.grads):
+    full = tr.GradRecorder()
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), update=full)
+    assert len(full) == len(kept)
+    for want, got in zip(full, kept):
         assert want.keys() == got.keys()
         for name in want:
             assert np.array_equal(want[name], got[name]), name
@@ -377,14 +381,15 @@ def test_output_layer_computes_an_input_gradient_only_for_a_global_sweep(mode, m
     output_forward, matmul_backward = tr._output_forward, nm.matmul_backward
     monkeypatch.setattr(tr, "_output_forward", lambda *a: outputs.append(output_forward(*a)) or outputs[-1])
     monkeypatch.setattr(nm, "matmul_backward", lambda a, b, g: calls.append(b) or matmul_backward(a, b, g))
-    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
+    kept = tr.GradRecorder()
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), update=kept)
     out_calls = [b for b in calls if b is net.out.weight]
     assert len(out_calls) == (0 if MODE_TABLE[mode].local else 1)
     # the output layer's weight gradient is matmul_backward's dw, bit for bit
     (flat, logits), = outputs
     _, dlogits = nm.cross_entropy_logits(logits, y)
     _, dw = matmul_backward(flat, net.out.weight, dlogits)
-    got = res.grads[-1]["weight"]
+    got = kept[-1]["weight"]
     assert got.dtype == dw.dtype and got.tobytes() == dw.tobytes()
 
 
@@ -418,6 +423,76 @@ def test_step_takes_one_dropout_generator_per_block():
     for count in (1, 3):
         with pytest.raises(ConfigError, match="per hidden block"):
             tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, count))
+
+
+def _state_bytes(net):
+    """Every state tensor and Adam moment of net, as bytes."""
+    state = {name: np.asarray(t).tobytes() for name, t in tr.state_tensors(net).items()}
+    for k, owner in enumerate(net.blocks + [net.out]):
+        state |= {(k, name): (st.t, st.m.tobytes(), st.v.tobytes()) for name, st in owner.adam.items()}
+    return state
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["predsim", "pred", "glob"])
+def test_step_rejects_a_non_finite_lr_before_anything_moves(mode, lr):
+    # such a step reported finite losses and wrote NaN into every weight,
+    # so the next step's error blamed the wrong step
+    net = small_net(mode, arch="fc8-fc", input_shape=(6, 1, 1), classes=3)
+    x = rand((6, 6, 1, 1), seed=88, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    before = _state_bytes(net)
+    with pytest.raises(ConfigError, match=f"lr must be finite, got {lr}"):
+        tr.train_step(net, x, y, lr, tr.dropout_rngs(0, 0, len(net.blocks)))
+    assert _state_bytes(net) == before
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_rejects_targets_not_shaped_examples_by_classes(mode):
+    net = small_net(mode, arch="fc8-fc", input_shape=(6, 1, 1), classes=3)
+    x = rand((6, 6, 1, 1), seed=89, dtype=np.float32)
+    before = _state_bytes(net)
+    for y in (one_hot(np.arange(5) % 3, 3, np.float32), one_hot(np.arange(6) % 3, 4, np.float32)):
+        want = rf"targets of shape \({y.shape[0]}, {y.shape[1]}\) for inputs of shape \(6, 6, 1, 1\): want \(6, 3\)$"
+        with pytest.raises(ShapeError, match=want):
+            tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
+    assert _state_bytes(net) == before
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_update_sees_the_owners_an_applied_step_updates_in_its_order(mode, monkeypatch):
+    # the seam hands update what an applied step hands update_params, owner
+    # by owner and name by name, and each hidden block's batch stats once,
+    # with its trunk's gradients
+    nets = [small_net(mode, arch="conv3-pool-conv4-fc8-fc", input_shape=(2, 4, 4), classes=3,
+                      dropout=0.1, pred_target_dim=4) for _ in range(2)]
+    x = rand((6, 2, 4, 4), seed=90, dtype=np.float32)
+    y = one_hot(np.arange(6) % 3, 3, np.float32)
+    index = [{id(o): k for k, o in enumerate(net.blocks + [net.out])} for net in nets]
+    applied, seen = [], []
+    update = tr.update_params
+
+    def applying(owner, grads, lr):
+        applied.append((index[0][id(owner)], list(grads)))
+        return update(owner, grads, lr)
+
+    def recording(k, owner, grads, stats=None):
+        assert index[1][id(owner)] == k
+        seen.append((k, list(grads), stats))
+
+    monkeypatch.setattr(tr, "update_params", applying)
+    tr.train_step(nets[0], x, y, 1e-3, tr.dropout_rngs(0, 0, len(nets[0].blocks)))
+    tr.train_step(nets[1], x, y, 1e-3, tr.dropout_rngs(0, 0, len(nets[1].blocks)), update=recording)
+    assert [(k, names) for k, names, _ in seen] == applied
+    trunk = ["weight", "bias", "gamma", "beta"]
+    with_stats = [(k, names) for k, names, stats in seen if stats is not None]
+    assert with_stats == [(k, trunk) for k, names, _ in seen if names == trunk]
+    assert sorted(k for k, _ in with_stats) == list(range(len(nets[1].blocks)))
+    for k, _, stats in seen:
+        if stats is not None:
+            width = nets[1].blocks[k].gamma.shape
+            assert len(stats) == 2 and all(s.shape == width for s in stats)
+    assert nets[1].blocks[0].adam["weight"].t == 0 and nets[0].blocks[0].adam["weight"].t == 1
 
 
 @pytest.mark.parametrize("mode", [m for m in MODES if not MODE_TABLE[m].local])
@@ -463,7 +538,7 @@ def test_pool_index_is_made_only_for_a_backward_that_reads_it(mode, monkeypatch)
 
     monkeypatch.setattr(nm, "maxpool2x2", recording_pool)
     monkeypatch.setattr(nm, "maxpool2x2_backward", recording_backward)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=False)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), update=tr.GradRecorder())
     if MODE_TABLE[mode].local:
         assert made == [None, None] and read == []
     else:
@@ -493,9 +568,9 @@ def test_applied_step_drops_each_blocks_gradients_before_the_next_block(mode, mo
 
     monkeypatch.setattr(tr, "block_forward", watched_forward)
     monkeypatch.setattr(tr, "block_local_backward", watched_backward)
-    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert live_at_forward == [0, 0, 0]  # block k's dw and dh are dead before block k+1 runs
-    assert len(refs) == 6 and res.grads == []
+    assert len(refs) == 6 and set(vars(res)) == {"losses", "predictions"}
 
 
 @pytest.mark.parametrize("mode", LOCAL_MODES)
@@ -535,7 +610,7 @@ def test_local_blocks_cache_is_dead_when_its_update_starts(mode, monkeypatch):
     monkeypatch.setattr(tr, "local_block_loss", local_loss)
     monkeypatch.setattr(tr, "block_local_backward", watched_backward)
     monkeypatch.setattr(tr, "update_params", checking)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert live_at_update == [False, False, False]
     assert len(heads) == sum(len(b.param_names()) - 4 for b in net.blocks)
     assert live_at_backward == [0, 0, 0]
@@ -557,8 +632,8 @@ def test_global_sweep_drops_each_blocks_gradients_before_the_block_below(mode, m
         return grads, dx
 
     monkeypatch.setattr(tr, "block_backward", watched)
-    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
-    assert live_at_backward == [0, 0, 0] and len(refs) == 3 and res.grads == []
+    res = tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
+    assert live_at_backward == [0, 0, 0] and len(refs) == 3 and set(vars(res)) == {"losses", "predictions"}
     # each block above has been updated by the time the one below runs
     assert updated_at_backward == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
     assert net.out.adam["weight"].t == 1 and [b.adam["weight"].t for b in net.blocks] == [1, 1, 1]
@@ -595,7 +670,7 @@ def test_global_sweep_frees_each_output_gradient_once_read(mode, monkeypatch):
     monkeypatch.setattr(nm, "maxpool2x2_backward", unpooling)
     monkeypatch.setattr(tr, "block_backward", checking)
     monkeypatch.setattr(tr, "update_params", updating)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert len(refs) == 4 and live == [0, 0, 0, 0]
 
 
@@ -620,7 +695,7 @@ def test_pool_index_dies_once_its_backward_has_read_it(mode, monkeypatch):
 
     monkeypatch.setattr(nm, "maxpool2x2", pooling)
     monkeypatch.setattr(tr, "block_backward", checking)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert live == [[True, False], [False, False]]
 
 
@@ -639,7 +714,7 @@ def test_pooled_block_output_is_dead_when_the_next_block_runs(mode, monkeypatch)
         return h, cache
 
     monkeypatch.setattr(tr, "block_forward", watched)
-    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)), apply=True)
+    tr.train_step(net, x, y, 1e-3, tr.dropout_rngs(0, 0, len(net.blocks)))
     assert live_at_forward == [[], [False]]
 
 
