@@ -52,8 +52,9 @@ DATASET_PRESETS = {
 }
 
 
-def _load_dataset(name: str, data_dir: str, seed: int):
-    """Returns (train split, test split); an empty one is an error."""
+def _load_dataset(args):
+    """The (train split, test split) of args.dataset; an empty one is an error."""
+    name, data_dir, seed = args.dataset, args.data_dir, args.seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if name == "blobs":
@@ -102,17 +103,9 @@ def blas_entries() -> dict:
     return {"blas": name, "blas_threads": _openblas_threads()}
 
 
-def write_manifest(path, entries: dict) -> None:
-    """Sorted key=value lines; the whole resolved configuration of a run.
-    A float is written as its repr, so a run reruns from its manifest."""
-    with open(path, "w") as f:
-        for key in sorted(entries):
-            f.write(f"{key}={entries[key]}\n")
-
-
 def cmd_train(args) -> int:
     preset = DATASET_PRESETS[args.dataset]
-    train_ds, test_ds = _load_dataset(args.dataset, args.data_dir, args.seed)
+    train_ds, test_ds = _load_dataset(args)
     resolved_arch = ARCH_PRESETS.get(args.arch, args.arch)
 
     lr = args.lr if args.lr is not None else preset["lr"]
@@ -151,9 +144,13 @@ def cmd_train(args) -> int:
         contract=CONTRACT,
         **blas_entries(),
     )
-    try:  # an --out that cannot be written fails before training, as one error line
+    # the manifest: the run's whole resolved configuration as sorted key=value
+    # lines, a float as its repr, so a run reruns from it. An --out that
+    # cannot be written fails before training, as one error line
+    try:
         os.makedirs(args.out, exist_ok=True)
-        write_manifest(os.path.join(args.out, "manifest.txt"), manifest)
+        with open(os.path.join(args.out, "manifest.txt"), "w") as f:
+            f.writelines(f"{key}={manifest[key]}\n" for key in sorted(manifest))
     except OSError as e:
         raise LocalLearnError(f"cannot write the run directory {args.out!r}: {e.strerror or e}") from None
 
@@ -179,7 +176,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    train_ds, test_ds = _load_dataset(args.dataset, args.data_dir, args.seed)
+    train_ds, test_ds = _load_dataset(args)
     # the train split lends its channel statistics and is never standardized
     datamod.standardize(datamod.channel_stats(train_ds), test_ds)
     # heads never run at inference; a plain-backprop skeleton accepts any

@@ -40,6 +40,8 @@ class Dataset:
             raise ShapeError(f"images must be (n, c, h, w), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ShapeError(f"{self.labels.shape[0]} labels for {self.images.shape[0]} images")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise DataError(f"{self.name or 'split'}: labels must be integers, got dtype {self.labels.dtype}")
         bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
         if bad.size:
             i = bad[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -73,11 +73,11 @@ def fd_grad(f: Callable[[], float], x: np.ndarray, step: float = FD_STEP) -> np.
     return g
 
 
-def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
+def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.abs(a), np.abs(n))
-    err = np.where(denom > floor, np.abs(a - n) / np.where(denom > floor, denom, 1.0), 0.0)
+    err = np.where(denom > REL_FLOOR, np.abs(a - n) / np.where(denom > REL_FLOOR, denom, 1.0), 0.0)
     return float(err.max()) if err.size else 0.0
 
 
@@ -85,7 +85,7 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FL
 class CheckResult:
     name: str
     max_err: float
-    threshold: float = THRESHOLD
+    threshold: ClassVar[float] = THRESHOLD
 
     @property
     def ok(self) -> bool:

@@ -8,6 +8,13 @@ for anything downstream.
 
 Each loss mode is defined by its row in `MODE_TABLE`, and nothing else:
 the pred part, the sim part, local or global training, the default beta.
+
+Both pred parts are one local linear classifier on the layer's (pooled,
+flattened) activations, and differ in two things only. pred scores one-hot
+labels with cross-entropy and sends its error down through the classifier's
+own w. pred-bpf scores binarised projected labels with binary cross-entropy
+and sends its error down through a fixed random matrix B of w's shape
+(feedback alignment), so its dh is deliberately not its loss's gradient.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ MODE_TABLE = {
 }
 
 MODES = tuple(MODE_TABLE)
-LOCAL_MODES = tuple(mode for mode, row in MODE_TABLE.items() if row.local)
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +205,26 @@ def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray, weight: float = 1.0) -
 # ---------------------------------------------------------------------------
 
 
-def _add_into(d: np.ndarray, add_to):
-    """d, or add_to with d added into it when the caller hands one over."""
-    return d if add_to is None else np.add(add_to, d, out=add_to)
-
-
-def _pool_flatten(h: np.ndarray, pool_k: int):
-    """Average-pool conv activations and flatten; dense activations pass
-    through. Returns (flat, unflatten) where unflatten(d, add_to=None) maps
-    the flat gradient back to h's shape: into a new array, or, given add_to
-    (an array of h's shape its caller hands over), added into it, bit for bit
-    add_to + unflatten(d)."""
-    if h.ndim == 2:
-        return h, _add_into
-    if h.ndim == 4:
-        pooled = nm.avgpool(h, pool_k) if pool_k > 1 else h
-        shape = pooled.shape
-        flat = pooled.reshape(h.shape[0], -1)
-
-        def unflatten(d, add_to=None):
-            d = d.reshape(shape)
-            return nm.avgpool_backward(d, pool_k, add_to) if pool_k > 1 else _add_into(d, add_to)
-
-        return flat, unflatten
-    raise ShapeError(f"expected 2-d or 4-d activations, got {h.shape}")
+def _classifier_loss(h, targets, w, b, back, loss_fn, pool_k, weight, add_to) -> LocalLossResult:
+    """The local classifier both pred parts are: average-pool a conv map
+    (pool_k > 1), flatten, score the logits with loss_fn against targets,
+    and send dlogits down through back, w or B. The weight scales dlogits,
+    the smallest gradient, so cls_w and cls_b are those of weight * loss.
+    Given add_to, an array of h's shape the caller hands over, dh is added
+    into it, bit for bit add_to + dh, and the result's dh is add_to."""
+    if h.ndim not in (2, 4):
+        raise ShapeError(f"expected 2-d or 4-d activations, got {h.shape}")
+    pooled = nm.avgpool(h, pool_k) if h.ndim == 4 and pool_k > 1 else h
+    flat = pooled.reshape(h.shape[0], -1)
+    loss, dlogits = loss_fn(nm.matmul(flat, w) + b, targets)
+    dlogits *= dlogits.dtype.type(weight)
+    dflat, dw = nm.matmul_backward(flat, back, dlogits)
+    d = dflat.reshape(pooled.shape)
+    if pooled is not h:
+        dh = nm.avgpool_backward(d, pool_k, add_to)
+    else:
+        dh = d if add_to is None else np.add(add_to, d, out=add_to)
+    return LocalLossResult(loss, dh, {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 
 
 def pred_loss(
@@ -234,17 +236,9 @@ def pred_loss(
     weight: float = 1.0,
     add_to=None,
 ) -> LocalLossResult:
-    """Cross-entropy of a single local linear classifier on this layer's
-    (pooled, flattened) activations. The gradients are those of
-    weight * loss: the weight scales dlogits, the smallest gradient. Given
-    add_to, an array of h's shape that the caller hands over, dh is added
-    into it (see _pool_flatten) and the result's dh is add_to."""
-    flat, unflatten = _pool_flatten(h, pool_k)
-    logits = nm.matmul(flat, w) + b
-    loss, dlogits = nm.cross_entropy_logits(logits, targets_onehot)
-    dlogits *= dlogits.dtype.type(weight)
-    dflat, dw = nm.matmul_backward(flat, w, dlogits)
-    return LocalLossResult(loss, unflatten(dflat, add_to), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
+    """The pred part: the local classifier on one-hot labels, its error
+    sent down through w (see _classifier_loss)."""
+    return _classifier_loss(h, targets_onehot, w, b, w, nm.cross_entropy_logits, pool_k, weight, add_to)
 
 
 def binarized_targets(proj: np.ndarray, targets_onehot: np.ndarray, dtype) -> np.ndarray:
@@ -262,23 +256,12 @@ def pred_bpf_loss(
     weight: float = 1.0,
     add_to=None,
 ) -> LocalLossResult:
-    """Backprop-free pred loss: binary cross-entropy against binarised
-    projected labels, with the activation gradient routed through a fixed
-    random feedback matrix instead of the classifier's transpose.
-
-    dh is therefore deliberately *not* the gradient of the loss; the
-    classifier's own w/b gradients are, of weight * loss (the weight scales
-    dlogits, as in pred_loss). add_to is pred_loss's.
-    """
+    """The pred-bpf part: the local classifier on binarised projected
+    labels, its error sent down through feedback, B, in w's place (see
+    _classifier_loss)."""
     if feedback.shape != w.shape:
         raise ShapeError(f"feedback shape {feedback.shape} must match classifier {w.shape}")
-    flat, unflatten = _pool_flatten(h, pool_k)
-    logits = nm.matmul(flat, w) + b
-    loss, dlogits = nm.bce_logits(logits, bin_targets)
-    dlogits *= dlogits.dtype.type(weight)
-    dw = flat.T @ dlogits  # matmul_backward's dw; its dx, through w, is not this loss's
-    dflat = dlogits @ feedback.T  # feedback alignment: B replaces w^T on the way down
-    return LocalLossResult(loss, unflatten(dflat, add_to), {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
+    return _classifier_loss(h, bin_targets, w, b, feedback, nm.bce_logits, pool_k, weight, add_to)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ update, backward and update.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -200,6 +201,15 @@ class TrainConfig:
             raise ConfigError(
                 f"loss mode {self.loss!r} does not mix pred and sim, so beta must stay {row.beta}, got {self.beta}"
             )
+        _require_ints(
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            seed=self.seed,
+            width_mult=self.width_mult,
+            projection_dim=self.projection_dim,
+            pred_target_dim=self.pred_target_dim,
+            classes_per_batch=self.classes_per_batch,
+        )
         if self.projection_dim < 1:
             raise ConfigError(f"projection_dim must be >= 1, got {self.projection_dim}")
         if self.epochs < 1:
@@ -240,6 +250,14 @@ class TrainConfig:
         if self.slope is not None:
             return self.slope
         return 0.01 if MODE_TABLE[self.loss].sim else 0.0
+
+
+def _require_ints(**settings) -> None:
+    """A ConfigError naming the first setting whose value is not an integer
+    (a numpy one is, a bool is not)."""
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def lr_breakpoints(total_epochs: int):
@@ -467,6 +485,7 @@ def sample_batches(labels: np.ndarray, batch_size: int, rng, classes_per_batch: 
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
+    _require_ints(batch_size=batch_size, classes_per_batch=classes_per_batch)
     if batch_size < 2:
         raise ConfigError(f"batch size must be >= 2 (batchnorm), got {batch_size}")
     if batch_size > n:
@@ -534,6 +553,24 @@ def forward_eval(net: Network, x: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _check_split(net: Network, ds: Dataset) -> None:
+    """A DataError naming the split unless the net can score it: its class
+    count is the output layer's width, and the first layer takes its
+    examples (a conv block their exact shape, a dense layer their size)."""
+    classes = net.out.weight.shape[1]
+    if ds.num_classes != classes:
+        raise DataError(f"the {ds.name!r} split has {ds.num_classes} classes, the net's output layer {classes}")
+    shape = ds.images.shape[1:]
+    first = net.blocks[0].spec if net.blocks else None
+    if first is not None and first.kind == "conv":
+        fits, takes = shape == tuple(first.in_shape), f"{tuple(first.in_shape)} examples"
+    else:
+        fan_in = first.fan_in if first is not None else net.out.weight.shape[0]
+        fits, takes = int(np.prod(shape)) == fan_in, f"{fan_in} features"
+    if not fits:
+        raise DataError(f"the {ds.name!r} split's examples are {shape}, the net's first layer takes {takes}")
+
+
 def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     """Classification error fraction on a dataset.
 
@@ -544,12 +581,15 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     per example, so the slice size bounds the memory the pass holds, not
     what it computes. A value that overflows or turns invalid (a checkpoint
     holding huge weights) is a NonFiniteError naming the split and the
-    layer, not a score.
+    layer, not a score. A split the net cannot score (_check_split) is a
+    DataError naming it, before any slice runs.
     """
+    _require_ints(batch_size=batch_size)
     if batch_size < 1:
         raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
     if not len(ds):
         raise DataError(f"cannot evaluate on the empty split {ds.name!r}")
+    _check_split(net, ds)
     shapes = [ds.images.shape[1:]] + [b.spec.out_shape for b in net.blocks]
     widest = max(int(np.prod(s)) for s in shapes) * ds.images.itemsize
     step = max(1, min(batch_size, nm.COLS_BUDGET // widest))
@@ -584,7 +624,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None
     the step predictions (augmented batches, parameters moving); the train
     split passed as test_ds as well gives its eval-mode error. The
     class-per-batch restriction, when set, lifts at the first learning-rate
-    drop.
+    drop. A test split the net cannot score (_check_split) is a DataError
+    before the first step.
     """
     net = build_network(cfg, train_ds.images.shape[1:], train_ds.num_classes)
     history = train_network(net, cfg, train_ds, test_ds)
@@ -592,6 +633,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None
 
 
 def train_network(net: Network, cfg: TrainConfig, train_ds: Dataset, test_ds: Optional[Dataset] = None):
+    if test_ds is not None:
+        _check_split(net, test_ds)
     first_drop = lr_breakpoints(cfg.epochs)[0]
     history = []
     for epoch in range(cfg.epochs):

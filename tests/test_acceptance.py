@@ -18,12 +18,13 @@ import locallearn.layers as ly
 import locallearn.losses as ls
 import locallearn.trainer as tr
 from locallearn.data import AugmentConfig, synthetic_blobs
-from locallearn.losses import LOCAL_MODES
 from locallearn.numerics import one_hot
 from locallearn.rng import make_rng
 from locallearn.trainer import TrainConfig
 
 from conftest import peak_live_caches
+
+LOCAL_MODES = tuple(m for m, row in ls.MODE_TABLE.items() if row.local)
 
 
 def _grab_all_params(block):

@@ -127,6 +127,14 @@ def test_label_outside_the_classes_names_split_index_and_value(bad):
         dt.Dataset(np.zeros((5, 3, 2, 2), np.float32), labels, 10, "cifar10/test")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+def test_labels_not_of_an_integer_dtype_are_rejected(dtype):
+    with pytest.raises(DataError, match=f"blobs/train: labels must be integers, got dtype {np.dtype(dtype)}"):
+        dt.Dataset(np.zeros((3, 1, 2, 2), np.float32), np.array([0, 1, 0], dtype=dtype), 2, "blobs/train")
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert dt.Dataset(np.zeros((3, 1, 2, 2), np.float32), np.array([0, 1, 0], dtype=dtype), 2).num_classes == 2
+
+
 def test_idx_labels_file_holding_a_ten_is_rejected(tmp_path):
     dt.write_idx_images(tmp_path / "train-images-idx3-ubyte", _fixture_images(n=3))
     dt.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([1, 10, 2]))

@@ -68,3 +68,48 @@ def test_every_imported_name_is_read():
     paths += [*(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
     dead = {f"{p.parent.name}/{p.name}": names for p in paths if (names := unread_imports(p))}
     assert dead == {}
+
+
+def defined_names(path: pathlib.Path) -> set:
+    """The public functions, classes and constants a module defines at its
+    top level."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def read_names(path: pathlib.Path) -> set:
+    """The names a source reads: loaded names and attributes, and the
+    identifiers it spells as strings (__all__, and perfbench wraps the
+    functions it times by name)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+# the IDX fixture writers, which only the tests call
+_READ_BY_TESTS_ALONE = {"data.write_idx_images", "data.write_idx_labels"}
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is a package module (the defining one too, beyond the
+    # definition), the benchmark or a demo; the tests do not count
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readers = [*PACKAGE.glob("*.py"), *(root / "perfbench").glob("*.py"), *(root / "demos").glob("*.py")]
+    read = set().union(*map(read_names, readers))
+    unread = {
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") if p.name != "__init__.py" for name in defined_names(p) - read
+    }
+    assert unread - _READ_BY_TESTS_ALONE == set()

@@ -232,18 +232,29 @@ def test_pred_bpf_feedback_swap_changes_dh_not_dw():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pred_bpf_computes_the_classifier_gradient_alone(dtype, monkeypatch):
-    h = rand((16, 12), seed=57, dtype=dtype)
-    t = make_rng(58).integers(0, 2, (16, 8)).astype(dtype)
-    w, b, feedback = (rand(shape, seed=s, dtype=dtype) for shape, s in (((12, 8), 59), ((8,), 60), ((12, 8), 61)))
+@pytest.mark.parametrize("shape, pool_k", [((16, 12), 1), ((4, 3, 4, 4), 1), ((4, 3, 4, 4), 2)])
+def test_pred_bpf_computes_the_classifier_gradient_alone(shape, pool_k, dtype, monkeypatch):
+    # feedback alignment is the classifier's backward with B in w's place:
+    # one matmul_backward, through feedback; w never reaches it, so no input
+    # gradient through w is made, only to be dropped
+    h = rand(shape, seed=57, dtype=dtype)
+    pooled = nm.avgpool(h, pool_k) if pool_k > 1 else h
+    flat = pooled.reshape(shape[0], -1)
+    dim = flat.shape[1]
+    t = make_rng(58).integers(0, 2, (shape[0], 8)).astype(dtype)
+    w, b, feedback = (rand(s, seed=seed, dtype=dtype) for s, seed in (((dim, 8), 59), ((8,), 60), ((dim, 8), 61)))
     calls = []
     matmul_backward = nm.matmul_backward
     monkeypatch.setattr(nm, "matmul_backward", lambda *a: calls.append(a) or matmul_backward(*a))
-    res = ls.pred_bpf_loss(h, t, w, b, feedback)
-    assert calls == []  # no input gradient through w is made, only to be dropped
-    _, dlogits = nm.bce_logits(nm.matmul(h, w) + b, t)
-    _, dw = matmul_backward(h, w, dlogits)
-    assert res.grads["cls_w"].dtype == dw.dtype and res.grads["cls_w"].tobytes() == dw.tobytes()
+    res = ls.pred_bpf_loss(h, t, w, b, feedback, pool_k)
+    assert len(calls) == 1 and calls[0][1] is feedback
+    assert not any(arg is w for arg in calls[0])
+    _, dlogits = nm.bce_logits(nm.matmul(flat, w) + b, t)
+    dh = (dlogits @ feedback.T).reshape(pooled.shape)
+    dh = nm.avgpool_backward(dh, pool_k) if pool_k > 1 else dh
+    dw = flat.T @ dlogits
+    for got, want in ((res.dh, dh), (res.grads["cls_w"], dw)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_pred_bpf_feedback_shape_enforced():
@@ -322,7 +333,7 @@ def test_combine_beta_out_of_range():
 def test_mode_lists():
     assert ls.MODES == ("glob", "pred", "sim", "predsim", "pred-bpf",
                         "sim-bpf", "predsim-bpf", "glob+sim")
-    assert set(ls.LOCAL_MODES) == set(ls.MODES) - {"glob", "glob+sim"}
+    assert {m for m, row in ls.MODE_TABLE.items() if row.local} == set(ls.MODES) - {"glob", "glob+sim"}
 
 
 def test_loss_config_beta_defaults():

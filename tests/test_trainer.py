@@ -3,6 +3,7 @@ loop, metrics formatting, and network state round-trips."""
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import weakref
@@ -17,7 +18,7 @@ import locallearn.numerics as nm
 import locallearn.trainer as tr
 from locallearn.data import Dataset
 from locallearn.errors import ConfigError, DataError, NonFiniteError, ShapeError
-from locallearn.losses import LOCAL_MODES, MODE_TABLE, MODES
+from locallearn.losses import MODE_TABLE, MODES
 from locallearn.numerics import one_hot
 from locallearn.rng import SAMPLER, make_rng
 
@@ -26,6 +27,8 @@ from conftest import peak_live_caches, rand, small_net, tiny_blobs
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tracing import MemoryProbe  # noqa: E402
+
+LOCAL_MODES = tuple(m for m, row in MODE_TABLE.items() if row.local)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,6 +1005,66 @@ def test_train_config_validation():
         _quick_cfg(seed=-1)
     with pytest.raises(ConfigError, match="width multiplier"):
         _quick_cfg(width_mult=0)
+
+
+# each integer setting, with a legal value of it; the net is one the value can build
+_INT_SETTINGS = {"epochs": 2, "batch_size": 4, "seed": 1, "width_mult": 2, "projection_dim": 4,
+                 "pred_target_dim": 8, "classes_per_batch": 2}
+
+
+def _int_setting_use(where, name, value):
+    """Hand value to where takes it as name: a TrainConfig field (built,
+    checked against the data and trained, as a run does), evaluate's batch
+    size, or sample_batches' batch size or class limit."""
+    ds = tiny_blobs(per_class=4, dim=8, seed=5)
+    if where == "evaluate":
+        return tr.evaluate(small_net("glob", arch="fc8-fc"), ds, value)
+    if where == "sample_batches":
+        return tr.sample_batches(ds.labels, rng=make_rng(5), **{"batch_size": 4, name: value})
+    arch, loss = ("conv4-fc", "pred") if name == "width_mult" else ("fc8-fc", "predsim-bpf")
+    cfg = tr.TrainConfig(arch=arch, loss=loss, **{"epochs": 1, "batch_size": 4, name: value})
+    cfg.validate_for(ds)
+    return tr.train(cfg, ds)
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"])
+@pytest.mark.parametrize("where, name", [*(("TrainConfig", n) for n in _INT_SETTINGS), ("evaluate", "batch_size"),
+                                         ("sample_batches", "batch_size"), ("sample_batches", "classes_per_batch")])
+def test_integer_settings_must_be_integers(where, name, value):
+    # a float, a bool or a string is a ConfigError naming the setting before
+    # anything runs; a numpy integer is an integer
+    with pytest.raises(ConfigError, match=f"{name} must be an integer, got {re.escape(repr(value))}"):
+        _int_setting_use(where, name, value)
+    _int_setting_use(where, name, np.int64(_INT_SETTINGS[name]))
+
+
+@pytest.mark.parametrize("classes, dim, match", [
+    (4, 8, "'blobs/test' split has 4 classes, the net's output layer 3"),
+    (3, 6, r"'blobs/test' split's examples are \(6, 1, 1\), the net's first layer takes 8 features"),
+])
+def test_a_split_the_net_cannot_score_is_an_error_naming_it(classes, dim, match, monkeypatch):
+    # evaluate rejects it before any slice runs; train before its first step
+    test = tiny_blobs(classes=classes, per_class=4, dim=dim, seed=6)
+    test.name = "blobs/test"
+    forward, step = [], []
+    monkeypatch.setattr(tr, "forward_eval", lambda *a: forward.append(a))
+    monkeypatch.setattr(tr, "train_step", lambda *a: step.append(a))
+    with pytest.raises(DataError, match=match):
+        tr.evaluate(small_net("glob", arch="fc8-fc"), test)
+    cfg = tr.TrainConfig(arch="fc8-fc", loss="glob", epochs=2, batch_size=4)
+    with pytest.raises(DataError, match=match):
+        tr.train(cfg, tiny_blobs(per_class=4, dim=8, seed=5), test)
+    assert forward == [] and step == []
+
+
+def test_a_conv_net_takes_only_its_input_shape():
+    net = small_net("glob", arch="conv4-fc", input_shape=(1, 4, 4), classes=3)
+    ds = tiny_blobs(per_class=4, dim=16, seed=6)
+    ds.name = "flat"
+    with pytest.raises(DataError, match=r"'flat' split's examples are \(16, 1, 1\), .* takes \(1, 4, 4\) examples"):
+        tr.evaluate(net, ds)
+    ds.images = ds.images.reshape(-1, 1, 4, 4)
+    assert 0.0 <= tr.evaluate(net, ds) <= 1.0
 
 
 @pytest.mark.parametrize("slope", [-1.0, 5.0, float("nan")])
