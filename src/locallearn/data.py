@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import rng as rngmod
-from .errors import ConfigError, DataError, InputError, ShapeError
+from .errors import ConfigError, DataError, InputError, ShapeError, require_ints
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -40,6 +40,7 @@ class Dataset:
             raise ShapeError(f"images must be (n, c, h, w), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ShapeError(f"{self.labels.shape[0]} labels for {self.images.shape[0]} images")
+        require_ints(lambda message: DataError(f"{self.name or 'split'}: {message}"), num_classes=self.num_classes)
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise DataError(f"{self.name or 'split'}: labels must be integers, got dtype {self.labels.dtype}")
         bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
@@ -195,6 +196,9 @@ class AugmentConfig:
     jitter: int = 0  # max absolute shift in pixels, drawn uniformly incl. 0
     hflip: bool = False
     cutout: int = 0  # square hole side; 0 disables
+
+    def __post_init__(self):
+        require_ints(ConfigError, jitter=self.jitter, cutout=self.cutout)
 
     def validate_for(self, image_shape) -> None:
         _, h, w = image_shape

@@ -39,7 +39,8 @@ Conventions:
 
 Every convolution is a 3x3 same conv (stride 1, one pixel of zero padding,
 so the output keeps the input's extent), the only conv the networks build:
-a GEMM over im2col buffers, a chunk of examples at a time.
+GEMMs over im2col buffers, lowered a chunk of examples at a time, with one
+GEMM per example written straight into that example's output rows.
 conv2d and the input gradient share one private lowering: a conv's dx is the
 same conv of g, with the kernel flipped in space and its in and out channels
 swapped, so no gradient is scatter-added back into the input. The lowering
@@ -115,23 +116,23 @@ def matmul_backward(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     return g @ b.T, a.T @ g
 
 
-# Bytes one chunk's im2col buffer (and each product the chunk makes with it)
-# may take, or a quarter of the conv output's bytes when that is more; the
-# batch is lowered a few examples at a time to stay under it. Evaluation
-# slices its split so that no activation exceeds the budget (trainer.evaluate),
-# so the quarter never applies there; it caps a training batch whose conv
-# output exceeds 16 MiB at a few dozen chunks, so a few dozen BLAS calls: each
-# call hands work to BLAS's threads, and that hand-off stalls whenever another
-# process holds a core, so hundreds of calls make the step time swing with the
-# load on the machine.
+# Bytes one chunk's im2col buffer may take, or a quarter of the conv output's
+# bytes when that is more; the batch is lowered a few examples at a time to
+# stay under it. The chunk sizes only the lowering, and the copy of g's chunk
+# that a widening conv's weight gradient multiplies with it: the conv and
+# input-gradient GEMMs write each example's rows straight into their output,
+# so they make no chunk-sized product. Evaluation slices its split so that no
+# activation exceeds the budget (trainer.evaluate), so the quarter never
+# applies there; in training it keeps the number of chunks of a batch whose
+# conv output exceeds 16 MiB at a few dozen.
 COLS_BUDGET = 4 << 20
 
 
 def _im2col_chunks(x: np.ndarray, co: int):
     """Yield (examples, cols) over the batch in chunks, for a conv of x to co
     channels; cols[(c,u,v), (i,p,q)] is pixel (c, p+u-1, q+v-1) of example i
-    of the chunk, zero off the image, so that each product with cols is a
-    single 2-d GEMM.
+    of the chunk, zero off the image, so that a product with cols, or with
+    one example's h*w columns of it, is a single 2-d GEMM.
 
     Each chunk is copied into one zeroed canvas per call, whose (example,
     channel) planes are padded by a zero row above and below, not at the
@@ -165,13 +166,14 @@ def _im2col_chunks(x: np.ndarray, co: int):
 
 
 def _lowered_conv(x: np.ndarray, k: np.ndarray):
-    """The (n, co, h, w) conv of x with k, one GEMM per chunk of examples."""
+    """The (n, co, h, w) conv of x with k: over each chunk's lowering, one
+    stacked matmul, a GEMM per example written into that example's rows."""
     n, _, h, w = x.shape
     co = k.shape[0]
     out = np.empty((n, co, h * w), dtype=x.dtype)
     k2 = k.reshape(co, -1)
     for rows, cols in _im2col_chunks(x, co):
-        out[rows] = (k2 @ cols).reshape(co, -1, h * w).transpose(1, 0, 2)
+        np.matmul(k2, cols.reshape(len(cols), -1, h * w).transpose(1, 0, 2), out=out[rows])
     return out.reshape(n, co, h, w)
 
 
@@ -187,10 +189,11 @@ def _check_conv(x: np.ndarray, k: np.ndarray) -> None:
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """3x3 same cross-correlation of an NCHW batch with OIHW kernels.
 
-    Lowered to one GEMM per chunk of examples: the kernel as a (co, ci*9)
-    matrix times that chunk's im2col buffer, sized as the COLS_BUDGET note
-    says. One BLAS call per chunk, not per example, keeps the number of
-    multithreaded calls (and their thread hand-offs) small.
+    Lowered to one GEMM per example: the kernel as a (co, ci*9) matrix
+    times that example's columns of its chunk's im2col buffer (chunks sized
+    as the COLS_BUDGET note says), written straight into the example's rows
+    of the output. So an example's output depends on that example alone,
+    not on the others of its chunk, and no chunk-sized product is made.
     """
     x = _as_float(x, "x")
     k = _as_float(k, "k")
@@ -210,7 +213,8 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
     and dx, if wanted, lowers g afterwards. Over g's chunks the same cols
     feed both GEMMs, one lowering in all: dk adds up, an example at a time,
     cols @ x[i]ᵀ, a (co, 2-u, 2-v) by ci product that the end un-flips to
-    (co, ci, u, v).
+    (co, ci, u, v), and dx, as conv2d does, is one GEMM per example written
+    into its rows.
     """
     _check_conv(x, k)
     n, ci, h, w = x.shape
@@ -238,7 +242,7 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
         for j, i in enumerate(range(n)[rows]):
             dkf += cols[:, j * h * w : (j + 1) * h * w] @ x3[i].T
         if need_dx:
-            dx[rows] = (f2 @ cols).reshape(ci, -1, h * w).transpose(1, 0, 2)
+            np.matmul(f2, cols.reshape(len(cols), -1, h * w).transpose(1, 0, 2), out=dx[rows])
     dk = dkf.reshape(co, 3, 3, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return (None if dx is None else dx.reshape(n, ci, h, w)), np.ascontiguousarray(dk)
 

@@ -25,7 +25,6 @@ update, backward and update.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -34,7 +33,7 @@ import numpy as np
 from . import numerics as nm
 from . import rng as rngmod
 from .data import AugmentConfig, Dataset, augment_batch
-from .errors import ConfigError, DataError, NonFiniteError, ShapeError
+from .errors import ConfigError, DataError, NonFiniteError, ShapeError, require_ints, require_reals
 from .layers import (
     MAX_WEIGHT_ELEMENTS,
     AdamState,
@@ -64,8 +63,10 @@ LR_DROP_FRACTIONS = (0.50, 0.75, 0.89, 0.94)
 # from the smaller lowering, Adam's bias correction folded into its step
 # size, beta folded into each local loss part's smallest gradient, batchnorm's
 # dgamma and the channel statistics summed in row blocks, and one dropout
-# stream per hidden block.
-CONTRACT = 2
+# stream per hidden block. 3: each example's conv output (and a conv input
+# gradient's rows) is one GEMM of that example's lowering, whatever other
+# examples share its chunk.
+CONTRACT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in MODE_TABLE:
             raise ConfigError(f"unknown loss mode {self.loss!r}; valid: {', '.join(MODES)}")
+        defaulted = {"beta": self.beta, "slope": self.slope}  # None = the mode's default
+        require_reals(
+            ConfigError, lr=self.lr, dropout=self.dropout, **{k: v for k, v in defaulted.items() if v is not None}
+        )
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         row = MODE_TABLE[self.loss]
@@ -201,7 +206,8 @@ class TrainConfig:
             raise ConfigError(
                 f"loss mode {self.loss!r} does not mix pred and sim, so beta must stay {row.beta}, got {self.beta}"
             )
-        _require_ints(
+        require_ints(
+            ConfigError,
             epochs=self.epochs,
             batch_size=self.batch_size,
             seed=self.seed,
@@ -250,14 +256,6 @@ class TrainConfig:
         if self.slope is not None:
             return self.slope
         return 0.01 if MODE_TABLE[self.loss].sim else 0.0
-
-
-def _require_ints(**settings) -> None:
-    """A ConfigError naming the first setting whose value is not an integer
-    (a numpy one is, a bool is not)."""
-    for name, value in settings.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def lr_breakpoints(total_epochs: int):
@@ -485,7 +483,7 @@ def sample_batches(labels: np.ndarray, batch_size: int, rng, classes_per_batch: 
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    _require_ints(batch_size=batch_size, classes_per_batch=classes_per_batch)
+    require_ints(ConfigError, batch_size=batch_size, classes_per_batch=classes_per_batch)
     if batch_size < 2:
         raise ConfigError(f"batch size must be >= 2 (batchnorm), got {batch_size}")
     if batch_size > n:
@@ -577,14 +575,17 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 512) -> float:
     The split goes through forward_eval a slice at a time. batch_size is an
     upper bound on a slice's examples; a slice also holds no more of them
     than fit their widest activation (the input or any block's output) into
-    numerics.COLS_BUDGET, at least one. Every op of an eval forward works
-    per example, so the slice size bounds the memory the pass holds, not
-    what it computes. A value that overflows or turns invalid (a checkpoint
-    holding huge weights) is a NonFiniteError naming the split and the
-    layer, not a score. A split the net cannot score (_check_split) is a
-    DataError naming it, before any slice runs.
+    numerics.COLS_BUDGET, at least one. The slice size bounds the memory
+    the pass holds, and it can move the logits' low bits: the convs, pools
+    and elementwise ops compute each example's bytes from that example
+    alone, but a dense layer's GEMM, the output layer's included, may take
+    another BLAS kernel for another number of rows. A value that overflows
+    or turns invalid (a checkpoint holding huge weights) is a
+    NonFiniteError naming the split and the layer, not a score. A split the
+    net cannot score (_check_split) is a DataError naming it, before any
+    slice runs.
     """
-    _require_ints(batch_size=batch_size)
+    require_ints(ConfigError, batch_size=batch_size)
     if batch_size < 1:
         raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
     if not len(ds):

@@ -105,7 +105,7 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert manifest["loss"] == "predsim"
     assert manifest["beta"] == "0.99"
     assert manifest["arch"] == "fc16-fc"
-    assert manifest["contract"] == "2"
+    assert manifest["contract"] == "3"
     # the BLAS that computed the bytes, with its version and thread count
     want = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == f"{want['name']} {want['version']}"

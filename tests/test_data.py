@@ -1,6 +1,7 @@
 """IDX and CIFAR loaders, augmentations, standardization, synthetic data."""
 
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -135,6 +136,14 @@ def test_labels_not_of_an_integer_dtype_are_rejected(dtype):
         assert dt.Dataset(np.zeros((3, 1, 2, 2), np.float32), np.array([0, 1, 0], dtype=dtype), 2).num_classes == 2
 
 
+@pytest.mark.parametrize("classes", [2.5, np.float64(2.0), True, "2"])
+def test_a_class_count_that_is_not_an_integer_names_split_and_field(classes):
+    # a float class count once reached range() in the sampler as a bare TypeError
+    with pytest.raises(DataError, match=f"blobs/train: num_classes must be an integer, got {re.escape(repr(classes))}"):
+        dt.Dataset(np.zeros((3, 1, 2, 2), np.float32), np.array([0, 1, 0]), classes, "blobs/train")
+    assert dt.Dataset(np.zeros((3, 1, 2, 2), np.float32), np.array([0, 1, 0]), np.int64(2)).num_classes == 2
+
+
 def test_idx_labels_file_holding_a_ten_is_rejected(tmp_path):
     dt.write_idx_images(tmp_path / "train-images-idx3-ubyte", _fixture_images(n=3))
     dt.write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([1, 10, 2]))
@@ -230,6 +239,16 @@ def test_augment_config_validation():
         dt.AugmentConfig(jitter=-1).validate_for((1, 8, 8))
     with pytest.raises(ConfigError):
         dt.AugmentConfig(cutout=10).validate_for((1, 8, 8))
+
+
+@pytest.mark.parametrize("value", [1.5, np.float64(1.0), True, "1"])
+@pytest.mark.parametrize("name", ["jitter", "cutout"])
+def test_augment_sizes_must_be_integers(name, value):
+    # a float cutout once reached a slice as a bare TypeError, a float
+    # jitter trained
+    with pytest.raises(ConfigError, match=f"{name} must be an integer, got {re.escape(repr(value))}"):
+        dt.AugmentConfig(**{name: value})
+    assert getattr(dt.AugmentConfig(**{name: np.int64(1)}), name) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The trained bytes, pinned: a SHA-256 over what a few steps of every loss
-mode compute, on a conv net and two dense nets.
+mode compute, on two conv nets and two dense nets.
 
 Each case hashes 3 dry steps (the losses, the predictions and every
 gradient a GradRecorder kept as the step's update), then 3 applied steps,
@@ -31,6 +31,9 @@ FINGERPRINTS = pathlib.Path(__file__).with_name("fingerprints.json")
 NETS = {
     # pools, a same-channel conv block, and pred heads that pool by 2
     "conv": dict(arch="conv8-pool-conv12-conv12-pool-fc16-fc", input_shape=(3, 8, 8), pred_target_dim=40),
+    # 4x4 maps of 64 channels, a shape where BLAS takes another kernel for
+    # one example's GEMM than for several examples' at once
+    "conv4x4": dict(arch="conv64-conv64-fc", input_shape=(3, 4, 4)),
     "dense": dict(arch="fc32-fc32-fc", input_shape=(12, 1, 1)),
     # a 2700x256 weight: Adam makes and applies its gradient in several row
     # blocks, the last one ragged

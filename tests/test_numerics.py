@@ -287,6 +287,29 @@ def test_widening_and_narrowing_conv_backward_leave_g_be(case):
     assert g.tobytes() == before and not np.shares_memory(dx, g)
 
 
+PER_EXAMPLE_CASES = {
+    # BLAS picks another float32 kernel for one example's GEMM than for a
+    # chunk of 10 at this shape, so a product per chunk moved these bytes
+    "same-channel 64to64 4x4": ((10, 64, 4, 4), (64, 64, 3, 3)),
+    # the benchmark conv net's two trunk convs, at its batch
+    "widening 3to64 32x32": ((32, 3, 32, 32), (64, 3, 3, 3)),
+    "widening 64to128 16x16": ((32, 64, 16, 16), (128, 64, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", PER_EXAMPLE_CASES)
+def test_conv_rows_of_an_example_are_its_one_example_calls(case):
+    # each example's rows of the conv and of its input gradient are one GEMM
+    # of that example's lowering, whatever shares its chunk
+    x, k, g = _conv_case(*PER_EXAMPLE_CASES[case], seed=72, dtype=np.float32)
+    out = nm.conv2d(x, k)
+    dx, _ = nm.conv2d_backward(x, k, g.copy())  # a same-channel dx takes over g
+    for i in range(len(x)):
+        one = slice(i, i + 1)
+        assert out[i].tobytes() == nm.conv2d(x[one], k)[0].tobytes(), i
+        assert dx[i].tobytes() == nm.conv2d_backward(x[one], k, g[one].copy())[0][0].tobytes(), i
+
+
 def test_conv_weight_grad_rejects_misshapen_grad():
     x, k, g = _conv_case((2, 2, 4, 4), (3, 2, 3, 3), seed=60)
     with pytest.raises(ShapeError):
@@ -937,3 +960,13 @@ _POOL_CALLS = {
 def test_pool_kernels_hold_under_1_mib_of_scratch(kernel):
     x = rand((32, 64, 32, 32), seed=101, dtype=np.float32)
     assert _transient_bytes(_POOL_CALLS[kernel](x)) < 1 << 20
+
+
+def test_conv_holds_its_lowering_and_no_product_of_it():
+    # block 0's conv in the benchmark's conv net: a chunk of 16 examples'
+    # im2col buffer is 1.69 MiB and the canvas 0.2; each example's GEMM
+    # writes its rows of the output, so no chunk-sized product (4 MiB) and
+    # its transposed copy are ever made (5.89 MiB held when they were)
+    x = rand((32, 3, 32, 32), seed=73, dtype=np.float32)
+    k = rand((64, 3, 3, 3), seed=74, dtype=np.float32)
+    assert _transient_bytes(lambda: nm.conv2d(x, k)) < 2.5 * (1 << 20)

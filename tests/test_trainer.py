@@ -921,7 +921,8 @@ def test_evaluate_slices_match_a_per_example_reference(batch_size, slices, monke
 
 def test_evaluate_peak_holds_with_the_split_and_the_batch():
     # the benchmark's conv net: block 0's output is 256 KiB an image, so a
-    # slice holds 16 of them and never 4 MiB more
+    # slice holds 16 of them and never 4 MiB more; the pass peaks at 7.43 MiB
+    # (9.89 while each chunk's conv GEMM made a product of its own)
     cfg = tr.TrainConfig(arch="conv64-pool-conv128-pool-fc256-fc", loss="predsim", pred_target_dim=2048, seed=0)
     net = tr.build_network(cfg, (3, 32, 32), 10)
     peaks = []
@@ -932,7 +933,7 @@ def test_evaluate_peak_holds_with_the_split_and_the_batch():
             tr.evaluate(net, ds, batch_size=512)
         peaks += probe.eval_peaks
     assert len(peaks) == 2
-    assert max(peaks) < 12 << 20
+    assert max(peaks) < 8 << 20
     assert abs(peaks[0] - peaks[1]) < 1 << 20
 
 
@@ -1036,6 +1037,17 @@ def test_integer_settings_must_be_integers(where, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer, got {re.escape(repr(value))}"):
         _int_setting_use(where, name, value)
     _int_setting_use(where, name, np.int64(_INT_SETTINGS[name]))
+
+
+@pytest.mark.parametrize("name, value", [*((n, v) for n in ("lr", "dropout", "beta", "slope") for v in ("0.1", True)),
+                                         ("lr", None), ("dropout", None)])
+def test_real_settings_must_be_real_numbers(name, value):
+    # a string once reached a comparison or math.isfinite as a bare
+    # TypeError, and a bool lr or beta was taken as 1; None is beta's and
+    # slope's default, and a numpy float is a real number
+    with pytest.raises(ConfigError, match=f"{name} must be a real number, got {re.escape(repr(value))}"):
+        tr.TrainConfig(loss="predsim", **{name: value})
+    assert getattr(tr.TrainConfig(loss="predsim", **{name: np.float32(0.25)}), name) == np.float32(0.25)
 
 
 @pytest.mark.parametrize("classes, dim, match", [
@@ -1192,23 +1204,25 @@ def test_conv_step_peak_stays_near_the_first_block_output(mode):
     peak = _step_peak(net, x, y)
     block0_out = 32 * 64 * 32 * 32 * 4
     # the block-0 cache (xhat and the two bit masks) and its output hold
-    # 2.25x of it; glob's peak (2.70x) is block 1's conv backward, with
+    # 2.25x of it; glob's peak (2.68x) is block 1's conv backward, with
     # block 0's cache still waiting on it (2.94x when block 0's pool
     # backward built a full-size mask for each window position, 3.20x when
     # block 2's 8 MiB weight gradient was made whole; adam_step now makes
     # it a 1 MiB block at a time). In predsim and sim block 0, the largest
     # output, keeps no xhat and pools its output right after its local
-    # loss; both peak (2.99x) in block 0's xhat rebuild, the conv of its
-    # input, with its output, a lowering chunk's product, d and the pooled
-    # output live. The sim head's same-channel conv backward writes its dx
-    # over dfeat, which is written over the head's feature map, so it reads
-    # 2.47x (3.45x, and the step's peak, while dx had a buffer of its own;
-    # 4.45x when the cache kept xhat through it). pred's (3.24x) falls at
-    # block 0 too. glob+sim's (3.76x) is block 0's sim loss in the global
-    # backward, on the output recomputed from its cache (4.76x while the
-    # head's dx had its own buffer; 5.10x when each block's sim dh waited on
-    # the trace from the forward sweep)
-    bound = {"glob": 2.8, "predsim": 3.05, "glob+sim": 3.85, "sim": 3.05, "pred": 3.5}[mode]
+    # loss; both peak (2.49x) in block 0's xhat rebuild, the conv of its
+    # input, with its output, a lowering chunk's im2col buffer, d and the
+    # pooled output live (2.99x while each chunk's GEMM made a product of
+    # its own before its rows were copied into the output). The sim head's
+    # same-channel conv backward writes its dx over dfeat, which is written
+    # over the head's feature map, so it reads 2.47x (3.45x, and the step's
+    # peak, while dx had a buffer of its own; 4.45x when the cache kept
+    # xhat through it). pred's (3.24x) falls at block 0 too. glob+sim's
+    # (3.76x) is block 0's sim loss in the global backward, on the output
+    # recomputed from its cache (4.76x while the head's dx had its own
+    # buffer; 5.10x when each block's sim dh waited on the trace from the
+    # forward sweep)
+    bound = {"glob": 2.8, "predsim": 2.55, "glob+sim": 3.85, "sim": 2.55, "pred": 3.5}[mode]
     assert peak < bound * block0_out
 
 
