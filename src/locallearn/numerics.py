@@ -39,8 +39,9 @@ Conventions:
 
 Every convolution is a 3x3 same conv (stride 1, one pixel of zero padding,
 so the output keeps the input's extent), the only conv the networks build:
-GEMMs over im2col buffers, lowered a chunk of examples at a time, with one
-GEMM per example written straight into that example's output rows.
+GEMMs over im2col buffers, one example lowered at a time, its GEMM written
+straight into its output rows; only a widening conv's weight gradient
+lowers x a chunk of examples at a time (see COLS_BUDGET).
 conv2d and the input gradient share one private lowering: a conv's dx is the
 same conv of g, with the kernel flipped in space and its in and out channels
 swapped, so no gradient is scatter-added back into the input. The lowering
@@ -116,23 +117,23 @@ def matmul_backward(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     return g @ b.T, a.T @ g
 
 
-# Bytes one chunk's im2col buffer may take, or a quarter of the conv output's
-# bytes when that is more; the batch is lowered a few examples at a time to
-# stay under it. The chunk sizes only the lowering, and the copy of g's chunk
-# that a widening conv's weight gradient multiplies with it: the conv and
-# input-gradient GEMMs write each example's rows straight into their output,
-# so they make no chunk-sized product. Evaluation slices its split so that no
-# activation exceeds the budget (trainer.evaluate), so the quarter never
-# applies there; in training it keeps the number of chunks of a batch whose
-# conv output exceeds 16 MiB at a few dozen.
+# Bytes one chunk of a widening conv's weight-gradient lowering may take, or
+# a quarter of the conv output's bytes when that is more, with the copy of
+# g's chunk that the GEMM multiplies it by. That dk is one GEMM per chunk,
+# the chunk's examples along K, so the chunk size fixes its bytes; the
+# quarter keeps the number of chunks of a batch whose conv output exceeds
+# 16 MiB at a few dozen. Every other lowering goes one example at a time:
+# each example's rows are one GEMM of its own columns, so a larger buffer
+# buys neither bytes nor speed. evaluate slices its split so that no
+# activation exceeds the budget either.
 COLS_BUDGET = 4 << 20
 
 
-def _im2col_chunks(x: np.ndarray, co: int):
-    """Yield (examples, cols) over the batch in chunks, for a conv of x to co
-    channels; cols[(c,u,v), (i,p,q)] is pixel (c, p+u-1, q+v-1) of example i
-    of the chunk, zero off the image, so that a product with cols, or with
-    one example's h*w columns of it, is a single 2-d GEMM.
+def _im2col_chunks(x: np.ndarray, m: int):
+    """Yield (examples, cols) over the batch in chunks of m examples, the
+    last one short if m does not divide it; cols[(c,u,v), (i,p,q)] is pixel
+    (c, p+u-1, q+v-1) of example i of the chunk, zero off the image, so
+    that a product with cols is a single 2-d GEMM. The caller sets m.
 
     Each chunk is copied into one zeroed canvas per call, whose (example,
     channel) planes are padded by a zero row above and below, not at the
@@ -145,9 +146,6 @@ def _im2col_chunks(x: np.ndarray, co: int):
     consumer must be done with one chunk's cols before it asks for the next.
     """
     n, ci, h, w = x.shape
-    per_example = x.itemsize * h * w * max(ci * 9, co)
-    budget = max(COLS_BUDGET, x.itemsize * n * co * h * w // 4)
-    m = max(1, budget // per_example)
     plane = (h + 2) * w
     canvas = np.zeros(min(m, n) * ci * plane + 2, dtype=x.dtype)
     buf = np.empty(ci * 9 * min(m, n) * h * w, dtype=x.dtype)
@@ -166,14 +164,14 @@ def _im2col_chunks(x: np.ndarray, co: int):
 
 
 def _lowered_conv(x: np.ndarray, k: np.ndarray):
-    """The (n, co, h, w) conv of x with k: over each chunk's lowering, one
-    stacked matmul, a GEMM per example written into that example's rows."""
+    """The (n, co, h, w) conv of x with k: x lowered one example at a time,
+    each example's GEMM written into its rows."""
     n, _, h, w = x.shape
     co = k.shape[0]
     out = np.empty((n, co, h * w), dtype=x.dtype)
     k2 = k.reshape(co, -1)
-    for rows, cols in _im2col_chunks(x, co):
-        np.matmul(k2, cols.reshape(len(cols), -1, h * w).transpose(1, 0, 2), out=out[rows])
+    for rows, cols in _im2col_chunks(x, 1):
+        np.matmul(k2, cols[None], out=out[rows])
     return out.reshape(n, co, h, w)
 
 
@@ -189,11 +187,11 @@ def _check_conv(x: np.ndarray, k: np.ndarray) -> None:
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """3x3 same cross-correlation of an NCHW batch with OIHW kernels.
 
-    Lowered to one GEMM per example: the kernel as a (co, ci*9) matrix
-    times that example's columns of its chunk's im2col buffer (chunks sized
-    as the COLS_BUDGET note says), written straight into the example's rows
-    of the output. So an example's output depends on that example alone,
-    not on the others of its chunk, and no chunk-sized product is made.
+    Lowered one example at a time, to one GEMM per example: the kernel as a
+    (co, ci*9) matrix times that example's im2col buffer, written straight
+    into the example's rows of the output. So an example's output depends
+    on that example alone, and the call holds one example's buffer and no
+    product of its own.
     """
     x = _as_float(x, "x")
     k = _as_float(k, "k")
@@ -209,12 +207,13 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
 
     dk comes from whichever lowering is smaller, chosen on the shapes alone,
     so it is the same bytes with or without dx. x's im2col has ci*9 rows,
-    g's co*9, both of n*h*w columns. Over x's chunks dk adds up g @ colsᵀ,
-    and dx, if wanted, lowers g afterwards. Over g's chunks the same cols
-    feed both GEMMs, one lowering in all: dk adds up, an example at a time,
-    cols @ x[i]ᵀ, a (co, 2-u, 2-v) by ci product that the end un-flips to
-    (co, ci, u, v), and dx, as conv2d does, is one GEMM per example written
-    into its rows.
+    g's co*9, both of n*h*w columns. x's is lowered in the chunks
+    COLS_BUDGET sizes, and dk adds up g @ colsᵀ over them, one GEMM per
+    chunk whose size fixes dk's bytes; dx, if wanted, lowers g afterwards.
+    g's is lowered one example at a time, and the same cols feed both
+    GEMMs, one lowering in all: dk adds up cols @ x[i]ᵀ, a (co, 2-u, 2-v)
+    by ci product that the end un-flips to (co, ci, u, v), and dx, as
+    conv2d does, is one GEMM per example written into its rows.
     """
     _check_conv(x, k)
     n, ci, h, w = x.shape
@@ -225,24 +224,25 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
     if co > ci:
         g3 = g.reshape(n, co, h * w)
         dk = np.zeros_like(k).reshape(co, -1)
-        for rows, cols in _im2col_chunks(x, co):
+        budget = max(COLS_BUDGET, x.itemsize * n * co * h * w // 4)
+        m = max(1, budget // (x.itemsize * h * w * max(ci * 9, co)))  # a chunk's cols or g's copy
+        for rows, cols in _im2col_chunks(x, m):
             dk += g3[rows].transpose(1, 0, 2).reshape(co, -1) @ cols.T
         cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
         dx = _lowered_conv(g, flipped) if need_dx else None
         return dx, dk.reshape(k.shape)
     x3 = x.reshape(n, ci, h * w)
     dkf = np.zeros((co * 9, ci), dtype=k.dtype)
-    # a same-channel dx takes over g: each chunk of g is in the canvas
-    # before that chunk's dx rows are written over it
+    # a same-channel dx takes over g: each example of g is in the canvas
+    # before its dx rows are written over it
     dx = None
     if need_dx:
         dx = g.reshape(n, ci, h * w) if ci == co else np.empty((n, ci, h * w), dtype=x.dtype)
     f2 = flipped.reshape(ci, -1)
-    for rows, cols in _im2col_chunks(g, ci):
-        for j, i in enumerate(range(n)[rows]):
-            dkf += cols[:, j * h * w : (j + 1) * h * w] @ x3[i].T
+    for rows, cols in _im2col_chunks(g, 1):
+        dkf += cols @ x3[rows.start].T
         if need_dx:
-            np.matmul(f2, cols.reshape(len(cols), -1, h * w).transpose(1, 0, 2), out=dx[rows])
+            np.matmul(f2, cols[None], out=dx[rows])
     dk = dkf.reshape(co, 3, 3, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return (None if dx is None else dx.reshape(n, ci, h, w)), np.ascontiguousarray(dk)
 

@@ -16,10 +16,11 @@ than one live cache would be a bug). In predsim and sim, the conv blocks
 with the largest output keep no xhat in their cache either: the backward
 rebuilds it from the block's input (LayerSpec.rebuild_xhat), and the
 block pools its output before that, so the step's peak block holds
-neither. Global backprop is the same forward
-sweep, except that each block's cache goes onto a trace for one backward
-pass at the end. In every mode one body runs a block's local loss, head
-update, backward and update.
+neither. Global backprop is the same forward sweep, except that each
+block's cache goes onto a trace for one backward pass at the end; there
+too the widest conv blocks keep no xhat, so the trace holds none of
+their full-size float arrays through the later blocks. In every mode one
+body runs a block's local loss, head update, backward and update.
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
     block, pool after one, a conv classifier on non-square activations, and
     a weight or head too large for numpy to hold. Pooling an odd extent, pool
     first or after pool, a non-fc final token and an output weight too large
-    raise here too. A token's error names the token. In a local mode with
-    a sim head, each conv block whose output has the most elements of any
-    hidden block gets rebuild_xhat: its cache keeps no xhat.
+    raise here too. A token's error names the token. In a global mode, and
+    in a local mode with a sim head, each conv block whose output has the
+    most elements of any hidden block gets rebuild_xhat: its cache keeps no
+    xhat.
     """
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
@@ -154,13 +156,21 @@ def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
                 raise ConfigError("unknown architecture token")
         except (ConfigError, ShapeError) as e:
             raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
-    if row.local and row.sim == "head":
-        # a local step with a sim head peaks at the block with the largest
-        # output, where the head's conv backward runs on top of the cache:
-        # such a conv block keeps no xhat, which its backward rebuilds with
-        # one more trunk conv. Measured at quarter-width vgg8b, rebuilding
-        # in every conv block gave the same peak at +9% step time, and in
-        # pred or a bpf mode, with no sim head's GEMMs to hide it, +24-35%
+    if not row.local or row.sim == "head":
+        # the conv blocks with the largest output keep no xhat, which their
+        # backward rebuilds with one more trunk conv. A local step with a
+        # sim head peaks there, where the head's conv backward runs on top
+        # of the cache, and the head's GEMMs hide the rebuild; a global step
+        # would hold that xhat through every later block's forward and
+        # backward. Measured at batch 32: glob 21.42 -> 16.55 MiB on the
+        # benchmark conv net for 4-6% of a step (glob+sim 30.05 -> 22.00),
+        # 36.11 -> 25.59 at quarter-width vgg8b and 153.80 -> 117.56 at full
+        # width. Rebuilding in every conv block gave predsim the same peak
+        # at +9% step time at quarter width. In pred and the bpf modes no
+        # sim head's GEMMs hide the conv: rebuilding cut pred's
+        # benchmark-net peak 25.95 -> 18.57 MiB for 5-10% of its step, and
+        # predsim-bpf's quarter-width peak 29.58 -> 23.27 for 6-11%, so they
+        # keep xhat
         most = max(math.prod(b.out_shape) for b in blocks) if blocks else 0
         blocks = [replace(b, rebuild_xhat=b.kind == "conv" and math.prod(b.out_shape) == most) for b in blocks]
     return blocks, math.prod(shape)

@@ -156,38 +156,38 @@ def test_conv_kernels_match_per_tap_oracle(case):
 
 
 CHUNK_CASES = {
-    # a budget of two examples' im2col buffer splits 5 examples as 2 + 2 + 1;
-    # the input gradient lowers g, whose 3 channels make an example's buffer
-    # 27/18 as large, so there one example fits
+    # the forward and every pass over g lower one example per chunk; x's
+    # lowering for a widening weight gradient takes the budget's chunks: two
+    # examples' im2col buffer splits 5 examples as 2 + 2 + 1
     "budget": (
         (5, 2, 5, 7),
         (3, 2, 3, 3),
         lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7,
-        [("x", [2, 2, 1])],
+        [("x", [1] * 5)],
         [("x", [2, 2, 1]), ("g", [1] * 5)],
         [("x", [2, 2, 1])],
     ),
-    # under a budget of one byte a chunk may still take a quarter of the
-    # output, so 16 examples go as 4 x 4 and not as 16 one-example calls; the
-    # input gradient's output has one channel, and a quarter of it holds
-    # less than one example's buffer of 9-channel g
+    # under a budget of one byte the widening weight gradient's chunk may
+    # still take a quarter of the output, so 16 examples go as 4 x 4 and
+    # not as 16 one-example calls
     "quarter": (
         (16, 1, 5, 7),
         (9, 1, 3, 3),
         lambda x: 1,
-        [("x", [4, 4, 4, 4])],
+        [("x", [1] * 16)],
         [("x", [4, 4, 4, 4]), ("g", [1] * 16)],
         [("x", [4, 4, 4, 4])],
     ),
     # same-channel: g's lowering is no larger than x's, so the backward
-    # lowers g alone, once, for dk and dx both, and dk alone lowers g too
+    # lowers g alone, once, for dk and dx both, and dk alone lowers g too,
+    # an example at a time whatever the budget
     "same-channel": (
         (5, 2, 5, 7),
         (2, 2, 3, 3),
         lambda x: 2 * x.itemsize * 2 * 9 * 5 * 7,
-        [("x", [2, 2, 1])],
-        [("g", [2, 2, 1])],
-        [("g", [2, 2, 1])],
+        [("x", [1] * 5)],
+        [("g", [1] * 5)],
+        [("g", [1] * 5)],
     ),
 }
 
@@ -223,14 +223,11 @@ def test_conv_kernels_split_the_batch_into_chunks(monkeypatch, case):
     assert np.allclose(got, dk, rtol=1e-12, atol=1e-12) and passes == weight_grad
 
 
-def _windowed_im2col_chunks(x, co):
-    """The lowering as it was before it copied whole rows: each chunk in the
-    interior of an (h+2, w+2) canvas, its 3x3 windows copied into cols a
-    row of w at a time. An oracle for nm._im2col_chunks."""
+def _windowed_im2col_chunks(x, m):
+    """The lowering as it was before it copied whole rows: each chunk of m
+    examples in the interior of an (h+2, w+2) canvas, its 3x3 windows
+    copied into cols a row of w at a time. An oracle for nm._im2col_chunks."""
     n, ci, h, w = x.shape
-    per_example = x.itemsize * h * w * max(ci * 9, co)
-    budget = max(nm.COLS_BUDGET, x.itemsize * n * co * h * w // 4)
-    m = max(1, budget // per_example)
     canvas = np.zeros((min(m, n), ci, h + 2, w + 2), dtype=x.dtype)
     for i in range(0, n, m):
         chunk = canvas[: min(m, n - i)]
@@ -241,15 +238,15 @@ def _windowed_im2col_chunks(x, co):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("xs", [(5, 2, 5, 7), (3, 2, 1, 1), (2, 1, 1, 7), (4, 3, 6, 1), (7, 4, 8, 8), (3, 16, 4, 4)])
-def test_lowering_copies_the_windowed_oracles_bytes(xs, dtype, monkeypatch):
+def test_lowering_copies_the_windowed_oracles_bytes(xs, dtype):
     # whole-row copies out of a canvas padded only above and below give the
     # bytes of the windowed copy, chunk for chunk, the wrapped columns and
-    # the guards included; a budget of two examples' buffer makes uneven chunks
+    # the guards included: one example per chunk, two (uneven chunks), and
+    # as many as the budget's buffer holds (the whole batch here)
     x = rand(xs, seed=41, dtype=dtype)
-    monkeypatch.setattr(nm, "COLS_BUDGET", 2 * x.itemsize * xs[1] * 9 * xs[2] * xs[3])
-    for co in (1, xs[1], 4 * xs[1]):
-        want = [(rows, cols.copy()) for rows, cols in _windowed_im2col_chunks(x, co)]
-        got = [(rows, cols.copy()) for rows, cols in nm._im2col_chunks(x, co)]
+    for m in (1, 2, nm.COLS_BUDGET // (x.itemsize * xs[1] * 9 * xs[2] * xs[3])):
+        want = [(rows, cols.copy()) for rows, cols in _windowed_im2col_chunks(x, m)]
+        got = [(rows, cols.copy()) for rows, cols in nm._im2col_chunks(x, m)]
         assert [rows for rows, _ in got] == [rows for rows, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -308,6 +305,35 @@ def test_conv_rows_of_an_example_are_its_one_example_calls(case):
         one = slice(i, i + 1)
         assert out[i].tobytes() == nm.conv2d(x[one], k)[0].tobytes(), i
         assert dx[i].tobytes() == nm.conv2d_backward(x[one], k, g[one].copy())[0][0].tobytes(), i
+
+
+# (x shape, k shape) for each branch of the conv backward: a widening conv
+# lowers x for dk in the budget's chunks and g for dx, a same-channel or
+# narrowing one lowers g alone
+BRANCH_CASES = {
+    "widening 16to64 8x8": ((8, 16, 8, 8), (64, 16, 3, 3)),
+    "same-channel 64to64 4x4": ((10, 64, 4, 4), (64, 64, 3, 3)),
+    "narrowing 64to16 8x8": ((8, 64, 8, 8), (16, 64, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", BRANCH_CASES)
+def test_conv_bytes_do_not_depend_on_the_budget(case, monkeypatch):
+    # the conv, every branch's dx and a dk over g's lowering are made an
+    # example at a time, so the budget moves none of their bytes; only a
+    # widening dk, one GEMM per chunk of x, is fixed by its chunks
+    x, k, g = _conv_case(*BRANCH_CASES[case], seed=75, dtype=np.float32)
+
+    def run():
+        dx, dk = nm.conv2d_backward(x, k, g.copy())  # a same-channel dx takes over g
+        return nm.conv2d(x, k), dx, dk, nm.conv2d_weight_grad(x, k, g)
+
+    want = run()
+    monkeypatch.setattr(nm, "COLS_BUDGET", 1)
+    got = run()
+    fixed = 2 if case.startswith("widening") else 4
+    for i in range(fixed):
+        assert got[i].tobytes() == want[i].tobytes(), i
 
 
 def test_conv_weight_grad_rejects_misshapen_grad():
@@ -962,11 +988,13 @@ def test_pool_kernels_hold_under_1_mib_of_scratch(kernel):
     assert _transient_bytes(_POOL_CALLS[kernel](x)) < 1 << 20
 
 
-def test_conv_holds_its_lowering_and_no_product_of_it():
-    # block 0's conv in the benchmark's conv net: a chunk of 16 examples'
-    # im2col buffer is 1.69 MiB and the canvas 0.2; each example's GEMM
-    # writes its rows of the output, so no chunk-sized product (4 MiB) and
-    # its transposed copy are ever made (5.89 MiB held when they were)
-    x = rand((32, 3, 32, 32), seed=73, dtype=np.float32)
-    k = rand((64, 3, 3, 3), seed=74, dtype=np.float32)
-    assert _transient_bytes(lambda: nm.conv2d(x, k)) < 2.5 * (1 << 20)
+@pytest.mark.parametrize("xs, co, mib", [((32, 3, 32, 32), 64, 0.25), ((32, 64, 16, 16), 128, 0.8)])
+def test_conv_holds_its_lowering_and_no_product_of_it(xs, co, mib):
+    # the benchmark's conv net's two trunk convs at its batch: one example's
+    # im2col buffer (0.11 and 0.56 MiB) and its canvas (0.01 and 0.07); each
+    # example's GEMM writes its rows of the output, so no product is made.
+    # 1.89 and 4.43 MiB held while a chunk of up to 16 examples was lowered
+    # at once, 5.89 for the first when each chunk's GEMM made a product
+    x = rand(xs, seed=73, dtype=np.float32)
+    k = rand((co, xs[1], 3, 3), seed=74, dtype=np.float32)
+    assert _transient_bytes(lambda: nm.conv2d(x, k)) < mib * (1 << 20)
