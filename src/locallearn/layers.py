@@ -346,9 +346,11 @@ class BlockCache:
     """Everything the paired backward pass needs from one forward.
     block_backward sets xhat and the two masks to None once it has read
     them. A block whose spec has rebuild_xhat keeps no xhat (None from the
-    forward on): its backward rebuilds it from x, the weight and bias and
-    the batch mean and inv_std, so the cache holds no float array of the
-    output's size."""
+    forward on, whose batchnorm never makes one): its backward rebuilds it
+    from x, the weight and bias and the batch mean and inv_std, a RowMap
+    block of rows at a time, so neither the cache nor the backward holds a
+    float array of the output's size beside the gradient. block_output
+    rebuilds the output's rows the same way."""
 
     x: np.ndarray  # affine input (dense: already flattened)
     x_shape: tuple  # original input shape, for reshaping dx
@@ -367,21 +369,22 @@ def _affine(block: LayerBlock, x2: np.ndarray) -> np.ndarray:
         pre += block.bias
     else:
         pre = nm.conv2d(x2, block.weight)
-        pre += block.bias[None, :, None, None]
+        pre += nm.feature_row(block.bias, pre)
     return pre
 
 
-def _xhat(block: LayerBlock, cache: BlockCache) -> np.ndarray:
-    """The cache's xhat, or, when it keeps none, the one batchnorm_train
-    made in the forward, bit for bit, rebuilt by the forward's own ops:
-    the affine map of x, minus the batch mean, times inv_std. Read it
-    before an update moves the weight or the bias."""
+def _xhat(block: LayerBlock, cache: BlockCache, rows: slice = slice(None)) -> np.ndarray:
+    """The given rows of the cache's xhat, or, when it keeps none, of the
+    one batchnorm_train made in the forward, bit for bit, rebuilt by the
+    forward's own ops from those rows of x: the affine map, minus the batch
+    mean, times inv_std (each example's conv output is its own GEMM, so
+    its rows are the same bytes whichever rows are rebuilt with it). Read
+    it before an update moves the weight or the bias."""
     if cache.xhat is not None:
-        return cache.xhat
-    xhat = _affine(block, cache.x)
-    shape = (1, block.spec.width) + (1,) * (xhat.ndim - 2)
-    xhat -= cache.stats[0].reshape(shape)
-    xhat *= cache.inv_std.reshape(shape)
+        return cache.xhat[rows]
+    xhat = _affine(block, cache.x[rows])
+    xhat -= nm.feature_row(cache.stats[0], xhat)
+    xhat *= nm.feature_row(cache.inv_std, xhat)
     return xhat
 
 
@@ -406,10 +409,10 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     if not train:
         act = nm.batchnorm_eval(pre, block.gamma, block.beta, block.run_mean, block.run_var, out=pre)
         return nm.leaky_relu(act, spec.slope, out=act), None
-    bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(pre, block.gamma, block.beta, out=pre)
+    bn_out, xhat, inv_std, mean, var = nm.batchnorm_train(
+        pre, block.gamma, block.beta, out=pre, need_xhat=not spec.rebuild_xhat  # block_backward rebuilds it
+    )
     del pre
-    if spec.rebuild_xhat:  # block_backward rebuilds it
-        xhat = None
     act, positive = nm.leaky_relu(bn_out, spec.slope, out=bn_out, need_sign=True)
 
     mask = None
@@ -420,18 +423,19 @@ def block_forward(block: LayerBlock, x: np.ndarray, train: bool, rng: Optional[n
     return act, BlockCache(x2, x.shape, xhat, inv_std, positive, mask, (mean, var))
 
 
-def block_output(block: LayerBlock, cache: BlockCache) -> np.ndarray:
-    """block_forward's train-mode output for cache, bit for bit, by its own
-    ops from xhat (rebuilt when the cache keeps none) and the masks: call
-    it before block_backward takes them over and before an update moves
-    the block's parameters."""
-    xhat = _xhat(block, cache)
-    shape = (1, block.spec.width) + (1,) * (xhat.ndim - 2)
-    out = np.multiply(block.gamma.reshape(shape), xhat)
-    out += block.beta.reshape(shape)
+def block_output(block: LayerBlock, cache: BlockCache, rows: slice = slice(None)) -> np.ndarray:
+    """The given rows of block_forward's train-mode output for cache, bit
+    for bit, by its own ops from those rows of xhat (rebuilt when the cache
+    keeps none, and then written over) and of the dropout mask: call it
+    before block_backward takes them over and before an update moves the
+    block's parameters. A RowMap of block_output's rows is the output
+    without the whole of it (losses.sim_loss reads one)."""
+    xhat = _xhat(block, cache, rows)
+    out = np.multiply(nm.feature_row(block.gamma, xhat), xhat, out=None if cache.xhat is not None else xhat)
+    out += nm.feature_row(block.beta, xhat)
     out = nm.leaky_relu(out, block.spec.slope, out=out)
     if cache.mask is not None:  # the dropout backward scales by the mask as dropout does
-        out = nm.dropout_backward(out, cache.mask, block.spec.dropout, out=out)
+        out = nm.dropout_backward(out, cache.mask[rows], block.spec.dropout, out=out)
     return out
 
 
@@ -446,9 +450,10 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
     through the weight gradient's GEMM, and a cache goes through one
     backward only (a second raises
     InputError). A cache that keeps no xhat (LayerSpec.rebuild_xhat) has
-    it rebuilt, bit for bit, once the masks are dead, so the grads and dx
-    are the bytes a cache that kept it gives; the weight and bias must not
-    have moved since the forward. dx comes back in the shape the block was
+    it rebuilt, bit for bit, a block of rows at a time in each of
+    batchnorm_backward's two passes (a RowMap of _xhat's rows), so the
+    grads and dx are the bytes a cache that kept it gives; the weight and
+    bias must not have moved since the forward. dx comes back in the shape the block was
     fed, so it can cross a flatten boundary on the way down in the global
     modes. With need_dx=False it is not computed and
     comes back None: the weight gradients are the same bytes either way.
@@ -466,7 +471,10 @@ def block_backward(block: LayerBlock, cache: BlockCache, d_out: np.ndarray, need
         cache.mask = None
     g = nm.leaky_relu_backward(cache.positive, g, spec.slope, out=g)
     cache.positive = None
-    xhat, cache.xhat = _xhat(block, cache), None
+    xhat = cache.xhat
+    if xhat is None:  # rebuilt a row block at a time, as batchnorm_backward reads it
+        xhat = nm.RowMap(g.shape, g.dtype, lambda rows: _xhat(block, cache, rows))
+    cache.xhat = None
     g, dgamma, dbeta = nm.batchnorm_backward(g, block.gamma, xhat, cache.inv_std, out=g)
     xhat = None
     dx = None

@@ -164,7 +164,7 @@ class LocalLossResult:
 
 
 def sim_loss(
-    h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head_b=None, weight: float = 1.0
+    h: np.ndarray, targets_onehot: np.ndarray, head_w: np.ndarray, head_b=None, weight: float = 1.0, rebuilt=None
 ) -> LocalLossResult:
     """Similarity-matching loss through the layer's sim head.
 
@@ -172,6 +172,12 @@ def sim_loss(
     output. Conv h (n, c, hh, ww): the head is a 3x3 same-channel conv with
     no bias, and the descriptor is the per-feature-map std of its output.
     The gradients are those of weight * loss (see _sim_match).
+
+    Given rebuilt with a conv h, an array-like of h's rows made again bit
+    for bit (a numerics.RowMap of layers.block_output), h is handed over:
+    the head's map is written over it a block of examples at a time, and
+    the head's weight gradient reads h's rows from rebuilt, so the map, its
+    gradient and dh are h's own buffer.
     """
     target_sim = label_similarity(targets_onehot)
     if h.ndim == 2:
@@ -182,10 +188,17 @@ def sim_loss(
     if h.ndim == 4:
         # nothing reads the head's feature map once its std is taken, so its
         # gradient is written over it, and the same-channel head's dx (the
-        # block's dh) over that: map, gradient and dh are one buffer
-        feat = nm.conv2d(h, head_w)
+        # block's dh) over that: map, gradient and dh are one buffer. Each
+        # example's conv output is its own GEMM, so a block's map is the
+        # whole map's rows
+        if rebuilt is None:
+            feat, rebuilt = nm.conv2d(h, head_w), h
+        else:
+            feat, step = h, max(1, nm.ROWS_BUDGET // h[0].nbytes)
+            for i in range(0, len(h), step):
+                feat[i : i + step] = nm.conv2d(h[i : i + step], head_w)
         loss, dfeat = _sim_match(feat, target_sim, weight, out=feat)
-        dh, dw = nm.conv2d_backward(h, head_w, dfeat)
+        dh, dw = nm.conv2d_backward(rebuilt, head_w, dfeat)
         return LocalLossResult(loss, dh, {"sim_w": dw})
     raise ShapeError(f"sim_loss expects 2-d or 4-d activations, got {h.shape}")
 
@@ -205,13 +218,25 @@ def sim_bpf_loss(h: np.ndarray, proj_targets: np.ndarray, weight: float = 1.0) -
 # ---------------------------------------------------------------------------
 
 
-def _classifier_loss(h, targets, w, b, back, loss_fn, pool_k, weight, add_to) -> LocalLossResult:
+def _spread(d: np.ndarray, pool_k: int, add_to=None) -> np.ndarray:
+    """h's gradient from a pred part's gradient d at its pooled map (h's own
+    map when it did not pool). Given add_to, an array of h's shape the
+    caller hands over, it is added into that, bit for bit add_to + dh, and
+    add_to comes back."""
+    if d.ndim == 4 and pool_k > 1:
+        return nm.avgpool_backward(d, pool_k, add_to)
+    return d if add_to is None else np.add(add_to, d, out=add_to)
+
+
+def _classifier_loss(h, targets, w, b, back, loss_fn, pool_k, weight, add_to, spread) -> LocalLossResult:
     """The local classifier both pred parts are: average-pool a conv map
     (pool_k > 1), flatten, score the logits with loss_fn against targets,
     and send dlogits down through back, w or B. The weight scales dlogits,
     the smallest gradient, so cls_w and cls_b are those of weight * loss.
     Given add_to, an array of h's shape the caller hands over, dh is added
-    into it, bit for bit add_to + dh, and the result's dh is add_to."""
+    into it, bit for bit add_to + dh, and the result's dh is add_to. With
+    spread=False the result's dh is the gradient at the pooled map, which
+    the caller spreads over h later (_spread), and add_to is not read."""
     if h.ndim not in (2, 4):
         raise ShapeError(f"expected 2-d or 4-d activations, got {h.shape}")
     pooled = nm.avgpool(h, pool_k) if h.ndim == 4 and pool_k > 1 else h
@@ -220,10 +245,7 @@ def _classifier_loss(h, targets, w, b, back, loss_fn, pool_k, weight, add_to) ->
     dlogits *= dlogits.dtype.type(weight)
     dflat, dw = nm.matmul_backward(flat, back, dlogits)
     d = dflat.reshape(pooled.shape)
-    if pooled is not h:
-        dh = nm.avgpool_backward(d, pool_k, add_to)
-    else:
-        dh = d if add_to is None else np.add(add_to, d, out=add_to)
+    dh = _spread(d, pool_k, add_to) if spread else d
     return LocalLossResult(loss, dh, {"cls_w": dw, "cls_b": dlogits.sum(axis=0)})
 
 
@@ -235,10 +257,11 @@ def pred_loss(
     pool_k: int = 1,
     weight: float = 1.0,
     add_to=None,
+    spread: bool = True,
 ) -> LocalLossResult:
     """The pred part: the local classifier on one-hot labels, its error
     sent down through w (see _classifier_loss)."""
-    return _classifier_loss(h, targets_onehot, w, b, w, nm.cross_entropy_logits, pool_k, weight, add_to)
+    return _classifier_loss(h, targets_onehot, w, b, w, nm.cross_entropy_logits, pool_k, weight, add_to, spread)
 
 
 def binarized_targets(proj: np.ndarray, targets_onehot: np.ndarray, dtype) -> np.ndarray:
@@ -255,13 +278,14 @@ def pred_bpf_loss(
     pool_k: int = 1,
     weight: float = 1.0,
     add_to=None,
+    spread: bool = True,
 ) -> LocalLossResult:
     """The pred-bpf part: the local classifier on binarised projected
     labels, its error sent down through feedback, B, in w's place (see
     _classifier_loss)."""
     if feedback.shape != w.shape:
         raise ShapeError(f"feedback shape {feedback.shape} must match classifier {w.shape}")
-    return _classifier_loss(h, bin_targets, w, b, feedback, nm.bce_logits, pool_k, weight, add_to)
+    return _classifier_loss(h, bin_targets, w, b, feedback, nm.bce_logits, pool_k, weight, add_to, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +314,45 @@ def combine(pred_res: LocalLossResult, sim_res: LocalLossResult, beta: float) ->
     return LocalLossResult(loss, dh, {**pred_res.grads, **sim_res.grads})
 
 
-def local_block_loss(block, h: np.ndarray, targets_onehot: np.ndarray, beta: float) -> LocalLossResult:
+def local_block_loss(block, h: np.ndarray, targets_onehot: np.ndarray, beta: float, rebuilt=None) -> LocalLossResult:
     """The local error signal of one hidden block, whose output is h: the
     pred and sim parts its spec names, run on its head tensors and mixed by
     beta when it has both.
 
     Each part takes its weight, 1 - beta and beta, into its own smallest
-    gradient; a block with one part weighs it by 1. The sim part runs
-    first, and the pred part adds its gradient into the sim one (add_to=):
-    no full-size pred gradient is made only to be added, and the sim
-    gradient, not a pred one, lives through the lighter pred part.
+    gradient; a block with one part weighs it by 1. The pred part's
+    gradient is spread into the sim one last (avgpool_backward's add_to=):
+    no full-size pred gradient is made only to be added. The sim part runs
+    first, so its gradient, not a full-size pred one, lives through the
+    lighter pred part. Given rebuilt, an array-like of h's rows made again
+    (see sim_loss), the block hands h over to its sim head: the pred part
+    reads h first and keeps its gradient at the pooled map, then the head
+    writes its map over h; the sum is the one the other order makes.
     """
     spec = block.spec
     if not (spec.pred or spec.sim):
         raise ConfigError("the block has no local-loss part")
     wp, ws = (1.0 - beta, beta) if spec.pred and spec.sim else (1.0, 1.0)
+
+    def pred_part():
+        if spec.pred == "ce":
+            return pred_loss(h, targets_onehot, block.cls_w, block.cls_b, spec.pool_k, weight=wp, spread=False)
+        if spec.pred == "bpf":
+            t = binarized_targets(block.proj, targets_onehot, h.dtype)
+            return pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, spec.pool_k, weight=wp, spread=False)
+        return None
+
     pred = sim = None
+    if rebuilt is not None:  # before the sim head writes over h
+        pred = pred_part()
     if spec.sim == "head":
-        sim = sim_loss(h, targets_onehot, block.sim_w, block.sim_b, weight=ws)
+        sim = sim_loss(h, targets_onehot, block.sim_w, block.sim_b, weight=ws, rebuilt=rebuilt)
     elif spec.sim == "bpf":
         sim = sim_bpf_loss(h, block.proj @ targets_onehot.T, weight=ws)
-    add_to = None if sim is None else sim.dh
-    if spec.pred == "ce":
-        pred = pred_loss(h, targets_onehot, block.cls_w, block.cls_b, spec.pool_k, weight=wp, add_to=add_to)
-    elif spec.pred == "bpf":
-        t = binarized_targets(block.proj, targets_onehot, h.dtype)
-        pred = pred_bpf_loss(h, t, block.cls_w, block.cls_b, block.feedback, spec.pool_k, weight=wp, add_to=add_to)
+    if rebuilt is None:
+        pred = pred_part()
+    if pred is not None:
+        pred.dh = _spread(pred.dh, spec.pool_k, None if sim is None else sim.dh)
     if pred is None or sim is None:
         return sim if pred is None else pred
     return combine(pred, sim, beta)

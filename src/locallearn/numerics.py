@@ -14,22 +14,33 @@ Conventions:
     over as out=, an array it no longer reads; the result is then written
     there, bit for bit the one a new array gets. These take out=:
     batchnorm_train and batchnorm_eval (block_forward passes the conv/dense
-    output), leaky_relu and dropout (the batchnorm output, then the relu's),
-    dropout_backward, leaky_relu_backward and batchnorm_backward (the
-    gradient block_backward takes over), and std_per_feature_map_backward
-    (sim_loss passes the sim head's feature map). conv2d_backward takes
-    over g with no out=: a same-channel conv writes its dx there, a conv
-    that widens or narrows leaves g be (sim_loss and block_backward hand
-    over a gradient they no longer read). avgpool_backward takes
-    add_to=, an array its result is added into, bit for bit the sum with a
-    new array (a pred head's caller passes the sim part's gradient). Every
-    other kernel returns new arrays
+    output; with need_xhat=False batchnorm_train centers the batch there
+    too, so the output, xhat and y are one buffer), leaky_relu and dropout
+    (the batchnorm output, then the relu's), dropout_backward,
+    leaky_relu_backward and batchnorm_backward (the gradient block_backward
+    takes over), and std_per_feature_map_backward (sim_loss passes the sim
+    head's feature map, which a block that hands its output over has
+    written over that output). conv2d_backward takes over g with no out=:
+    a same-channel conv writes its dx there, a conv that widens or narrows
+    leaves g be (sim_loss and block_backward hand over a gradient they no
+    longer read). avgpool_backward takes add_to=, an array its result is
+    added into, bit for bit the sum with a new array (a pred head's caller
+    passes the sim part's gradient). Every other kernel returns new arrays
   * leaky_relu, dropout, their backwards, the feature-map variance,
-    batchnorm_backward and the four pool kernels (maxpool2x2, avgpool and
-    their backwards, add_to= included) work a block of leading rows at a
-    time (see _row_blocks), so their scratch stays small; the window masks
-    maxpool2x2_backward ands g's bits with are one row block at g's
-    integer width
+    batchnorm_train's variance, batchnorm_backward and the four pool
+    kernels (maxpool2x2, avgpool and their backwards, add_to= included)
+    work a block of leading rows at a time (see _row_blocks), so their
+    scratch stays small; the window masks maxpool2x2_backward ands g's bits
+    with are one row block at g's integer width
+  * batchnorm_backward's xhat and conv2d_backward's x are read a row block
+    at a time, as a[rows] for a slice of leading rows, and nothing else is
+    read of them but shape, ndim, dtype and itemsize. So either may be a
+    RowMap, an array-like whose rows are made again when they are read, a
+    block of about ROWS_BUDGET bytes at a time: a full-size map that can
+    be rebuilt bit for bit from a block's cache (its xhat, its output) is
+    rebuilt rather than held
+  * a per-feature vector meets a map as feature_row lays it out, so the
+    elementwise op runs along whole rows
   * the two masks a backward reads, leaky_relu's sign (x >= 0) and
     dropout's keep mask, are bits: np.packbits rows, uint8, with
     ceil(row/8) bytes for each leading-axis row of the tensor (a 1-d
@@ -85,6 +96,51 @@ def _row_blocks(a: np.ndarray, *dtypes):
     for i in range(0, n, step):
         size = min(step, n - i)
         yield (slice(i, i + size), *(s[:size] for s in scratch))
+
+
+# Bytes of rows a RowMap makes at once, and of the examples a handed-over
+# sim head's map is made in (losses.sim_loss). Measured on the benchmark's
+# conv net under predsim at batch 32 (a 2-core Xeon, OpenBLAS), whose block
+# 0 output is 8 MiB: one example at a time held the same 15.93 MiB step
+# peak and ran 7% slower (paired step ratio 1.074 [1.033, 1.098], 30
+# pairs); 2 MiB ran 4% faster (0.959 [0.941, 0.982]) and peaked at 16.57
+# MiB, 4 MiB at 18.56.
+ROWS_BUDGET = 1 << 20
+
+
+class RowMap:
+    """A full-size map that is never whole: an array-like with the map's
+    shape, ndim, dtype and itemsize whose a[rows], for a slice of leading
+    rows, hands out those rows, made by make(rows). It makes the block of
+    rows from rows.start that covers ROWS_BUDGET bytes, or the rows asked
+    for when they are more, keeps that block alone, and hands out later
+    requests inside it from it, so the row-blocked kernels that read a
+    map's rows in order (batchnorm_backward's xhat, a same-channel
+    conv2d_backward's x) read one block per ROWS_BUDGET bytes. make must give
+    each row's bytes whatever rows it is asked for together; what a[rows]
+    hands out is a view of the block, so read it before the next a[...]."""
+
+    def __init__(self, shape: tuple, dtype, make):
+        self.shape = tuple(shape)
+        self.ndim = len(self.shape)
+        self.dtype = np.dtype(dtype)
+        self.itemsize = self.dtype.itemsize
+        self._make = make
+        self._step = max(1, ROWS_BUDGET // (self.itemsize * max(1, math.prod(self.shape[1:]))))
+        self._block, self._start = None, 0
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice):
+            raise ShapeError(f"a RowMap hands out a slice of leading rows, not {rows!r}")
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ShapeError("a RowMap hands out contiguous rows")
+        stop = max(start, stop)
+        if self._block is None or not self._start <= start <= stop <= self._start + len(self._block):
+            self._block = None  # dies before the next block is made
+            end = min(self.shape[0], max(stop, start + self._step))
+            self._block, self._start = self._make(slice(start, end)), start
+        return self._block[start - self._start : stop - self._start]
 
 
 def _as_float(x, name: str) -> np.ndarray:
@@ -231,7 +287,6 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
         cols = None  # the weight pass's im2col buffer dies before the dx pass makes its own
         dx = _lowered_conv(g, flipped) if need_dx else None
         return dx, dk.reshape(k.shape)
-    x3 = x.reshape(n, ci, h * w)
     dkf = np.zeros((co * 9, ci), dtype=k.dtype)
     # a same-channel dx takes over g: each example of g is in the canvas
     # before its dx rows are written over it
@@ -240,7 +295,7 @@ def _conv_grads(x: np.ndarray, k: np.ndarray, g: np.ndarray, need_dx: bool):
         dx = g.reshape(n, ci, h * w) if ci == co else np.empty((n, ci, h * w), dtype=x.dtype)
     f2 = flipped.reshape(ci, -1)
     for rows, cols in _im2col_chunks(g, 1):
-        dkf += cols @ x3[rows.start].T
+        dkf += cols @ x[rows].reshape(ci, h * w).T
         if need_dx:
             np.matmul(f2, cols[None], out=dx[rows])
     dk = dkf.reshape(co, 3, 3, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -253,7 +308,8 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     Takes over g: a same-channel conv (ci == co) writes dx into g's buffer,
     bit for bit the dx a new array gets, so a caller that reads g afterwards
     must pass a copy. A conv that widens or narrows its channels leaves g
-    as it was."""
+    as it was. x is read as x[rows], one example or one lowering chunk at a
+    time, so it may be a RowMap."""
     return _conv_grads(x, k, g, need_dx=True)
 
 
@@ -405,37 +461,86 @@ def _bn_axes(x: np.ndarray):
     raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {x.shape}")
 
 
-def _bn_shape(x: np.ndarray, p: np.ndarray):
+def feature_row(v: np.ndarray, x) -> np.ndarray:
+    """v, one value per feature (axis 1) of a dense or NCHW x, laid out as
+    one of x's leading-axis rows: a conv map's channel values each repeated
+    over its plane. An elementwise op of x with it is, bit for bit, the op
+    with v broadcast per feature, but numpy runs it along whole contiguous
+    rows instead of one (H, W) plane at a time, about twice as fast on a
+    conv map."""
+    return v if x.ndim == 2 else np.repeat(v, math.prod(x.shape[2:])).reshape(x.shape[1:])
+
+
+def _bn_param(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p, once its shape is checked against x's features."""
     c = x.shape[1]
     if p.shape != (c,):
         raise ShapeError(f"batchnorm parameter shape {p.shape} does not match {c} features")
-    return p.reshape((1, c) + (1,) * (x.ndim - 2))
+    return p
 
 
-def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None):
+def _square_sum(flat: np.ndarray):
+    """The sum of a contiguous 1-d run's squares, bit for bit the one numpy's
+    pairwise sum makes of them: numpy adds a run of up to 128 elements in
+    eight accumulators and splits a longer one at half its length rounded
+    down to a multiple of 8, so a run of more than ROW_BLOCK (and 128)
+    elements is split where numpy splits it, and the squares exist one leaf
+    at a time."""
+    n = len(flat)
+    if n <= max(ROW_BLOCK, 128):
+        return np.square(flat).sum()
+    half = n // 2 - n // 2 % 8
+    return _square_sum(flat[:half]) + _square_sum(flat[half:])
+
+
+def _mean_square(a: np.ndarray) -> np.ndarray:
+    """np.square(a).mean(axis=_bn_axes(a)) of a C-ordered a, bit for bit, with
+    the squares a row block at a time. numpy adds up a map of more than one
+    feature example by example, one pairwise sum per (H, W) plane (a dense
+    row's elements one each), so the per-example plane sums are added in
+    example order. A one-feature map is one contiguous run, which numpy sums
+    pairwise as a whole (see _square_sum). The count divides as np.mean
+    divides it."""
+    c = a.shape[1]
+    acc = np.zeros(c, dtype=a.dtype)
+    if c == 1:
+        acc[0] = _square_sum(a.reshape(-1))
+    else:
+        for rows, sq in _row_blocks(a, a.dtype):
+            np.square(a[rows], out=sq)
+            sums = sq if a.ndim == 2 else sq.sum(axis=(2, 3))
+            # the sum so far, then the block's: one reduction over examples,
+            # which numpy makes in example order for more than one feature
+            acc = np.add.reduce(np.concatenate((acc[None], sums)), axis=0)
+    return np.true_divide(acc, np.intp(a.size // c), out=acc, casting="unsafe")
+
+
+def batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None, need_xhat: bool = True):
     """Train-mode batch normalization over the feature axis.
 
     Uses population (1/N) variance. Returns (y, xhat, inv_std, mean, var);
     mean/var are the batch statistics the caller folds into running stats.
-    The batch is centered once: the centered array gives the variance (the
-    bytes of x.var) and then becomes xhat in place. y is written into out
-    (a new array by default; out=x overwrites x once xhat is taken from it),
-    which holds the squares until y is computed.
+    The batch is centered once, the variance is the mean of the centered
+    batch's squares (the bytes of x.var), taken a row block at a time (see
+    _mean_square), and the centered batch becomes xhat in place. y is
+    written into out (a new array by default; out=x overwrites x once the
+    mean is taken). With need_xhat=False, for a caller that never reads xhat
+    (block_backward rebuilds it), the batch is centered in out, which
+    becomes xhat and then y, the same ops in the same order, and xhat comes
+    back None: the call holds no other buffer of x's size.
     """
     x = _as_float(x, "x")
     if x.shape[0] < 2:
         raise InputError("batchnorm in train mode needs a batch of at least 2")
-    axes = _bn_axes(x)
-    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    mean = x.mean(axis=axes)
-    xhat = x - mean.reshape(shape)
-    y = np.square(xhat, out=out)
-    var = y.mean(axis=axes)  # population variance, matches the running-stat update
+    gamma, beta = (feature_row(_bn_param(x, p), x) for p in (gamma, beta))
+    mean = x.mean(axis=_bn_axes(x))
+    xhat = np.subtract(x, feature_row(mean, x), out=None if need_xhat else out)
+    var = _mean_square(xhat)  # population variance, matches the running-stat update
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std.reshape(shape)
-    np.multiply(_bn_shape(x, gamma), xhat, out=y)
-    y += _bn_shape(x, beta)
-    return y, xhat, inv_std, mean, var
+    xhat *= feature_row(inv_std, x)
+    y = np.multiply(gamma, xhat, out=out if need_xhat else xhat)
+    y += beta
+    return y, (xhat if need_xhat else None), inv_std, mean, var
 
 
 def batchnorm_eval(x, gamma, beta, running_mean, running_var, out=None):
@@ -447,12 +552,11 @@ def batchnorm_eval(x, gamma, beta, running_mean, running_var, out=None):
     """
     x = _as_float(x, "x")
     _bn_axes(x)
-    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-    y = np.subtract(x, running_mean.reshape(shape), out=out)
-    y *= inv_std.reshape(shape)
-    y *= _bn_shape(x, gamma)
-    y += _bn_shape(x, beta)
+    y = np.subtract(x, feature_row(_bn_param(x, running_mean), x), out=out)
+    y *= feature_row(inv_std, x)
+    y *= feature_row(_bn_param(x, gamma), x)
+    y += feature_row(_bn_param(x, beta), x)
     return y
 
 
@@ -466,23 +570,26 @@ def batchnorm_backward(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv_s
     g*gamma and g*gamma*xhat are gamma times dbeta and dgamma. dgamma adds
     up the sums of g*xhat a block of rows at a time (see _row_blocks), and
     xhat*dgamma is subtracted a block at a time, so the scratch stays
-    block-sized. dx is written into out (a new array by default; out=g
-    overwrites g once both sums are taken).
+    block-sized; xhat is read as xhat[rows] in those two passes alone, so
+    it may be a RowMap. dx is written into out (a new array by default;
+    out=g overwrites g once both sums are taken).
     """
     if g.shape != xhat.shape:
         raise ShapeError(f"grad shape {g.shape} does not match activations {xhat.shape}")
     axes = _bn_axes(g)
-    count = g.size // g.shape[1]
-    shape = (1, g.shape[1]) + (1,) * (g.ndim - 2)
+    count = g.dtype.type(g.size // g.shape[1])
+    gamma = _bn_param(g, gamma)
     dgamma = np.zeros(g.shape[1], dtype=g.dtype)
     for rows, scratch in _row_blocks(g, g.dtype):
         dgamma += np.multiply(g[rows], xhat[rows], out=scratch).sum(axis=axes)
     dbeta = g.sum(axis=axes)
-    dx = np.multiply(g, g.dtype.type(count), out=out)
-    dx -= dbeta.reshape(shape)
+    dx = np.multiply(g, count, out=out)
+    dx -= feature_row(dbeta, g)
+    coupled = feature_row(dgamma, g)
     for rows, scratch in _row_blocks(g, g.dtype):
-        dx[rows] -= np.multiply(xhat[rows], dgamma.reshape(shape), out=scratch)
-    dx *= (_bn_shape(g, gamma) * inv_std.reshape(shape)) / g.dtype.type(count)
+        dx[rows] -= np.multiply(xhat[rows], coupled, out=scratch)
+    coupled = None
+    dx *= feature_row(gamma * inv_std / count, g)
     return dx, dgamma, dbeta
 
 

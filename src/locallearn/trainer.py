@@ -14,13 +14,18 @@ every hidden block computes its own loss, backpropagates one layer deep,
 updates immediately, and drops its cache before the next block runs (more
 than one live cache would be a bug). In predsim and sim, the conv blocks
 with the largest output keep no xhat in their cache either: the backward
-rebuilds it from the block's input (LayerSpec.rebuild_xhat), and the
-block pools its output before that, so the step's peak block holds
-neither. Global backprop is the same forward sweep, except that each
-block's cache goes onto a trace for one backward pass at the end; there
-too the widest conv blocks keep no xhat, so the trace holds none of
-their full-size float arrays through the later blocks. In every mode one
-body runs a block's local loss, head update, backward and update.
+rebuilds it from the block's input a row block at a time
+(LayerSpec.rebuild_xhat). A conv block with a sim head that pools pools
+first and hands its output to the head, which writes its map, then dfeat
+and dh over it and reads the output's rows back from the cache, so the
+block holds one full-size float map through its loss and backward.
+Global backprop is the same forward sweep, except that each block's
+cache goes onto a trace for one backward pass at the end; there too the
+widest conv blocks keep no xhat, so the trace holds none of their
+full-size float arrays through the later blocks, and glob+sim hands each
+conv block's output, recomputed from its cache, to its sim head. In
+every mode one body runs a block's local loss, head update, backward and
+update.
 """
 
 from __future__ import annotations
@@ -158,19 +163,21 @@ def parse_arch(cfg: TrainConfig, input_shape, classes: int) -> tuple:
             raise type(e)(f"token {i + 1} {tok!r} of {resolved!r}: {e}") from None
     if not row.local or row.sim == "head":
         # the conv blocks with the largest output keep no xhat, which their
-        # backward rebuilds with one more trunk conv. A local step with a
-        # sim head peaks there, where the head's conv backward runs on top
-        # of the cache, and the head's GEMMs hide the rebuild; a global step
-        # would hold that xhat through every later block's forward and
-        # backward. Measured at batch 32: glob 21.42 -> 16.55 MiB on the
-        # benchmark conv net for 4-6% of a step (glob+sim 30.05 -> 22.00),
-        # 36.11 -> 25.59 at quarter-width vgg8b and 153.80 -> 117.56 at full
-        # width. Rebuilding in every conv block gave predsim the same peak
-        # at +9% step time at quarter width. In pred and the bpf modes no
-        # sim head's GEMMs hide the conv: rebuilding cut pred's
-        # benchmark-net peak 25.95 -> 18.57 MiB for 5-10% of its step, and
-        # predsim-bpf's quarter-width peak 29.58 -> 23.27 for 6-11%, so they
-        # keep xhat
+        # backward rebuilds a RowMap block at a time, running the block's
+        # trunk conv once in each of batchnorm_backward's two passes. A
+        # local step with a sim head peaks there, and its head's GEMMs hide
+        # the rebuild; a global step would hold that xhat through every
+        # later block's forward and backward. Measured at batch 32, with
+        # each pooled sim head writing over its block's output: glob 21.42
+        # -> 13.96 MiB on the benchmark conv net (16.55 while the rebuild
+        # was whole; step time 0.988 [0.969, 1.011] of that, paired A/B),
+        # glob+sim 30.05 -> 19.34, 36.11 -> 25.31 at quarter-width vgg8b
+        # and 153.80 -> 117.54 at full width. Rebuilding in every conv
+        # block gave predsim the same peak at +9% step time at quarter
+        # width. In pred and the bpf modes no sim head's GEMMs hide the
+        # conv: a whole rebuild cut pred's benchmark-net peak 25.95 ->
+        # 18.57 MiB for 5-10% of its step, and predsim-bpf's quarter-width
+        # peak 29.58 -> 23.27 for 6-11%, so they keep xhat
         most = max(math.prod(b.out_shape) for b in blocks) if blocks else 0
         blocks = [replace(b, rebuild_xhat=b.kind == "conv" and math.prod(b.out_shape) == most) for b in blocks]
     return blocks, math.prod(shape)
@@ -362,31 +369,45 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, update):
     block in the sweep reads). It pops the block's entry, the only
     reference to its cache. In a local mode the entry holds the block's
     live output, which the loss reads and the block's 2x2 pool, if it has
-    one, then reduces: the next block's input, which comes back. In a
-    global mode the loss reads the output recomputed from the cache, the
-    pool backward reads the entry's gradient, and the gradient the block
-    below reads comes back. Each buffer dies at its last reader: the head
-    gradients at their update, before the pool; a local mode's full-size
-    output in its pool; the local dh once added into d; the masks and xhat
-    inside the block's backward; the rest of the cache before the update,
-    which gets the trunk's gradients and the batch stats."""
+    one, reduces: the next block's input, which comes back. In a global
+    mode the loss reads the output recomputed from the cache, the pool
+    backward reads the entry's gradient, and the gradient the block below
+    reads comes back. Each buffer dies at its last reader: the head
+    gradients at their update; the local dh once added into d; the masks
+    and xhat inside the block's backward; the rest of the cache before the
+    update, which gets the trunk's gradients and the batch stats.
+
+    A conv sim head takes over an output that nothing after the loss reads:
+    a local block's that pools, once pooled, and the output glob+sim
+    recomputes. The pred part reads it first and keeps its gradient at the
+    pooled map, the head writes its map over it, then dfeat and dh, and the
+    head's weight gradient reads the output's rows made again from the
+    cache (a RowMap of block_output), so the block holds one full-size
+    float map through its loss and its backward. A local block that pools
+    with no sim head pools after its update, so the pool does not run
+    while the cache and dh are live."""
     k, cache, h, idx, d = trace.pop()
     block = net.blocks[k]
+    spec = block.spec
+    local = h is not None
+    nxt = h  # the next block's input, in a local mode
     loss, dh = 0.0, None
-    if block.spec.pred or block.spec.sim:
-        res = local_block_loss(block, block_output(block, cache) if h is None else h, targets_onehot, net.beta)
+    if spec.pred or spec.sim:
+        rebuilt = None
+        if not local:
+            h = block_output(block, cache)
+        if spec.sim == "head" and spec.kind == "conv" and (spec.pool or not local):
+            if local:
+                nxt, _ = nm.maxpool2x2(h, need_index=False)
+            rebuilt = nm.RowMap(h.shape, h.dtype, lambda rows: block_output(block, cache, rows))
+        res = local_block_loss(block, h, targets_onehot, net.beta, rebuilt)
+        if nxt is not h:  # dh's buffer now, or dead
+            h = rebuilt = None
         if not np.isfinite(res.loss):
             raise NonFiniteError(f"non-finite loss at layer {k} ({net.mode})")
         if res.grads:
             update(k, block, res.grads)
         loss, dh, res = res.loss, res.dh, None  # the head gradients die here
-    # h is rebound, so the full-size output dies with the pool: before the
-    # backward when that rebuilds xhat, so the two are never live at once,
-    # otherwise after the update, so the pool does not run while the cache
-    # and dh are live
-    pool = h is not None and block.spec.pool
-    if pool and block.spec.rebuild_xhat:
-        (h, _), pool = nm.maxpool2x2(h, need_index=False), False
     if idx is not None:
         d = nm.maxpool2x2_backward(d, idx)
         idx = None  # dies here, before the block's backward
@@ -395,24 +416,24 @@ def _train_block(net: Network, trace: list, targets_onehot: np.ndarray, update):
     elif dh is not None:
         d += dh
     dh = None  # added into d, or d itself
-    if MODE_TABLE[net.mode].local:
+    if local:
         grads, d = block_local_backward(block, cache, d), None
     else:
         grads, d = block_backward(block, cache, d, need_dx=k > 0)
     stats, cache = cache.stats, None  # the cache dies before the update
     update(k, block, grads, stats)
-    if pool:
-        h, _ = nm.maxpool2x2(h, need_index=False)
-    return loss, d if h is None else h
+    if h is not None and spec.pool:  # a local output no sim head took over
+        nxt, _ = nm.maxpool2x2(h, need_index=False)
+    return loss, nxt if local else d
 
 
 def train_step(net: Network, x: np.ndarray, targets_onehot: np.ndarray, lr: float, rngs, update=None) -> StepResult:
     """One optimisation step: a single forward sweep in which each block
     runs and pushes its cache onto a trace. Each block trains in
     _train_block: in a local mode at once, so its cache dies before the
-    next block runs, and its 2x2 pool, if it has one, runs there: right
-    after the local loss in a block that rebuilds xhat, so the full-size
-    output is dead before the rebuild, and after the update in any other.
+    next block runs, and its 2x2 pool, if it has one, runs there: first
+    in a conv block with a sim head, which then hands its full-size output
+    to the head, and after the update in any other.
     In glob and glob+sim the pool runs in the sweep, and each block trains
     in the global backward, one reverse loop over the trace that the
     output layer's cross-entropy starts, where glob+sim adds each block's

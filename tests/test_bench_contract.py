@@ -76,10 +76,11 @@ def test_memory_probe_finds_every_name_it_wraps():
     assert ("locallearn.cli", "evaluate") in wrapped
 
 
-@pytest.mark.parametrize("mode", ["predsim", "glob"])
+@pytest.mark.parametrize("mode", ["predsim", "sim", "glob+sim", "glob"])
 def test_traced_conv_step_runs_and_counts_flops(mode):
     # the traced run feeds every call's arguments to perfbench's attribute
-    # functions, so an argument they do not expect fails here, not in --trace 1
+    # functions, so an argument they do not expect fails here, not in --trace
+    # 1: a sim head's conv2d_backward reads its x from a numerics.RowMap
     net = small_net(mode, arch="conv3-pool-conv4-fc", input_shape=(2, 4, 4), classes=3, pred_target_dim=4)
     x = rand((6, 2, 4, 4), seed=80, dtype=np.float32)
     y = numerics.one_hot(np.arange(6) % 3, 3, np.float32)
@@ -93,17 +94,30 @@ def test_traced_conv_step_runs_and_counts_flops(mode):
     assert len(spans["trainer.train_step"]) == 1
     # a 3x3 same conv of n examples from ci to co channels at h x w costs
     # 2*n*co*h*w*ci*9 flops; block 0 maps 2 -> 3 channels at 4x4, block 1
-    # 3 -> 4 at 2x2, and each predsim sim head keeps its block's channels.
-    # block 0, the largest output, runs its trunk conv again in its
-    # backward, to rebuild xhat: in predsim right after its sim head, in
-    # glob last, when the global backward reaches it
+    # 3 -> 4 at 2x2, and each sim head keeps its block's channels. Block 0,
+    # the largest output, keeps no xhat, so each of its rebuilds runs its
+    # trunk conv again (the whole map is one RowMap block here, so the two
+    # passes of its batchnorm backward share one). predsim and sim: block 0
+    # pools, hands its output to its sim head, and rebuilds it for the
+    # head's weight gradient, then xhat in its backward; block 1 does not
+    # pool, so its head keeps the output. glob+sim recomputes each block's
+    # output in the global backward and hands it to the head: block 1 keeps
+    # xhat, so only block 0 runs its trunk conv for the output, the head's
+    # rebuild and its backward. glob rebuilds block 0's xhat last
     flop = lambda ci, co, hw: 2 * 6 * co * hw * ci * 9
     trunk, heads = [flop(2, 3, 16), flop(3, 4, 4)], [flop(3, 3, 16), flop(4, 4, 4)]
-    forward = {"predsim": [trunk[0], heads[0], trunk[0], trunk[1], heads[1]], "glob": trunk + trunk[:1]}[mode]
+    local = [trunk[0], heads[0], trunk[0], trunk[0], trunk[1], heads[1]]
+    forward = {
+        "predsim": local,
+        "sim": local,
+        "glob+sim": [trunk[0], trunk[1], heads[1], trunk[0], heads[0], trunk[0], trunk[0]],
+        "glob": trunk + trunk[:1],
+    }[mode]
     assert [s.attrs["flop"] for s in spans["numerics.conv2d"]] == forward
     # dx-producing conv backwards, dx and dk a forward's flops each: the two
-    # sim heads in predsim, block 1 in glob
-    backward = {"predsim": heads, "glob": trunk[1:]}[mode]
+    # sim heads in predsim and sim, block 1 in glob, and in glob+sim block
+    # 1's head, block 1, then block 0's head
+    backward = {"predsim": heads, "sim": heads, "glob+sim": [heads[1], trunk[1], heads[0]], "glob": trunk[1:]}[mode]
     assert [s.attrs["flop"] for s in spans["numerics.conv2d_backward"]] == [2 * f for f in backward]
     assert len(spans["layers.block_backward"]) == 2
     # perlayer times a block's update phase from the update_params spans

@@ -450,6 +450,8 @@ def test_block_output_is_the_train_forwards_output_bytes(kind, dropout, slope, r
     h, cache = ly.block_forward(block, x, train=True, rng=make_rng(1))
     got = ly.block_output(block, cache)
     assert got.dtype == h.dtype and got.shape == h.shape and got.tobytes() == h.tobytes()
+    for rows in (slice(0, 1), slice(1, 3), slice(len(h) - 1, None)):  # and any rows of it alone
+        assert ly.block_output(block, cache, rows).tobytes() == h[rows].tobytes()
     assert (cache.mask is None) == (dropout == 0.0) and (cache.xhat is None) == rebuild  # the cache is left as it was
 
 

@@ -400,6 +400,43 @@ def test_local_block_loss_dispatch():
         block("nonsense", None)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pred, pool_k", [("ce", 1), ("ce", 2), (None, 1)])  # predsim's parts, and sim's
+def test_local_block_loss_on_a_handed_over_map_gives_the_kept_maps_bytes(pred, pool_k, dtype, monkeypatch):
+    # handed over, h takes the sim head's map a block of examples at a time
+    # (two here, of five), then dfeat and dh, and the head's weight gradient
+    # reads h's rows back from a RowMap; the pred part reads h first and
+    # spreads its gradient into dh last. The loss, dh and every head
+    # gradient are the bytes a kept h gives
+    n, c, side = 5, 3, 8
+    monkeypatch.setattr(nm, "ROWS_BUDGET", 2 * c * side * side * np.dtype(dtype).itemsize)
+    spec = LayerSpec("conv", (2, side, side), channels=c, pool=True, pred=pred, sim="head", classes=3,
+                     pred_target_dim=c * (side // pool_k) ** 2)
+    assert spec.pool_k == pool_k
+    block = SimpleNamespace(spec=spec, cls_w=rand((spec.cls_in, 3), seed=113, dtype=dtype, scale=0.3),
+                            cls_b=rand((3,), seed=114, dtype=dtype), sim_w=rand((c, c, 3, 3), seed=115, dtype=dtype),
+                            sim_b=None)
+    h = rand((n, c, side, side), seed=116, dtype=dtype)
+    y = one_hot(np.arange(n) % 3, 3, dtype)
+    beta = 0.99 if pred else 1.0
+    want = ls.local_block_loss(block, h.copy(), y, beta)
+    made = []
+
+    def rows_of_h(rows):
+        made.append(range(n)[rows])
+        return h[rows].copy()
+
+    handed = h.copy()
+    got = ls.local_block_loss(block, handed, y, beta, nm.RowMap(h.shape, h.dtype, rows_of_h))
+    assert got.loss == want.loss
+    assert got.dh.dtype == dtype and got.dh.tobytes() == want.dh.tobytes()
+    assert np.shares_memory(got.dh, handed)  # the map, dfeat and dh were h's buffer
+    assert got.grads.keys() == want.grads.keys()
+    for name, g in want.grads.items():
+        assert got.grads[name].tobytes() == g.tobytes(), name
+    assert made == [range(0, 2), range(2, 4), range(4, 5)]  # never the whole map
+
+
 def test_sim_head_feature_map_is_dead_when_its_backward_starts(monkeypatch):
     h = rand((4, 3, 6, 6), seed=62, dtype=np.float32)
     head_w = rand((3, 3, 3, 3), seed=63, dtype=np.float32)

@@ -815,6 +815,116 @@ def test_batchnorm_backward_sums_dgamma_a_row_block_at_a_time(shape, row_block, 
         assert _same_bytes(got, want)
 
 
+def _kept_xhat_batchnorm(x, gamma, beta):
+    """batchnorm_train as it was when it always kept xhat: the squares made
+    whole into y and reduced by y.mean, the parameters broadcast per
+    feature."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    mean = x.mean(axis=axes)
+    xhat = x - mean.reshape(shape)
+    y = np.square(xhat)
+    var = y.mean(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + nm.BN_EPS)
+    xhat *= inv_std.reshape(shape)
+    np.multiply(gamma.reshape(shape), xhat, out=y)
+    y += beta.reshape(shape)
+    return y, xhat, inv_std, mean, var
+
+
+# a one-feature map is one contiguous run that numpy sums pairwise as a
+# whole, (7, 1, 5, 5) and (32, 1, 16, 16) once missed its bytes, and
+# (3, 1, 200, 200) is longer than ROW_BLOCK; (9, 1) and (40, 3) are dense
+_BN_SHAPES = [(7, 1, 5, 5), (32, 1, 16, 16), (3, 1, 200, 200), (7, 3, 5, 5), (7, 64, 5, 5), (7, 512, 2, 3), (9, 1), (40, 3)]
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _BN_SHAPES)
+def test_batchnorm_train_with_and_without_xhat_is_the_kept_paths_bytes(shape, dtype, ragged, monkeypatch):
+    x = rand(shape, seed=102, dtype=dtype, scale=3.0) + dtype(1.5)
+    c = shape[1]
+    gamma, beta = rand((c,), seed=103, dtype=dtype) + dtype(1.0), rand((c,), seed=104, dtype=dtype)
+    want = _kept_xhat_batchnorm(x, gamma, beta)
+    if ragged:  # blocks of 2, 2, 2 and 1 examples for a batch of 7
+        _blocks_of(monkeypatch, 2, x[0].size)
+    kept = nm.batchnorm_train(x, gamma, beta)
+    assert all(_same_bytes(a, b) for a, b in zip(kept, want))
+    buf = x.copy()
+    y, xhat, *stats = nm.batchnorm_train(buf, gamma, beta, out=buf, need_xhat=False)
+    assert y is buf and xhat is None
+    assert _same_bytes(y, want[0]) and all(_same_bytes(a, b) for a, b in zip(stats, want[2:]))
+
+
+def test_batchnorm_train_without_xhat_holds_one_buffer():
+    # the benchmark's block 0 output, 8 MiB: its squares exist a row block
+    # at a time, not as a second full-size buffer
+    x = rand((32, 64, 32, 32), seed=105, dtype=np.float32)
+    ones, zeros = np.ones(64, np.float32), np.zeros(64, np.float32)
+    assert _transient_bytes(lambda: nm.batchnorm_train(x, ones, zeros, out=x, need_xhat=False)) < 1 << 20
+
+
+def _row_map(a, made=None):
+    """A RowMap of a's rows, each make a copy, its row spans kept in made."""
+
+    def make(rows):
+        if made is not None:
+            made.append(range(len(a))[rows])
+        return a[rows].copy()
+
+    return nm.RowMap(a.shape, a.dtype, make)
+
+
+@pytest.mark.parametrize("row_block", [None, 130])
+@pytest.mark.parametrize("budget", [None, 1, 500])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(16, 5), (7, 3, 4, 5)])
+def test_batchnorm_backward_reads_a_row_maps_xhat_as_the_whole_one(shape, dtype, budget, row_block, monkeypatch):
+    if row_block:
+        monkeypatch.setattr(nm, "ROW_BLOCK", row_block)
+    if budget:
+        monkeypatch.setattr(nm, "ROWS_BUDGET", budget)
+    x = rand(shape, seed=106, dtype=dtype, scale=2.0)
+    c = shape[1]
+    gamma = rand((c,), seed=107, dtype=dtype) + dtype(1.0)
+    g = rand(shape, seed=108, dtype=dtype)
+    _, xhat, inv_std, _, _ = nm.batchnorm_train(x, gamma, np.zeros(c, dtype=dtype))
+    want = nm.batchnorm_backward(g.copy(), gamma, xhat, inv_std)
+    got = nm.batchnorm_backward(g, gamma, _row_map(xhat), inv_std, out=g)
+    assert got[0] is g and all(_same_bytes(a, b) for a, b in zip(got, want))
+
+
+def test_row_map_hands_out_only_the_rows_asked_for(monkeypatch):
+    a = rand((10, 3, 4, 4), seed=109, dtype=np.float32)  # 192 bytes a row
+    monkeypatch.setattr(nm, "ROWS_BUDGET", 3 * 192)
+    made = []
+    m = _row_map(a, made)
+    assert (m.shape, m.ndim, m.dtype, m.itemsize) == (a.shape, 4, np.float32, 4)
+    for rows in (slice(0, 1), slice(1, 3), slice(2, 3), slice(3, 4), slice(4, 9), slice(0, 2), slice(9, None)):
+        assert _same_bytes(m[rows], a[rows])
+    # three rows a make, or the rows asked for when more, from the first
+    # row asked for that its block does not hold; never the whole map
+    assert made == [range(0, 3), range(3, 6), range(4, 9), range(0, 3), range(9, 10)]
+    assert _same_bytes(m[5:5], a[5:5])
+    for wrong in (0, slice(0, 4, 2), (slice(0, 1), 0)):
+        with pytest.raises(ShapeError):
+            m[wrong]
+
+
+def test_conv_backward_reads_a_row_maps_x_as_the_whole_one(monkeypatch):
+    # the sim head's weight gradient reads its input from a RowMap; a
+    # same-channel conv asks for one example at a time
+    monkeypatch.setattr(nm, "ROWS_BUDGET", 1)
+    x = rand((5, 3, 6, 6), seed=110, dtype=np.float32)
+    k = rand((3, 3, 3, 3), seed=111, dtype=np.float32)
+    g = rand((5, 3, 6, 6), seed=112, dtype=np.float32)
+    want = nm.conv2d_backward(x, k, g.copy())
+    made = []
+    got = nm.conv2d_backward(_row_map(x, made), k, g)
+    assert all(_same_bytes(a, b) for a, b in zip(got, want))
+    assert made == [range(i, i + 1) for i in range(5)]
+
+
 def test_batchnorm_eval_out_writes_over_its_input():
     x = rand((5, 3, 4, 4), seed=45, dtype=np.float32)
     gamma, beta = rand((3,), seed=46, dtype=np.float32), rand((3,), seed=47, dtype=np.float32)
